@@ -9,10 +9,7 @@ scenario harness with a PID baseline for comparison.
 __version__ = "0.1.0"
 
 from .dynamics import (
-    euler_rates,
     flap_coupling,
-    flap_derivatives,
-    forces_and_moments,
     rotation_body_to_ned,
     state_derivative,
     yaw_gyro_output,
@@ -72,7 +69,6 @@ from .state import (
     ControlInputs,
     EulerAngles,
     FlapState,
-    ForceMoment,
     FullState,
     NedPosition,
     WindVector,

@@ -10,19 +10,21 @@ import numpy as np
 from . import __version__
 from .config import ToolkitConfig, load_scenario_file, load_toolkit_config
 from .errors import HeliError
-from .hinf import build_output_map, hinf_norm, synthesize
+from .hinf import build_output_map, gamma_star, hinf_norm, synthesize
 from .observer import design_reduced_observer
 from .scenarios import builtin_names, builtin_scenario
 from .sim import SimArtifacts, compare_controllers, run_scenario
+from .state import INPUT_LABELS, N_STATES, STATE_LABELS
 from .trim import (
     MODEL_INPUT_LABELS,
     MODEL_STATE_LABELS,
     WIND_LABELS,
+    LinearPlant,
+    TrimPoint,
     find_trim,
     linearize,
     verify_linearization,
 )
-from .state import INPUT_LABELS, STATE_LABELS
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray, col_labels, row_labels=None):
@@ -78,8 +80,8 @@ def cmd_trim(args) -> int:
 def cmd_linearize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    trim = find_trim(cfg.params)
-    plant = linearize(cfg.params, trim)
+    plant = _plant(cfg)
+    trim = plant.trim
     _write_matrix_csv(out / "A.csv", plant.a, MODEL_STATE_LABELS,
                       MODEL_STATE_LABELS)
     _write_matrix_csv(out / "B.csv", plant.b, MODEL_INPUT_LABELS,
@@ -111,48 +113,45 @@ def _read_matrix_csv(path: Path) -> np.ndarray:
     return np.array(rows)
 
 
-def _load_plant_dir(path: Path, cfg: ToolkitConfig):
+def _load_plant_dir(path: Path, cfg: ToolkitConfig) -> LinearPlant:
     """Rebuild a LinearPlant from the CSV files written by `heli linearize`."""
-    from .dynamics import yaw_gyro_output
-    from .state import ControlInputs, FullState
-    from .trim import LinearPlant, TrimPoint
-    from .state import N_STATES
-
     a = _read_matrix_csv(path / "A.csv")
     b = _read_matrix_csv(path / "B.csv")
     e = _read_matrix_csv(path / "E.csv")
     x = _read_matrix_csv(path / "trim_state.csv").reshape(N_STATES)
     u = _read_matrix_csv(path / "trim_inputs.csv").reshape(4)
-    state = FullState.from_vector(x)
-    inputs = ControlInputs.from_vector(u)
-    dped_prime, _ = yaw_gyro_output(state.gyro, inputs.delta_ped,
-                                    state.rates.r, cfg.params)
-    trim = TrimPoint(
-        state=state, inputs=inputs,
-        y_trim=np.array([x[6], x[7], x[9], x[10], x[11], x[8]]),
-        h_out_trim=np.array([x[6], x[7], x[8]]),
-        residual=0.0, dped_prime=dped_prime)
-    return LinearPlant(a=a, b=b, e=e, trim=trim)
+    return LinearPlant(a=a, b=b, e=e,
+                       trim=TrimPoint.from_vectors(x, u, cfg.params))
 
 
-def _synthesis_bundle(cfg: ToolkitConfig, plant_dir=None):
+def _plant(cfg: ToolkitConfig, plant_dir=None) -> LinearPlant:
+    """The linear design model: read from `--plant` CSVs, else trim -> linearize."""
     if plant_dir is not None:
-        plant = _load_plant_dir(Path(plant_dir), cfg)
-    else:
-        trim = find_trim(cfg.params)
-        plant = linearize(cfg.params, trim)
+        return _load_plant_dir(Path(plant_dir), cfg)
+    return linearize(cfg.params, find_trim(cfg.params))
+
+
+def _artifacts(cfg: ToolkitConfig, plant: LinearPlant):
+    """Inner-loop synthesis and observer design on `plant`, as SimArtifacts.
+
+    Also returns the gamma search and the feasibility report of the synthesis.
+    """
     result, search, report = synthesize(plant, cfg.weights,
                                         tol=cfg.gamma_tol,
                                         margin=cfg.gamma_margin)
     observer = design_reduced_observer(plant, cfg.observer_poles)
-    return plant, result, search, report, observer
+    artifacts = SimArtifacts(trim=plant.trim, synthesis=result,
+                             observer=observer, pid_gains=cfg.pid,
+                             outer_gains=cfg.outer)
+    return artifacts, search, report
 
 
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    plant, result, search, report, observer = _synthesis_bundle(
-        cfg, plant_dir=getattr(args, "plant", None))
+    plant = _plant(cfg, getattr(args, "plant", None))
+    artifacts, search, report = _artifacts(cfg, plant)
+    result, observer = artifacts.synthesis, artifacts.observer
 
     _write_matrix_csv(out / "F.csv", result.f, MODEL_STATE_LABELS)
     _write_matrix_csv(out / "G.csv", result.g, ("phi_ref", "theta_ref", "psi_ref"))
@@ -194,14 +193,8 @@ def cmd_synthesize(args) -> int:
 def cmd_gamma_search(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    plant_dir = getattr(args, "plant", None)
-    if plant_dir is not None:
-        plant = _load_plant_dir(Path(plant_dir), cfg)
-    else:
-        trim = find_trim(cfg.params)
-        plant = linearize(cfg.params, trim)
+    plant = _plant(cfg, getattr(args, "plant", None))
     out_map = build_output_map(cfg.weights)
-    from .hinf import gamma_star
     search = gamma_star(plant.a, plant.b, out_map.c, out_map.d, plant.e,
                         tol=cfg.gamma_tol, margin=cfg.gamma_margin)
     with open(out / "gamma_trace.csv", "w", encoding="utf-8") as fh:
@@ -224,24 +217,13 @@ def _scenario_from_args(args):
     return scenario
 
 
-def _artifacts(cfg: ToolkitConfig) -> SimArtifacts:
-    trim = find_trim(cfg.params)
-    plant = linearize(cfg.params, trim)
-    result, search, report = synthesize(plant, cfg.weights,
-                                        tol=cfg.gamma_tol,
-                                        margin=cfg.gamma_margin)
-    observer = design_reduced_observer(plant, cfg.observer_poles)
-    return SimArtifacts(trim=trim, synthesis=result, observer=observer,
-                        pid_gains=cfg.pid, outer_gains=cfg.outer)
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     scenario = _scenario_from_args(args)
     if args.controller:
         scenario.controller = args.controller
-    artifacts = _artifacts(cfg)
+    artifacts, _, _ = _artifacts(cfg, _plant(cfg))
     log, metrics = run_scenario(scenario, cfg.params, artifacts)
     log_path = out / f"{scenario.name}_{scenario.controller}.csv"
     log.to_csv(log_path)
@@ -260,7 +242,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     scenario = _scenario_from_args(args)
-    artifacts = _artifacts(cfg)
+    artifacts, _, _ = _artifacts(cfg, _plant(cfg))
     report, log_a, log_b = compare_controllers(scenario, cfg.params, artifacts)
     log_a.to_csv(out / f"{scenario.name}_hinf.csv")
     log_b.to_csv(out / f"{scenario.name}_pid.csv")

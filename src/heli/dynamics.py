@@ -2,8 +2,13 @@
 
 Four coupled pieces make up the state derivative: rigid-body kinematics and
 dynamics, first-order main-rotor flapping, and the onboard yaw-rate PI loop.
-All functions are pure; repeated evaluation with identical arguments is
-bit-identical.
+The model is written once, in `_state_derivative_flat`, over the flat
+15-vector; trim, linearization and the scenario loop all call it.
+`state_derivative` is the shape-checking API edge that also accepts the
+typed containers.  Two helpers are shared with other modules: the body-to-NED
+rotation used by the outer loop and the yaw-gyro law used by trim and by the
+scenario's saturation flag.  All functions are pure; repeated evaluation with
+identical arguments is bit-identical.
 """
 from __future__ import annotations
 
@@ -14,14 +19,7 @@ import numpy as np
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
 from .state import (
-    ControlInputs,
     EulerAngles,
-    FlapState,
-    ForceMoment,
-    FullState,
-    BodyRates,
-    WindVector,
-    YawGyroState,
     as_input_vector,
     as_state_vector,
     as_wind_vector,
@@ -49,20 +47,6 @@ def rotation_body_to_ned(attitude: EulerAngles) -> np.ndarray:
     ])
 
 
-def euler_rates(attitude: EulerAngles, rates: BodyRates) -> np.ndarray:
-    """Euler angle rates (phi_dot, theta_dot, psi_dot) from body rates."""
-    _check_theta(attitude.theta)
-    sphi, cphi = math.sin(attitude.phi), math.cos(attitude.phi)
-    cth = math.cos(attitude.theta)
-    tth = math.tan(attitude.theta)
-    p, q, r = rates.p, rates.q, rates.r
-    return np.array([
-        p + tth * (sphi * q + cphi * r),
-        cphi * q - sphi * r,
-        (sphi * q + cphi * r) / cth,
-    ])
-
-
 def flap_coupling(params: HelicopterParams) -> float:
     """Longitudinal/lateral flap cross-coupling coefficient.
 
@@ -72,73 +56,19 @@ def flap_coupling(params: HelicopterParams) -> float:
     return 8.0 * params.k_beta / (params.gamma_mr * params.omega_mr ** 2 * params.i_beta)
 
 
-def flap_derivatives(flap: FlapState, rates: BodyRates,
-                     delta_lat: float, delta_lon: float,
-                     params: HelicopterParams) -> np.ndarray:
-    """Time derivative (a_s_dot, b_s_dot) of the tip-path-plane tilt."""
-    a_bs = flap_coupling(params)
-    theta_a = params.k_lon * delta_lon   # longitudinal cyclic blade pitch
-    theta_b = params.k_lat * delta_lat   # lateral cyclic blade pitch
-    inv_tau = 1.0 / params.tau_mr
-    a_dot = -rates.q - inv_tau * flap.a_s + a_bs * flap.b_s + inv_tau * theta_a
-    b_dot = -rates.p - inv_tau * flap.b_s - a_bs * flap.a_s + inv_tau * theta_b
-    return np.array([a_dot, b_dot])
-
-
-def yaw_gyro_output(gyro: YawGyroState, delta_ped: float, r: float,
-                    params: HelicopterParams) -> tuple[float, float]:
+def yaw_gyro_output(xi: float, delta_ped: float, r: float,
+                    params: HelicopterParams) -> tuple[float, float, bool]:
     """Tail servo command and integrator rate of the onboard yaw-rate PI loop.
 
-    Returns (delta_ped_prime, xi_dot) with the servo command clamped to the
-    actuator range before it reaches the tail rotor.
+    Returns (delta_ped_prime, xi_dot, saturated): the servo command is
+    clamped to the actuator range before it reaches the tail rotor, and
+    `saturated` tells whether the clamp was active.
     """
     err = params.ka_g * delta_ped - r
-    out = params.kp_g * err + gyro.xi
+    out = params.kp_g * err + xi
+    saturated = abs(out) > 1.0
     out = min(max(out, -1.0), 1.0)
-    return out, params.ki_g * err
-
-
-def forces_and_moments(state: FullState, inputs: ControlInputs,
-                       wind: WindVector, params: HelicopterParams) -> ForceMoment:
-    """Net body-axis force and moment.
-
-    Hover-regime model: rotor thrust tilted by the flap angles, tail-rotor
-    side force, linear drag on the wind-relative airspeed acting at a centre
-    of pressure above the CG, gravity, rotor reaction torque, and linear rate
-    damping.  Wind enters only through the relative airspeed.
-    """
-    par = params
-    att, vel, rts = state.attitude, state.velocity, state.rates
-    _check_theta(att.theta)
-
-    thrust = par.thrust_trim + par.k_col * inputs.delta_col
-    sa, ca = math.sin(state.flap.a_s), math.cos(state.flap.a_s)
-    sb, cb = math.sin(state.flap.b_s), math.cos(state.flap.b_s)
-
-    dped_prime, _ = yaw_gyro_output(state.gyro, inputs.delta_ped, rts.r, par)
-    tail_y = -par.k_ped * dped_prime
-
-    # drag on relative airspeed, applied at the centre of pressure
-    rel = np.array([vel.vx - wind.u_w, vel.vy - wind.v_w, vel.vz - wind.w_w])
-    drag = np.array([-par.dx * rel[0], -par.dy * rel[1], -par.dz * rel[2]])
-
-    sphi, cphi = math.sin(att.phi), math.cos(att.phi)
-    sth, cth = math.sin(att.theta), math.cos(att.theta)
-    grav = par.m * par.g * np.array([-sth, sphi * cth, cphi * cth])
-
-    f = np.array([
-        -thrust * sa + drag[0] + grav[0],
-        thrust * sb + tail_y + drag[1] + grav[1],
-        -thrust * ca * cb + drag[2] + grav[2],
-    ])
-
-    hub = par.k_beta + thrust * par.h_mr
-    tau = np.array([
-        hub * state.flap.b_s - par.lp * rts.p + par.h_tr * tail_y + par.h_cp * drag[1],
-        hub * state.flap.a_s - par.mq * rts.q - par.h_cp * drag[0],
-        -par.torque_scale * thrust + par.l_tr * par.k_ped * dped_prime - par.nr * rts.r,
-    ])
-    return ForceMoment(f=f, tau=tau)
+    return out, params.ki_g * err, saturated
 
 
 def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarray:
@@ -174,14 +104,15 @@ def _state_derivative_flat(x: np.ndarray, u: np.ndarray, w: np.ndarray,
     theta_dot = cphi * q - sphi * r
     psi_dot = (sphi * q + cphi * r) / cth
 
-    # forces and moments
+    # forces and moments (body axes): rotor thrust tilted by the flap angles,
+    # tail-rotor side force, linear drag on the wind-relative airspeed acting
+    # at a centre of pressure above the CG, gravity, rotor reaction torque and
+    # linear rate damping.  Wind enters only through the relative airspeed.
     thrust = par.thrust_trim + par.k_col * dcol
     sa, ca = math.sin(a_s), math.cos(a_s)
     sb, cb = math.sin(b_s), math.cos(b_s)
 
-    err = par.ka_g * dped - r
-    dped_prime = par.kp_g * err + xi
-    dped_prime = min(max(dped_prime, -1.0), 1.0)
+    dped_prime, xi_dot, _ = yaw_gyro_output(xi, dped, r, par)
     tail_y = -par.k_ped * dped_prime
 
     drag_x = -par.dx * (vx - w[0])
@@ -208,12 +139,11 @@ def _state_derivative_flat(x: np.ndarray, u: np.ndarray, w: np.ndarray,
     q_dot = (my - (p * r * (par.jx - par.jz))) / par.jy
     r_dot = (mz - (p * q * (par.jy - par.jx))) / par.jz
 
-    # flapping and gyro integrator
+    # flapping (the gyro integrator rate comes from the yaw-gyro law above)
     a_bs = flap_coupling(par)
     inv_tau = 1.0 / par.tau_mr
     a_s_dot = -q - inv_tau * a_s + a_bs * b_s + inv_tau * par.k_lon * dlon
     b_s_dot = -p - inv_tau * b_s - a_bs * a_s + inv_tau * par.k_lat * dlat
-    xi_dot = par.ki_g * err
 
     out = np.empty(N_STATES)
     out[0] = pn_dot

@@ -42,9 +42,19 @@ class UnstableSystemError(HeliError):
 
 
 class SimulationAbort(HeliError):
-    """Simulation produced a non-finite state."""
+    """Scenario run stopped mid-loop: a non-finite state, or an error in a stage.
 
-    def __init__(self, step: int, time: float):
+    `stage` names the part of the step that failed (e.g. "plant RK4" or
+    "outer loop"); the original error is chained as `__cause__`.
+    """
+
+    def __init__(self, step: int, time: float, stage: str = "state check",
+                 cause: Exception | None = None):
         self.step = step
         self.time = time
-        super().__init__(f"non-finite state at step {step} (t = {time:.4f} s)")
+        self.stage = stage
+        if cause is None:
+            message = f"non-finite state at step {step} (t = {time:.4f} s)"
+        else:
+            message = f"{stage} failed at step {step} (t = {time:.4f} s): {cause}"
+        super().__init__(message)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import _state_derivative_flat
-from .errors import ConfigError, SimulationAbort
+from .dynamics import _state_derivative_flat, yaw_gyro_output
+from .errors import ConfigError, HeliError, SimulationAbort
 from .hinf import SynthesisResult, control_law
 from .observer import (
     ObserverDesign,
@@ -330,7 +330,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     Loop order per step: sample wind, evaluate references and the outer loop,
     form the inner-loop command from measurements plus observer estimates,
     log, integrate the plant one RK4 step with everything held, then step the
-    observer on the same held measurements.
+    observer on the same held measurements.  A toolkit error raised by any of
+    these stages stops the run as a SimulationAbort that names the stage, the
+    step and the simulated time.
     """
     config.validate()
     if config.controller == "hinf" and (artifacts.synthesis is None
@@ -372,76 +374,86 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
         return _state_derivative_flat(xv, uv, wv, par)
 
     carry_flags = 0
-    for k in range(n_steps + 1):
-        t = times[k]
-        if not np.all(np.isfinite(x)):
-            raise SimulationAbort(k, t)
-        w = wind_seq.at(t)
-        state = FullState.from_vector(x)
-        step_flags = carry_flags
-        carry_flags = 0
+    try:
+        for k in range(n_steps + 1):
+            t = times[k]
+            if not np.all(np.isfinite(x)):
+                raise SimulationAbort(k, t)
+            stage = "wind"
+            w = wind_seq.at(t)
+            state = FullState.from_vector(x)
+            step_flags = carry_flags
+            carry_flags = 0
 
-        # outer loop; tilt commands are deviations about the trim attitude
-        if config.use_outer:
-            ref = reference_at(config.references, t)
-            theta_dev, phi_dev, tilt_sat = horizontal_control(
-                ref, state, artifacts.outer_gains)
-            if tilt_sat:
-                step_flags |= SAT_TILT
-            delta_col, col_sat = altitude_control(
-                ref, state, artifacts.outer_gains, par)
-            if col_sat:
-                step_flags |= SAT_DCOL
-            att_ref = np.array([trim.h_out_trim[0] + phi_dev,
-                                trim.h_out_trim[1] + theta_dev,
-                                ref.psi_ref])
-        else:
-            att_ref = att_ref_fixed
-            delta_col = col_trim
+            # outer loop; tilt commands are deviations about the trim attitude
+            stage = "outer loop"
+            if config.use_outer:
+                ref = reference_at(config.references, t)
+                theta_dev, phi_dev, tilt_sat = horizontal_control(
+                    ref, state, artifacts.outer_gains)
+                if tilt_sat:
+                    step_flags |= SAT_TILT
+                delta_col, col_sat = altitude_control(
+                    ref, state, artifacts.outer_gains, par)
+                if col_sat:
+                    step_flags |= SAT_DCOL
+                att_ref = np.array([trim.h_out_trim[0] + phi_dev,
+                                    trim.h_out_trim[1] + theta_dev,
+                                    ref.psi_ref])
+            else:
+                att_ref = att_ref_fixed
+                delta_col = col_trim
 
-        # measurements (deviations from trim)
-        dx = x - x_trim
-        y_dev = np.array([dx[6], dx[7], dx[9], dx[10], dx[11], dx[8]])
+            # measurements (deviations from trim)
+            dx = x - x_trim
+            y_dev = np.array([dx[6], dx[7], dx[9], dx[10], dx[11], dx[8]])
 
-        # inner loop
-        if config.controller == "hinf":
-            x_hat = assemble_state_estimate(y_dev, obs_state.estimate)
-            u_cmd, sat = control_law(artifacts.synthesis, x_hat, att_ref,
-                                     u_trim3, delta_col=delta_col)
-            step_flags |= sat
-            u = u_cmd.as_vector()
-        elif config.controller == "pid":
-            dlat, dlon, dped = pid.step(state, att_ref, dt)
-            u_cmd, sat = ControlInputs(dlat, dlon, dped, delta_col).clamped()
-            step_flags |= sat
-            u = u_cmd.as_vector()
-        else:  # open loop at trim
-            u = trim.inputs.as_vector().copy()
-            u[3] = col_trim
+            # inner loop
+            stage = "inner loop"
+            if config.controller == "hinf":
+                x_hat = assemble_state_estimate(y_dev, obs_state.estimate)
+                u_cmd, sat = control_law(artifacts.synthesis, x_hat, att_ref,
+                                         u_trim3, delta_col=delta_col)
+                step_flags |= sat
+                u = u_cmd.as_vector()
+            elif config.controller == "pid":
+                dlat, dlon, dped = pid.step(state, att_ref, dt)
+                u_cmd, sat = ControlInputs(dlat, dlon, dped, delta_col).clamped()
+                step_flags |= sat
+                u = u_cmd.as_vector()
+            else:  # open loop at trim
+                u = trim.inputs.as_vector().copy()
+                u[3] = col_trim
 
-        gyro_out = par.kp_g * (par.ka_g * u[2] - x[11]) + x[14]
-        if abs(gyro_out) > 1.0:
-            step_flags |= SAT_GYRO
+            _, _, gyro_sat = yaw_gyro_output(x[14], u[2], x[11], par)
+            if gyro_sat:
+                step_flags |= SAT_GYRO
 
-        states[k] = x
-        inputs[k] = u
-        winds[k] = w
-        att_refs[k] = att_ref
-        if obs_state is not None:
-            estimates[k] = obs_state.estimate + z_trim
-        flags[k] = step_flags
+            states[k] = x
+            inputs[k] = u
+            winds[k] = w
+            att_refs[k] = att_ref
+            if obs_state is not None:
+                estimates[k] = obs_state.estimate + z_trim
+            flags[k] = step_flags
 
-        if k == n_steps:
-            break
+            if k == n_steps:
+                break
 
-        x = rk4_step(deriv, x, u, w, dt)
-        for idx in (12, 13):  # mechanical flapping stops
-            if abs(x[idx]) > par.flap_limit:
-                x[idx] = math.copysign(par.flap_limit, x[idx])
-                carry_flags |= SAT_FLAP
-        if obs_state is not None:
-            obs_state = observer_step(obs_design, obs_state, y_dev,
-                                      u[0:3] - u_trim3, dt)
+            stage = "plant RK4"
+            x = rk4_step(deriv, x, u, w, dt)
+            for idx in (12, 13):  # mechanical flapping stops
+                if abs(x[idx]) > par.flap_limit:
+                    x[idx] = math.copysign(par.flap_limit, x[idx])
+                    carry_flags |= SAT_FLAP
+            if obs_state is not None:
+                stage = "observer"
+                obs_state = observer_step(obs_design, obs_state, y_dev,
+                                          u[0:3] - u_trim3, dt)
+    except SimulationAbort:
+        raise
+    except HeliError as exc:
+        raise SimulationAbort(k, times[k], stage, exc) from exc
 
     log = ScenarioLog(t=times, states=states, inputs=inputs, wind=winds,
                       att_ref=att_refs, estimates=estimates, sat_flags=flags,

@@ -182,14 +182,6 @@ class WindVector:
         return WindVector(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ForceMoment:
-    """Net body-axis force f (N) and moment tau (N m)."""
-
-    f: np.ndarray
-    tau: np.ndarray
-
-
 def as_state_vector(state) -> np.ndarray:
     """Accept a FullState or a flat vector and return the flat vector."""
     if isinstance(state, FullState):

@@ -46,6 +46,18 @@ class TrimPoint:
     residual: float
     dped_prime: float         # steady tail command
 
+    @staticmethod
+    def from_vectors(x: np.ndarray, u: np.ndarray,
+                     params: HelicopterParams) -> "TrimPoint":
+        """Trim point at flat state `x` and inputs `u`, with its hover residual."""
+        dped_prime, _, _ = yaw_gyro_output(x[14], u[2], x[11], params)
+        return TrimPoint(
+            state=FullState.from_vector(x), inputs=ControlInputs.from_vector(u),
+            y_trim=np.array([x[6], x[7], x[9], x[10], x[11], x[8]]),
+            h_out_trim=np.array([x[6], x[7], x[8]]),
+            residual=np.linalg.norm(_hover_residual(x, u, params)),
+            dped_prime=dped_prime)
+
 
 @dataclass(frozen=True)
 class LinearPlant:
@@ -59,10 +71,15 @@ class LinearPlant:
     input_labels: tuple = MODEL_INPUT_LABELS
 
 
-def _residual(unknowns: np.ndarray, params: HelicopterParams) -> np.ndarray:
-    x, u = _assemble(unknowns)
+def _hover_residual(x: np.ndarray, u: np.ndarray,
+                    params: HelicopterParams) -> np.ndarray:
+    """Still-air derivative of every state except position."""
     xdot = _state_derivative_flat(x, u, np.zeros(3), params)
     return xdot[list(_NONPOS)]
+
+
+def _residual(unknowns: np.ndarray, params: HelicopterParams) -> np.ndarray:
+    return _hover_residual(*_assemble(unknowns), params)
 
 
 def _assemble(unknowns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,16 +125,7 @@ def find_trim(params: HelicopterParams, max_iter: int = 100,
     if norm >= tol:
         raise TrimConvergenceError(max_iter, norm)
 
-    x, u = _assemble(z)
-    state = FullState.from_vector(x)
-    inputs = ControlInputs.from_vector(u)
-    dped_prime, _ = yaw_gyro_output(state.gyro, inputs.delta_ped,
-                                    state.rates.r, params)
-    y_trim = np.array([x[6], x[7], x[9], x[10], x[11], x[8]])
-    h_out_trim = np.array([x[6], x[7], x[8]])
-    return TrimPoint(state=state, inputs=inputs, y_trim=y_trim,
-                     h_out_trim=h_out_trim, residual=norm,
-                     dped_prime=dped_prime)
+    return TrimPoint.from_vectors(*_assemble(z), params)
 
 
 def _fd_jacobian(fun, z: np.ndarray, step: float = 1e-7) -> np.ndarray:
@@ -146,6 +154,24 @@ def _model_derivative(w: np.ndarray, u3: np.ndarray, wind: np.ndarray,
     u[0:3] = u3
     xdot = _state_derivative_flat(x, u, wind, params)
     return xdot[list(_MODEL_IDX)]
+
+
+def _gyro_coordinate_change(params: HelicopterParams
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map from integrator to servo-command model coordinates: (M, M^-1, N).
+
+    The gyro loop gives dped = xi + kp_g*(ka_g*dped_cmd - r).  Under a
+    zero-order-held pedal command this is z = M w + N u with the input
+    derivative term dropped.
+    """
+    n = len(_MODEL_IDX)
+    m_t = np.eye(n)
+    m_t[_GYRO_SLOT, _R_SLOT] = -params.kp_g
+    m_inv = np.eye(n)
+    m_inv[_GYRO_SLOT, _R_SLOT] = params.kp_g
+    n_t = np.zeros((n, 3))
+    n_t[_GYRO_SLOT, 2] = params.kp_g * params.ka_g
+    return m_t, m_inv, n_t
 
 
 def linearize(params: HelicopterParams, trim: TrimPoint,
@@ -187,35 +213,11 @@ def linearize(params: HelicopterParams, trim: TrimPoint,
         e_w[:, j] = (_model_derivative(w0, u0, vp, trim, params)
                      - _model_derivative(w0, u0, vm, trim, params)) / (2 * h)
 
-    # coordinate change: dped = xi + kp_g*(ka_g*dped_cmd - r).  Under a
-    # zero-order-held pedal command this is z = M w + N u with the input
-    # derivative term dropped.
-    m_t = np.eye(n)
-    m_t[_GYRO_SLOT, _R_SLOT] = -params.kp_g
-    m_inv = np.eye(n)
-    m_inv[_GYRO_SLOT, _R_SLOT] = params.kp_g
-    n_t = np.zeros((n, 3))
-    n_t[_GYRO_SLOT, 2] = params.kp_g * params.ka_g
-
+    m_t, m_inv, n_t = _gyro_coordinate_change(params)
     a = m_t @ a_w @ m_inv
     b = m_t @ b_w - a @ n_t
     e = m_t @ e_w
     return LinearPlant(a=a, b=b, e=e, trim=trim)
-
-
-def model_state_deviation(x_full: np.ndarray, u3: np.ndarray,
-                          trim: TrimPoint, params: HelicopterParams) -> np.ndarray:
-    """Deviation of the nine model states from trim, for a full plant state.
-
-    The gyro slot is converted from the stored integrator to the tail servo
-    command coordinate used by the linear model.
-    """
-    dx = x_full - trim.state.as_vector()
-    w = dx[list(_MODEL_IDX)]
-    z = w.copy()
-    z[_GYRO_SLOT] = w[_GYRO_SLOT] - params.kp_g * dx[11] \
-        + params.kp_g * params.ka_g * u3[2]
-    return z
 
 
 def verify_linearization(params: HelicopterParams, plant: LinearPlant,
@@ -232,12 +234,7 @@ def verify_linearization(params: HelicopterParams, plant: LinearPlant,
     rng = np.random.default_rng(seed)
     trim = plant.trim
     n = len(_MODEL_IDX)
-    m_t = np.eye(n)
-    m_t[_GYRO_SLOT, _R_SLOT] = -params.kp_g
-    m_inv = np.eye(n)
-    m_inv[_GYRO_SLOT, _R_SLOT] = params.kp_g
-    n_t = np.zeros((n, 3))
-    n_t[_GYRO_SLOT, 2] = params.kp_g * params.ka_g
+    m_t, m_inv, n_t = _gyro_coordinate_change(params)
 
     w0 = trim.state.as_vector()[list(_MODEL_IDX)]
     u0 = trim.inputs.as_vector()[0:3]

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from heli.cli import main
+from heli.cli import _load_plant_dir, main
+from heli.config import ToolkitConfig
 from heli.sim import read_log_csv
 
 
@@ -51,18 +53,34 @@ class TestCli:
         assert lines[0] == "gamma,feasible,reason"
         assert len(lines) > 10
 
-    def test_synthesize_from_plant_csvs(self, tmp_path):
+    @pytest.mark.parametrize("command, output", [
+        ("synthesize", "F.csv"),
+        ("gamma-search", "gamma_trace.csv"),
+    ], ids=["synthesize", "gamma-search"])
+    def test_synthesize_from_plant_csvs(self, tmp_path, command, output):
         lin = tmp_path / "lin"
         direct = tmp_path / "direct"
         from_csv = tmp_path / "from_csv"
         assert main(["linearize", "--out", str(lin)]) == 0
-        assert main(["synthesize", "--out", str(direct)]) == 0
-        assert main(["synthesize", "--plant", str(lin),
+        assert main([command, "--out", str(direct)]) == 0
+        assert main([command, "--plant", str(lin),
                      "--out", str(from_csv)]) == 0
-        f_direct = _read_matrix(direct / "F.csv")
-        f_csv = _read_matrix(from_csv / "F.csv")
         # full round-trip precision in the CSVs: identical designs
-        assert np.array_equal(f_direct, f_csv)
+        assert ((direct / output).read_bytes()
+                == (from_csv / output).read_bytes())
+
+    def test_plant_csvs_reproduce_trim(self, tmp_path, trim):
+        assert main(["linearize", "--out", str(tmp_path)]) == 0
+        loaded = _load_plant_dir(tmp_path, ToolkitConfig()).trim
+        assert np.array_equal(loaded.state.as_vector(),
+                              trim.state.as_vector())
+        assert np.array_equal(loaded.inputs.as_vector(),
+                              trim.inputs.as_vector())
+        assert np.array_equal(loaded.y_trim, trim.y_trim)
+        assert np.array_equal(loaded.h_out_trim, trim.h_out_trim)
+        assert loaded.dped_prime == trim.dped_prime
+        assert loaded.residual < 1e-8
+        assert loaded.residual == trim.residual
 
     def test_simulate_builtin_scenario(self, tmp_path):
         out = tmp_path / "runs"
@@ -77,13 +95,17 @@ class TestCli:
         cols = read_log_csv(logs[0])
         assert cols["t"].size == 1001
 
-    def test_simulate_seed_override_changes_name_not_grid(self, tmp_path):
+    def test_simulate_seed_override_changes_name_not_grid(self, tmp_path,
+                                                             capsys):
         scn = tmp_path / "short.cfg"
         scn.write_text(
             "[scenario]\nduration = 1\ncontroller = open_loop\n"
             "use_outer = off\n", encoding="utf-8")
         assert main(["simulate", "--scenario", str(scn), "--seed", "9",
                      "--out", str(tmp_path)]) == 0
+        assert "seed 9" in capsys.readouterr().out
+        cols = read_log_csv(tmp_path / "short_open_loop.csv")
+        assert cols["t"].size == 501
 
     def test_compare_writes_table(self, tmp_path):
         scn = tmp_path / "short.cfg"

@@ -4,25 +4,46 @@ import numpy as np
 import pytest
 
 from heli import (
-    BodyRates,
     ControlInputs,
     EulerAngles,
-    FlapState,
     FullState,
     HelicopterParams,
     SingularAttitudeError,
     WindVector,
-    YawGyroState,
-    euler_rates,
     flap_coupling,
-    flap_derivatives,
-    forces_and_moments,
     rotation_body_to_ned,
     state_derivative,
     yaw_gyro_output,
 )
-from heli.sim import rk4_step
+from heli.sim import _rotation_rows, rk4_step
 from heli.dynamics import _state_derivative_flat
+
+
+def _state(phi=0.0, theta=0.0, psi=0.0, p=0.0, q=0.0, r=0.0,
+           a_s=0.0, b_s=0.0, vel=(0.0, 0.0, 0.0)):
+    x = np.zeros(15)
+    x[3:6] = vel
+    x[6:9] = (phi, theta, psi)
+    x[9:12] = (p, q, r)
+    x[12:14] = (a_s, b_s)
+    return x
+
+
+def _euler_rates(x, params):
+    return state_derivative(x, np.zeros(4), np.zeros(3), params)[6:9]
+
+
+def _flap_rates(x, delta_lat, delta_lon, params):
+    u = np.array([delta_lat, delta_lon, 0.0, 0.0])
+    return state_derivative(x, u, np.zeros(3), params)[12:14]
+
+
+def _force_moment(x, inputs, wind, params):
+    """Net body force m*v_dot and moment J*omega_dot; exact at zero body rates."""
+    assert np.all(x[9:12] == 0.0)
+    xdot = state_derivative(x, inputs, wind, params)
+    inertia = np.array([params.jx, params.jy, params.jz])
+    return params.m * xdot[3:6], inertia * xdot[9:12]
 
 
 class TestRotation:
@@ -57,23 +78,22 @@ class TestRotation:
 
 
 class TestEulerRates:
-    def test_identity_at_level(self):
-        out = euler_rates(EulerAngles(0, 0, 0), BodyRates(0.3, -0.2, 0.1))
+    def test_identity_at_level(self, params):
+        out = _euler_rates(_state(p=0.3, q=-0.2, r=0.1), params)
         assert np.allclose(out, [0.3, -0.2, 0.1], atol=1e-15)
 
-    def test_rolled_pitch_rate_splits(self):
-        out = euler_rates(EulerAngles(math.pi / 4, 0.0, 0.0),
-                          BodyRates(0.0, 1.0, 0.0))
+    def test_rolled_pitch_rate_splits(self, params):
+        out = _euler_rates(_state(phi=math.pi / 4, q=1.0), params)
         assert np.allclose(out, [0.0, math.cos(math.pi / 4),
                                  math.sin(math.pi / 4)], atol=1e-15)
 
-    def test_zero_rates(self):
-        out = euler_rates(EulerAngles(0.4, 0.3, -1.0), BodyRates(0, 0, 0))
+    def test_zero_rates(self, params):
+        out = _euler_rates(_state(phi=0.4, theta=0.3, psi=-1.0), params)
         assert np.allclose(out, np.zeros(3), atol=1e-15)
 
-    def test_singularity_rejected(self):
+    def test_singularity_rejected(self, params):
         with pytest.raises(SingularAttitudeError):
-            euler_rates(EulerAngles(0.0, math.pi / 2, 0.0), BodyRates(0, 0, 0))
+            _euler_rates(_state(theta=math.pi / 2), params)
 
 
 class TestFlapCoupling:
@@ -94,23 +114,19 @@ class TestFlapCoupling:
     def test_antisymmetric_cross_coupling(self, params):
         # the lateral equation carries exactly the negated coefficient
         a_bs = flap_coupling(params)
-        lon = flap_derivatives(FlapState(0.0, 1.0), BodyRates(0, 0, 0),
-                               0.0, 0.0, params)
-        lat = flap_derivatives(FlapState(1.0, 0.0), BodyRates(0, 0, 0),
-                               0.0, 0.0, params)
+        lon = _flap_rates(_state(b_s=1.0), 0.0, 0.0, params)
+        lat = _flap_rates(_state(a_s=1.0), 0.0, 0.0, params)
         assert lon[0] == a_bs
         assert lat[1] == -a_bs
 
 
 class TestFlapDerivatives:
     def test_equilibrium(self, params):
-        out = flap_derivatives(FlapState(0, 0), BodyRates(0, 0, 0),
-                               0.0, 0.0, params)
+        out = _flap_rates(_state(), 0.0, 0.0, params)
         assert np.allclose(out, [0.0, 0.0], atol=0.0)
 
     def test_pitch_rate_enters_longitudinal_only(self, params):
-        out = flap_derivatives(FlapState(0, 0), BodyRates(0, 1.0, 0),
-                               0.0, 0.0, params)
+        out = _flap_rates(_state(q=1.0), 0.0, 0.0, params)
         assert out[0] == -1.0
         assert out[1] == 0.0
 
@@ -119,20 +135,20 @@ class TestFlapDerivatives:
         par = params.replace(k_beta=0.0)
         delta_lon = 0.3
         theta_a = par.k_lon * delta_lon
-        out = flap_derivatives(FlapState(theta_a, 0.0), BodyRates(0, 0, 0),
-                               0.0, delta_lon, par)
+        out = _flap_rates(_state(a_s=theta_a), 0.0, delta_lon, par)
         assert out[0] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestYawGyro:
     def test_zero_error_outputs_integrator(self, params):
-        out, xi_dot = yaw_gyro_output(YawGyroState(0.37), 0.0, 0.0, params)
+        out, xi_dot, sat = yaw_gyro_output(0.37, 0.0, 0.0, params)
         assert out == pytest.approx(0.37)
         assert xi_dot == 0.0
+        assert not sat
 
     def test_proportional_path(self):
         par = HelicopterParams().replace(kp_g=2.0, ka_g=1.0)
-        out, _ = yaw_gyro_output(YawGyroState(0.0), 0.1, 0.0, par)
+        out, _, _ = yaw_gyro_output(0.0, 0.1, 0.0, par)
         assert out == pytest.approx(0.2)
 
     def test_integrator_ramps_under_step(self, params):
@@ -141,44 +157,57 @@ class TestYawGyro:
         dt = 0.001
         xi = 0.0
         for _ in range(1000):
-            _, xi_dot = yaw_gyro_output(YawGyroState(xi), dped, 0.0, params)
+            _, xi_dot, _ = yaw_gyro_output(xi, dped, 0.0, params)
             xi += xi_dot * dt  # constant slope, Euler is exact
         assert xi == pytest.approx(params.ki_g * params.ka_g * dped * 1.0,
                                    rel=1e-12)
 
+    def test_output_clamped_and_flagged(self):
+        par = HelicopterParams().replace(kp_g=2.0, ka_g=1.0)
+        out, xi_dot, sat = yaw_gyro_output(-0.5, -0.6, 0.0, par)
+        assert (out, sat) == (-1.0, True)
+        assert xi_dot == par.ki_g * -0.6  # the integrator sees the raw error
+
+    def test_derivative_uses_the_gyro_law(self, params):
+        # the tail side force and xi_dot both follow the clamped law
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x = _state(r=rng.uniform(-2.0, 2.0))
+            x[14] = rng.uniform(-1.5, 1.5)
+            u = np.array([0.0, 0.0, rng.uniform(-1.0, 1.0), 0.0])
+            out, xi_dot, _ = yaw_gyro_output(x[14], u[2], x[11], params)
+            xdot = state_derivative(x, u, np.zeros(3), params)
+            base = state_derivative(x, u, np.zeros(3),
+                                    params.replace(k_ped=0.0))
+            tail_y = -params.k_ped * out
+            assert xdot[14] == xi_dot
+            assert params.m * (xdot[4] - base[4]) == pytest.approx(
+                tail_y, rel=1e-9, abs=1e-12)
+
 
 class TestForcesAndMoments:
-    def _hover_state(self):
-        return FullState.zero()
-
     def test_hover_force_balance(self, params):
         # thrust set to exactly m g with level attitude and no flap
         dcol = (params.m * params.g - params.thrust_trim) / params.k_col
         par = params.replace(k_ped=0.0, torque_scale=0.0)
-        out = forces_and_moments(self._hover_state(),
-                                 ControlInputs(0, 0, 0, dcol),
-                                 WindVector.zero(), par)
-        assert np.allclose(out.f, np.zeros(3), atol=1e-12)
+        f, _ = _force_moment(_state(), np.array([0, 0, 0, dcol]),
+                             np.zeros(3), par)
+        assert np.allclose(f, np.zeros(3), atol=1e-12)
 
     def test_longitudinal_flap_pitching_moment(self, params):
         dcol = (params.m * params.g - params.thrust_trim) / params.k_col
         thrust = params.m * params.g
-        state = FullState.from_vector(
-            np.r_[np.zeros(12), 0.01, 0.0, 0.0])
-        out = forces_and_moments(state, ControlInputs(0, 0, 0, dcol),
-                                 WindVector.zero(), params)
-        assert out.tau[1] == pytest.approx(
+        f, tau = _force_moment(_state(a_s=0.01), np.array([0, 0, 0, dcol]),
+                               np.zeros(3), params)
+        assert tau[1] == pytest.approx(
             (params.k_beta + thrust * params.h_mr) * 0.01, rel=1e-12)
-        assert out.f[0] == pytest.approx(-thrust * math.sin(0.01), rel=1e-12)
+        assert f[0] == pytest.approx(-thrust * math.sin(0.01), rel=1e-12)
 
     def test_drag_sign_convention(self, params):
-        out = forces_and_moments(self._hover_state(),
-                                 ControlInputs(0, 0, 0, 0),
-                                 WindVector(1.0, 0.0, 0.0), params)
-        base = forces_and_moments(self._hover_state(),
-                                  ControlInputs(0, 0, 0, 0),
-                                  WindVector.zero(), params)
-        assert out.f[0] - base.f[0] == pytest.approx(params.dx, rel=1e-12)
+        f, _ = _force_moment(_state(), np.zeros(4), np.array([1.0, 0.0, 0.0]),
+                             params)
+        base, _ = _force_moment(_state(), np.zeros(4), np.zeros(3), params)
+        assert f[0] - base[0] == pytest.approx(params.dx, rel=1e-12)
 
 
 class TestStateDerivative:
@@ -243,6 +272,23 @@ class TestStateDerivative:
         assert abs(x[7]) < 1.0  # kinematics stay away from the singularity
         h1 = np.linalg.norm(inertia @ x[9:12])
         assert abs(h1 - h0) < 1e-6
+
+    def test_position_rows_match_rotation_copies(self, params):
+        # the derivative's position rows, rotation_body_to_ned and the
+        # vectorized rows used by compute_metrics are three copies of one DCM
+        rng = np.random.default_rng(2024)
+        n = 500
+        phi = rng.uniform(-math.pi, math.pi, n)
+        theta = rng.uniform(-1.5, 1.5, n)
+        psi = rng.uniform(-math.pi, math.pi, n)
+        rows = _rotation_rows(phi, theta, psi)
+        for k in range(n):
+            rot = rotation_body_to_ned(EulerAngles(phi[k], theta[k], psi[k]))
+            assert np.array_equal(rows[k], rot)
+            v = rng.standard_normal(3)
+            x = _state(phi=phi[k], theta=theta[k], psi=psi[k], vel=v)
+            xdot = state_derivative(x, np.zeros(4), np.zeros(3), params)
+            assert np.max(np.abs(xdot[0:3] - rot @ v)) < 1e-14
 
     def test_rejects_wrong_shapes(self, params):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ from heli import (
     ReferenceSegment,
     SimArtifacts,
     SimulationAbort,
+    SingularAttitudeError,
+    TrimPoint,
     WindModel,
     builtin_names,
     builtin_scenario,
@@ -231,6 +233,22 @@ class TestRunScenario:
             run_scenario(cfg, params, artifacts)
         assert info.value.step == 1
         assert "step 1" in str(info.value)
+
+    def test_midrun_error_aborts_with_step_time_and_stage(self, params, trim):
+        # forced pitch-up: theta crosses pi/2 inside the second RK4 step
+        x = trim.state.as_vector().copy()
+        x[7], x[10] = 1.50, 20.0
+        pitched = TrimPoint.from_vectors(x, trim.inputs.as_vector(), params)
+        cfg = builtin_scenario("hover-hold", seed=2)
+        cfg.controller = "open_loop"
+        cfg.duration = 2.0
+        with pytest.raises(SimulationAbort) as info:
+            run_scenario(cfg, params, SimArtifacts(trim=pitched))
+        err = info.value
+        assert (err.step, err.stage) == (1, "plant RK4")
+        assert err.time == pytest.approx(0.002, abs=1e-15)
+        assert isinstance(err.__cause__, SingularAttitudeError)
+        assert str(err).startswith("plant RK4 failed at step 1 (t = 0.0020 s)")
 
     def test_roll_reference_offset_tracked_in_closed_loop(self, params,
                                                           artifacts):
