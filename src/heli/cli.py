@@ -9,7 +9,7 @@ import numpy as np
 
 from . import __version__
 from .config import ToolkitConfig, load_scenario_file, load_toolkit_config
-from .errors import HeliError
+from .errors import ConfigError, HeliError
 from .hinf import build_output_map, gamma_star, hinf_norm, synthesize
 from .observer import design_reduced_observer
 from .scenarios import builtin_names, builtin_scenario
@@ -97,29 +97,39 @@ def cmd_linearize(args) -> int:
     return 0
 
 
-def _read_matrix_csv(path: Path) -> np.ndarray:
+def _read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
+    """Read a matrix written by `_write_matrix_csv`; ConfigError unless it is
+    readable, numeric and of `shape`."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        labeled = header.startswith(",")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if labeled:
-                cells = cells[1:]
-            rows.append([float(v) for v in cells])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            labeled = header.startswith(",")
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                cells = line.split(",")
+                if labeled:
+                    cells = cells[1:]
+                rows.append([float(v) for v in cells])
+    except OSError as exc:
+        raise ConfigError(f"cannot read plant file: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a numeric CSV ({exc})") from exc
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise ConfigError(f"{path}: expected a {shape[0]}x{shape[1]} matrix")
     return np.array(rows)
 
 
 def _load_plant_dir(path: Path, cfg: ToolkitConfig) -> LinearPlant:
     """Rebuild a LinearPlant from the CSV files written by `heli linearize`."""
-    a = _read_matrix_csv(path / "A.csv")
-    b = _read_matrix_csv(path / "B.csv")
-    e = _read_matrix_csv(path / "E.csv")
-    x = _read_matrix_csv(path / "trim_state.csv").reshape(N_STATES)
-    u = _read_matrix_csv(path / "trim_inputs.csv").reshape(4)
+    n, m = len(MODEL_STATE_LABELS), len(MODEL_INPUT_LABELS)
+    a = _read_matrix_csv(path / "A.csv", (n, n))
+    b = _read_matrix_csv(path / "B.csv", (n, m))
+    e = _read_matrix_csv(path / "E.csv", (n, len(WIND_LABELS)))
+    x = _read_matrix_csv(path / "trim_state.csv", (1, N_STATES))[0]
+    u = _read_matrix_csv(path / "trim_inputs.csv", (1, len(INPUT_LABELS)))[0]
     return LinearPlant(a=a, b=b, e=e,
                        trim=TrimPoint.from_vectors(x, u, cfg.params))
 

@@ -44,7 +44,9 @@ class ToolkitConfig:
 
 
 def _read_sections(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no interpolation: a '%' in a value is text, not a reference
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
     parser.optionxform = str  # keep key case as written
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -56,18 +58,26 @@ def _read_sections(path) -> configparser.ConfigParser:
     return parser
 
 
+# nan and inf parse as floats but no setting means them; they would only
+# fail later, deep inside trim or synthesis
 def _floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip()])
+        vals = np.array([float(tok) for tok in text.split(",") if tok.strip()])
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got '{text}'") from exc
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"expected finite numbers, got '{text}'")
+    return vals
 
 
 def _float(section: str, key: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: expected a number, got '{text}'") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got '{text}'")
+    return value
 
 
 def load_toolkit_config(path) -> ToolkitConfig:
@@ -101,7 +111,16 @@ def load_toolkit_config(path) -> ToolkitConfig:
     if param_values:
         cfg.params = cfg.params.replace(**param_values)
     cfg.params.validate()
-    cfg.outer.validate()
+    try:
+        cfg.outer.validate()
+    except ValueError as exc:
+        raise ConfigError(f"[outer] {exc}") from exc
+    # the bisection needs a positive tolerance; a negative back-off would
+    # place the design below the feasibility boundary
+    if cfg.gamma_tol <= 0.0:
+        raise ConfigError("[hinf] gamma_tol must be > 0")
+    if cfg.gamma_margin < 0.0:
+        raise ConfigError("[hinf] gamma_margin must be >= 0")
     return cfg
 
 
@@ -124,9 +143,9 @@ def _apply_weight(weights: OutputWeights, key: str, raw: str) -> OutputWeights:
             raise ConfigError("d11_diag needs 3 values")
         d11 = np.diag(vals)
     elif key == "c22_r":
-        c22[0, 2] = float(raw)
+        c22[0, 2] = _float("weights", key, raw)
     elif key == "c22_psi":
-        c22[1, 4] = float(raw)
+        c22[1, 4] = _float("weights", key, raw)
     return OutputWeights(c11=c11, c22=c22, d11=d11)
 
 
@@ -140,6 +159,8 @@ def _parse_poles(raw: str) -> tuple:
             poles.append(complex(tok))
         except ValueError as exc:
             raise ConfigError(f"bad observer pole '{tok}'") from exc
+        if not np.isfinite(poles[-1]):
+            raise ConfigError(f"bad observer pole '{tok}'")
     if len(poles) != 3:
         raise ConfigError("observer poles need exactly 3 values")
     return tuple(p.real if p.imag == 0.0 else p for p in poles)
@@ -229,7 +250,8 @@ def _apply_wind_key(cfg: ScenarioConfig, key: str, raw: str):
             delta = _floats(parts[2])
             if delta.size != 3:
                 raise ConfigError(f"gust delta needs 3 values in '{chunk}'")
-            gusts.append(Gust(float(parts[0]), float(parts[1]), delta))
+            gusts.append(Gust(_float("wind", "gust start", parts[0]),
+                              _float("wind", "gust end", parts[1]), delta))
         cfg.wind = WindModel(mean=wind.mean, gusts=tuple(gusts),
                              sigma=wind.sigma, tau_c=wind.tau_c)
 

@@ -82,6 +82,37 @@ class TestCli:
         assert loaded.residual < 1e-8
         assert loaded.residual == trim.residual
 
+    @pytest.mark.parametrize("damage", [
+        "missing-dir", "truncated-A", "unparsable-B", "short-trim-state",
+        "long-trim-inputs",
+    ])
+    def test_bad_plant_dir_fails_with_one_line(self, tmp_path, capsys, damage):
+        lin = tmp_path / "lin"
+        assert main(["linearize", "--out", str(lin)]) == 0
+        if damage == "missing-dir":
+            lin = tmp_path / "absent"
+        elif damage == "truncated-A":
+            text = (lin / "A.csv").read_text()
+            (lin / "A.csv").write_text(text[:len(text) // 2])
+        elif damage == "unparsable-B":
+            text = (lin / "B.csv").read_text().splitlines()
+            text[2] = text[2].rsplit(",", 1)[0] + ",abc"
+            (lin / "B.csv").write_text("\n".join(text) + "\n")
+        elif damage == "short-trim-state":
+            header, row = (lin / "trim_state.csv").read_text().splitlines()
+            (lin / "trim_state.csv").write_text(
+                header + "\n" + row.rsplit(",", 1)[0] + "\n")
+        else:
+            header, row = (lin / "trim_inputs.csv").read_text().splitlines()
+            (lin / "trim_inputs.csv").write_text(header + "\n" + row + ",0.0\n")
+        capsys.readouterr()
+        code = main(["synthesize", "--plant", str(lin),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_simulate_builtin_scenario(self, tmp_path):
         out = tmp_path / "runs"
         scn = tmp_path / "short.cfg"

@@ -1,8 +1,13 @@
+import configparser
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heli import ConfigError, HelicopterParams
 from heli.config import (
+    _SCENARIO_KEYS,
+    _WIND_KEYS,
     ToolkitConfig,
     load_scenario_file,
     load_toolkit_config,
@@ -78,6 +83,33 @@ class TestToolkitConfig:
         with pytest.raises(ConfigError):
             load_toolkit_config(tmp_path / "absent.cfg")
 
+    @pytest.mark.parametrize("text", [
+        "[weights]\nc22_r = heavy\n",
+        "[weights]\nc22_psi = 5 %\n",
+        "[hinf]\ngamma_tol = 0\n",
+        "[hinf]\ngamma_tol = -1e-4\n",
+        "[hinf]\ngamma_tol = nan\n",
+        "[hinf]\ngamma_margin = -0.05\n",
+        "[hinf]\ngamma_margin = inf\n",
+        "[outer]\ntilt_limit = 2.0\n",
+        "[outer]\nkp_z = -1\n",
+        "[mass]\nm = 50%(g)s\n",
+        "[mass]\nm = nan\n",
+        "[pid]\nint_limit = inf\n",
+        "[weights]\nc11_diag = 1, 2, inf, 4\n",
+        "[observer]\npoles = -40, nanj, -60\n",
+    ])
+    def test_bad_value_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_toolkit_config(path)
+
+    def test_zero_gamma_margin_accepted(self, tmp_path):
+        path = tmp_path / "m.cfg"
+        path.write_text("[hinf]\ngamma_margin = 0\n", encoding="utf-8")
+        assert load_toolkit_config(path).gamma_margin == 0.0
+
 
 class TestScenarioFile:
     def test_full_scenario_round_trip(self, tmp_path):
@@ -136,6 +168,14 @@ class TestScenarioFile:
         with pytest.raises(ConfigError):
             load_scenario_file(path)
 
+    @pytest.mark.parametrize("gusts", ["a:4:1,0,0", "2:b:1,0,0"])
+    def test_non_numeric_gust_times_rejected(self, tmp_path, gusts):
+        path = tmp_path / "scn.cfg"
+        path.write_text("[scenario]\nduration = 5\nuse_outer = off\n"
+                        f"[wind]\ngusts = {gusts}\n", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_scenario_file(path)
+
     def test_outer_without_references_rejected(self, tmp_path):
         path = tmp_path / "scn.cfg"
         path.write_text("[scenario]\nduration = 5\nuse_outer = on\n",
@@ -149,3 +189,59 @@ class TestScenarioFile:
                         "[references]\nseg1 = 0, 1, 2\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_scenario_file(path)
+
+
+SCENARIO_KEYS = ([("scenario", key) for key in _SCENARIO_KEYS]
+                 + [("wind", key) for key in _WIND_KEYS]
+                 + [("references", "seg1")])
+
+# one line of text: arbitrary characters, or the characters numbers, lists,
+# poles and gusts are made of
+LINE_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\r\n"), max_size=30),
+    st.text("0123456789.-+eEinfatj,:; %#", max_size=30),
+    st.floats().map(repr),
+)
+
+
+@pytest.fixture(scope="module")
+def toolkit_keys(tmp_path_factory):
+    """Every (section, key) of the toolkit config, as the default file has it."""
+    path = tmp_path_factory.mktemp("default") / "default.cfg"
+    write_default_config(path)
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read(path, encoding="utf-8")
+    return [(section, key) for section in parser.sections()
+            for key in parser[section]]
+
+
+@pytest.fixture(scope="module")
+def one_line_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("prop") / "one_line.cfg"
+
+
+@settings(deadline=None)
+@given(data=st.data(), text=LINE_TEXT)
+def test_one_line_config_loads_or_raises_config_error(toolkit_keys,
+                                                      one_line_file, data, text):
+    section, key = data.draw(st.sampled_from(toolkit_keys))
+    one_line_file.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+    try:
+        load_toolkit_config(one_line_file)
+    except ConfigError:
+        pass
+
+
+@settings(deadline=None)
+@given(key=st.sampled_from(SCENARIO_KEYS), text=LINE_TEXT)
+def test_one_line_scenario_loads_or_raises_config_error(one_line_file, key,
+                                                        text):
+    section, name = key
+    one_line_file.write_text(f"[{section}]\n{name} = {text}\n",
+                            encoding="utf-8")
+    try:
+        load_scenario_file(one_line_file)
+    except ConfigError:
+        pass
