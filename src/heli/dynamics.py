@@ -3,12 +3,14 @@
 Four coupled pieces make up the state derivative: rigid-body kinematics and
 dynamics, first-order main-rotor flapping, and the onboard yaw-rate PI loop.
 The model is written once, in `_state_derivative_flat`, over the flat
-15-vector; trim, linearization and the scenario loop all call it.
-`state_derivative` is the shape-checking API edge that also accepts the
-typed containers.  Two helpers are shared with other modules: the body-to-NED
-rotation used by the outer loop and the yaw-gyro law used by trim and by the
-scenario's saturation flag.  All functions are pure; repeated evaluation with
-identical arguments is bit-identical.
+15-vector; trim, linearization and the scenario loop all call it.  It
+unpacks its state, input and wind arrays into Python floats once per call
+and returns the derivative as an array.  `state_derivative` is the
+shape-checking API edge that also accepts the typed containers.  Two helpers
+are shared with other modules: the body-to-NED rotation used by the outer
+loop and the yaw-gyro law used by trim and by the scenario's saturation
+flag.  All functions are pure; repeated evaluation with identical arguments
+is bit-identical.
 """
 from __future__ import annotations
 
@@ -18,13 +20,7 @@ import numpy as np
 
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
-from .state import (
-    EulerAngles,
-    as_input_vector,
-    as_state_vector,
-    as_wind_vector,
-    N_STATES,
-)
+from .state import as_input_vector, as_state_vector, as_wind_vector
 
 THETA_LIMIT = math.pi / 2.0
 
@@ -34,12 +30,12 @@ def _check_theta(theta: float):
         raise SingularAttitudeError(f"|theta| = {abs(theta):.4f} rad >= pi/2")
 
 
-def rotation_body_to_ned(attitude: EulerAngles) -> np.ndarray:
+def rotation_body_to_ned(phi: float, theta: float, psi: float) -> np.ndarray:
     """ZYX (yaw-pitch-roll) direction cosine matrix mapping body vectors to NED."""
-    _check_theta(attitude.theta)
-    sphi, cphi = math.sin(attitude.phi), math.cos(attitude.phi)
-    sth, cth = math.sin(attitude.theta), math.cos(attitude.theta)
-    spsi, cpsi = math.sin(attitude.psi), math.cos(attitude.psi)
+    _check_theta(theta)
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    spsi, cpsi = math.sin(psi), math.cos(psi)
     return np.array([
         [cth * cpsi, sphi * sth * cpsi - cphi * spsi, cphi * sth * cpsi + sphi * spsi],
         [cth * spsi, sphi * sth * spsi + cphi * cpsi, cphi * sth * spsi - sphi * cpsi],
@@ -81,11 +77,10 @@ def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarra
 
 def _state_derivative_flat(x: np.ndarray, u: np.ndarray, w: np.ndarray,
                            par: HelicopterParams) -> np.ndarray:
-    vx, vy, vz = x[3], x[4], x[5]
-    phi, theta, psi = x[6], x[7], x[8]
-    p, q, r = x[9], x[10], x[11]
-    a_s, b_s, xi = x[12], x[13], x[14]
-    dlat, dlon, dped, dcol = u[0], u[1], u[2], u[3]
+    # Python floats: scalar arithmetic on numpy scalars costs several times more
+    _, _, _, vx, vy, vz, phi, theta, psi, p, q, r, a_s, b_s, xi = x.tolist()
+    dlat, dlon, dped, dcol = u.tolist()
+    w_u, w_v, w_w = w.tolist()
 
     _check_theta(theta)
     sphi, cphi = math.sin(phi), math.cos(phi)
@@ -115,9 +110,9 @@ def _state_derivative_flat(x: np.ndarray, u: np.ndarray, w: np.ndarray,
     dped_prime, xi_dot, _ = yaw_gyro_output(xi, dped, r, par)
     tail_y = -par.k_ped * dped_prime
 
-    drag_x = -par.dx * (vx - w[0])
-    drag_y = -par.dy * (vy - w[1])
-    drag_z = -par.dz * (vz - w[2])
+    drag_x = -par.dx * (vx - w_u)
+    drag_y = -par.dy * (vy - w_v)
+    drag_z = -par.dz * (vz - w_w)
 
     mg = par.m * par.g
     fx = -thrust * sa + drag_x - mg * sth
@@ -145,20 +140,6 @@ def _state_derivative_flat(x: np.ndarray, u: np.ndarray, w: np.ndarray,
     a_s_dot = -q - inv_tau * a_s + a_bs * b_s + inv_tau * par.k_lon * dlon
     b_s_dot = -p - inv_tau * b_s - a_bs * a_s + inv_tau * par.k_lat * dlat
 
-    out = np.empty(N_STATES)
-    out[0] = pn_dot
-    out[1] = pe_dot
-    out[2] = pd_dot
-    out[3] = vx_dot
-    out[4] = vy_dot
-    out[5] = vz_dot
-    out[6] = phi_dot
-    out[7] = theta_dot
-    out[8] = psi_dot
-    out[9] = p_dot
-    out[10] = q_dot
-    out[11] = r_dot
-    out[12] = a_s_dot
-    out[13] = b_s_dot
-    out[14] = xi_dot
-    return out
+    return np.array([pn_dot, pe_dot, pd_dot, vx_dot, vy_dot, vz_dot,
+                     phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot,
+                     a_s_dot, b_s_dot, xi_dot])

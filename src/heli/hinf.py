@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SynthesisError, UnstableSystemError
-from .state import ControlInputs, SAT_DLAT, SAT_DLON, SAT_DPED
+from .state import clamp_servos
 
 # rows of the design state holding the tracked outputs (phi, theta, psi)
 TRACKED_ROWS = (0, 1, 8)
@@ -275,25 +275,20 @@ def compute_gains(riccati: RiccatiSolution, a, b, c, d,
                            h_out_trim=np.asarray(h_out_trim, dtype=float))
 
 
-def control_law(result: SynthesisResult, x: np.ndarray, r: np.ndarray,
-                u_trim: np.ndarray, delta_col: float = 0.0
-                ) -> tuple[ControlInputs, int]:
-    """Cyclic and pedal commands for a deviation state and attitude reference.
+def control_law(result: SynthesisResult, x: np.ndarray, r, u_trim,
+                delta_col: float = 0.0) -> tuple[np.ndarray, int]:
+    """Servo inputs for a deviation state and attitude reference.
 
     Computes u = F x + G (r - h_out_trim), adds the trim inputs, and clamps
-    each servo channel, reporting which channels saturated.  The collective
-    channel is passed through untouched.
+    each cyclic and pedal channel, reporting which channels saturated.
+    Returns the flat input vector (dlat, dlon, dped, dcol) with the
+    collective `delta_col` passed through untouched, and the flag bits.
     """
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    u3 = result.f @ x + result.g @ (r - result.h_out_trim)
-    u3 = u3 + np.asarray(u_trim, dtype=float)
-    flags = 0
-    for i, bit in enumerate((SAT_DLAT, SAT_DLON, SAT_DPED)):
-        if abs(u3[i]) > 1.0:
-            u3[i] = np.sign(u3[i]) * 1.0
-            flags |= bit
-    return ControlInputs(u3[0], u3[1], u3[2], delta_col), flags
+    u3 = result.f @ x + result.g @ (r - result.h_out_trim) + u_trim
+    u = u3.tolist()
+    flags = clamp_servos(u)
+    u.append(delta_col)
+    return np.array(u), flags
 
 
 def hinf_norm(a_cl, e, c_cl) -> float:

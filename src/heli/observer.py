@@ -3,14 +3,17 @@
 Six of the nine model states are measured directly (phi, theta, p, q, r,
 psi); the remaining three (a_s, b_s, dped) are reconstructed from those
 measurements and the servo inputs.  The estimator runs on deviation
-variables about the trim point.
+variables about the trim point.  Its gain places the error poles by least
+squares on the measured coupling, and it steps by the exact zero-order-hold
+map of its linear dynamics, computed once per step length.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import place_poles
+import scipy.linalg
 
 from .errors import UnobservablePairError
 
@@ -21,12 +24,39 @@ DEFAULT_POLES = (-50.0, -50.0, -60.0)
 
 
 @dataclass(frozen=True)
+class DiscreteObserver:
+    """Zero-order-hold map of the estimator over one step of fixed length."""
+
+    phi: np.ndarray       # 3x3 state transition exp(A_obs dt)
+    gamma_b: np.ndarray   # 3x6 held-measurement drive
+    gamma_h: np.ndarray   # 3x3 held-input drive
+    k_obs: np.ndarray     # 3x6 direct measurement injection
+
+
+@dataclass(frozen=True)
 class ObserverDesign:
     a_obs: np.ndarray    # 3x3 estimator dynamics, Hurwitz
     b_obs: np.ndarray    # 3x6 measurement drive
     h_obs: np.ndarray    # 3x3 input drive
     k_obs: np.ndarray    # 3x6 direct measurement injection
     pole_set: np.ndarray
+
+    def discretize(self, dt: float) -> DiscreteObserver:
+        """Exact step map for measurements and inputs held over `dt`.
+
+        With Gamma = int_0^dt exp(A_obs s) ds, one step is
+        x' = exp(A_obs dt) x + Gamma (B_obs y + H_obs u); both matrices are
+        blocks of exp([[A_obs, I], [0, 0]] dt).
+        """
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        m = np.zeros((6, 6))
+        m[:3, :3] = self.a_obs
+        m[:3, 3:] = np.eye(3)
+        e = scipy.linalg.expm(m * dt)
+        gamma = e[:3, 3:]
+        return DiscreteObserver(phi=e[:3, :3], gamma_b=gamma @ self.b_obs,
+                                gamma_h=gamma @ self.h_obs, k_obs=self.k_obs)
 
 
 @dataclass(frozen=True)
@@ -47,6 +77,24 @@ def partition_plant(a: np.ndarray, b: np.ndarray):
     return a_yy, a_yz, a_zy, a_zz, b_y, b_z
 
 
+def _pole_block(poles: np.ndarray) -> np.ndarray:
+    """Real block-diagonal matrix whose eigenvalues are `poles`.
+
+    Real poles come first in ascending order, then one 2x2 block per
+    conjugate pair, taken by its member with negative imaginary part in
+    sorted order: the order scipy.signal.place_poles uses.
+    """
+    d = np.zeros((poles.size, poles.size))
+    k = 0
+    for p in np.sort(poles[poles.imag == 0.0].real):
+        d[k, k] = p
+        k += 1
+    for p in np.sort(poles[poles.imag < 0.0]):
+        d[k:k + 2, k:k + 2] = [[p.real, -p.imag], [p.imag, p.real]]
+        k += 2
+    return d
+
+
 def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
     """Place the estimation-error poles and assemble the estimator matrices.
 
@@ -65,8 +113,8 @@ def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
         raise ValueError("exactly three observer poles are required")
     if np.any(poles.real >= 0.0):
         raise ValueError("observer poles must have negative real parts")
-    if not np.allclose(np.sort_complex(poles),
-                       np.sort_complex(np.conj(poles))):
+    if not np.array_equal(np.sort_complex(poles),
+                          np.sort_complex(np.conj(poles))):
         raise ValueError("observer poles must be closed under conjugation")
 
     a_yy, a_yz, a_zy, a_zz, b_y, b_z = partition_plant(a, b)
@@ -76,22 +124,29 @@ def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
     if np.linalg.matrix_rank(obs, tol=1e-10) < 3:
         raise UnobservablePairError(
             "unmeasured block is not observable through the measured states")
-
-    if np.all(poles.imag == 0.0):
-        wanted = poles.real
-    else:
-        wanted = poles
-    placed = place_poles(a_zz.T, a_yz.T, wanted)
-    gain_l = placed.gain_matrix.T
+    # With a_yz of full column rank, L with eig(a_zz - L a_yz) = poles is a
+    # least-squares solve, the same one scipy.signal.place_poles makes.  In
+    # this model b_s drives p, a_s drives q and dped drives r, so a lower
+    # rank comes only with an unobservable pair.
+    rank = np.linalg.matrix_rank(a_yz)
+    if rank < 3:
+        raise UnobservablePairError(
+            f"measured coupling of the unmeasured states has rank {rank} < 3")
+    gain = np.linalg.lstsq(a_yz.T, _pole_block(poles) - a_zz.T, rcond=-1)[0]
+    gain_l = -gain.T
 
     a_obs = a_zz - gain_l @ a_yz
     k_obs = gain_l
     b_obs = a_zy - gain_l @ a_yy + a_obs @ gain_l
     h_obs = b_z - gain_l @ b_y
 
+    # match achieved to requested poles over every pairing: sorting would
+    # misalign poles that share a real part
     achieved = np.linalg.eigvals(a_obs)
-    if np.max(np.abs(np.sort_complex(achieved) - np.sort_complex(poles))) > 1e-6:
-        raise UnobservablePairError("pole placement failed to converge")
+    miss = min(np.max(np.abs(achieved[list(order)] - poles))
+               for order in itertools.permutations(range(3)))
+    if miss > 1e-6:
+        raise UnobservablePairError("placed poles miss the requested ones by > 1e-6")
     return ObserverDesign(a_obs=a_obs, b_obs=b_obs, h_obs=h_obs, k_obs=k_obs,
                           pole_set=np.sort_complex(poles))
 
@@ -107,25 +162,12 @@ def observer_init(design: ObserverDesign, y: np.ndarray,
     return ObserverState(x_obs=x_obs, estimate=estimate.copy())
 
 
-def observer_step(design: ObserverDesign, state: ObserverState,
-                  y: np.ndarray, u: np.ndarray, dt: float) -> ObserverState:
-    """One RK4 step of the estimator with measurements and inputs held."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    drive = design.b_obs @ y + design.h_obs @ u
-
-    def f(x):
-        return design.a_obs @ x + drive
-
-    x = state.x_obs
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    x_new = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ObserverState(x_obs=x_new, estimate=x_new + design.k_obs @ y)
+def observer_step(disc: DiscreteObserver, state: ObserverState,
+                  y: np.ndarray, u: np.ndarray) -> ObserverState:
+    """One exact zero-order-hold step of the estimator (`design.discretize`)
+    with measurements `y` and inputs `u` held over the step."""
+    x_new = disc.phi @ state.x_obs + disc.gamma_b @ y + disc.gamma_h @ u
+    return ObserverState(x_obs=x_new, estimate=x_new + disc.k_obs @ y)
 
 
 def assemble_state_estimate(y_dev: np.ndarray, z_est: np.ndarray) -> np.ndarray:

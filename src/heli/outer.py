@@ -14,7 +14,7 @@ import numpy as np
 from .dynamics import rotation_body_to_ned
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
-from .state import FullState, NedPosition
+from .state import NedPosition
 
 
 @dataclass(frozen=True)
@@ -44,29 +44,28 @@ class PositionReference:
     psi_ref: float = 0.0
 
 
-def ned_velocity(state: FullState) -> np.ndarray:
-    """Body velocity rotated into the NED frame."""
-    r = rotation_body_to_ned(state.attitude)
-    v = state.velocity
-    return r @ np.array([v.vx, v.vy, v.vz])
+def ned_velocity(x: np.ndarray) -> np.ndarray:
+    """Body velocity of the flat state `x` rotated into the NED frame."""
+    return rotation_body_to_ned(x[6], x[7], x[8]) @ x[3:6]
 
 
-def altitude_control(ref: PositionReference, state: FullState,
-                     gains: OuterGains, params: HelicopterParams
-                     ) -> tuple[float, bool]:
+def altitude_control(p_ref, v_ref, x, v_ned, gains: OuterGains,
+                     params: HelicopterParams) -> tuple[float, bool]:
     """Collective command from the altitude PD law with tilt compensation.
 
-    Returns (delta_col, saturated).  At zero error and level attitude the
-    commanded thrust equals the vehicle weight exactly.
+    `p_ref` and `v_ref` are the NED reference position and velocity, `x` the
+    flat state and `v_ned` its NED velocity (`ned_velocity(x)`).  Returns
+    (delta_col, saturated).  At zero error and level attitude the commanded
+    thrust equals the vehicle weight exactly.
     """
-    att = state.attitude
-    cphi, cth = math.cos(att.phi), math.cos(att.theta)
-    if abs(att.theta) >= math.pi / 2 or abs(att.phi) >= math.pi / 2:
+    phi, theta = x[6], x[7]
+    cphi, cth = math.cos(phi), math.cos(theta)
+    if abs(theta) >= math.pi / 2 or abs(phi) >= math.pi / 2:
         raise SingularAttitudeError("tilt compensation undefined at 90 deg")
 
-    e_z = state.position.pd - ref.p_ref.pd          # up-positive altitude error
-    h_dot = -ned_velocity(state)[2]
-    h_dot_ref = -float(ref.v_ref[2])
+    e_z = x[2] - p_ref[2]                           # up-positive altitude error
+    h_dot = -v_ned[2]
+    h_dot_ref = -v_ref[2]
     e_z_dot = h_dot_ref - h_dot
 
     t_cmd = (gains.kp_z * e_z + gains.kd_z * e_z_dot + params.m * params.g) \
@@ -78,22 +77,21 @@ def altitude_control(ref: PositionReference, state: FullState,
     return delta_col, saturated
 
 
-def horizontal_control(ref: PositionReference, state: FullState,
-                       gains: OuterGains) -> tuple[float, float, bool]:
+def horizontal_control(p_ref, v_ref, x, v_ned, gains: OuterGains
+                       ) -> tuple[float, float, bool]:
     """Attitude references (theta_ref, phi_ref) from horizontal position error.
 
-    Position and velocity errors are rotated from NED into the heading frame;
-    forward error commands nose-down pitch, rightward error commands positive
-    roll.  The arcsin argument is clamped so references never exceed the tilt
-    limit.
+    Arguments are as for `altitude_control`.  Position and velocity errors
+    are rotated from NED into the heading frame; forward error commands
+    nose-down pitch, rightward error commands positive roll.  The arcsin
+    argument is clamped so references never exceed the tilt limit.
     """
-    e_n = ref.p_ref.pn - state.position.pn
-    e_e = ref.p_ref.pe - state.position.pe
-    v = ned_velocity(state)
-    ev_n = float(ref.v_ref[0]) - v[0]
-    ev_e = float(ref.v_ref[1]) - v[1]
+    e_n = p_ref[0] - x[0]
+    e_e = p_ref[1] - x[1]
+    ev_n = v_ref[0] - v_ned[0]
+    ev_e = v_ref[1] - v_ned[1]
 
-    psi = state.attitude.psi
+    psi = x[8]
     cpsi, spsi = math.cos(psi), math.sin(psi)
     e_fwd = cpsi * e_n + spsi * e_e
     e_rgt = -spsi * e_n + cpsi * e_e

@@ -22,11 +22,16 @@ from .observer import (
     observer_init,
     observer_step,
 )
-from .outer import OuterGains, PositionReference, altitude_control, horizontal_control
+from .outer import (
+    OuterGains,
+    PositionReference,
+    altitude_control,
+    horizontal_control,
+    ned_velocity,
+)
 from .params import HelicopterParams
 from .state import (
-    ControlInputs,
-    FullState,
+    MEASURED_STATES,
     NedPosition,
     SAT_DCOL,
     SAT_FLAP,
@@ -34,6 +39,7 @@ from .state import (
     SAT_TILT,
     STATE_LABELS,
     N_STATES,
+    clamp_servos,
 )
 from .trim import TrimPoint
 from .wind import WindModel
@@ -88,13 +94,12 @@ class PidAttitudeController:
         self.int_pitch = 0.0
         self.int_yaw = 0.0
 
-    def step(self, state: FullState, att_ref: np.ndarray, dt: float
-             ) -> tuple[float, float, float]:
+    def step(self, x, att_ref, dt: float) -> tuple[float, float, float]:
+        """Cyclic and pedal commands for the flat state `x`."""
         g = self.gains
-        att, rates = state.attitude, state.rates
-        e_phi = att_ref[0] - att.phi
-        e_theta = att_ref[1] - att.theta
-        e_psi = att_ref[2] - att.psi
+        e_phi = att_ref[0] - x[6]
+        e_theta = att_ref[1] - x[7]
+        e_psi = att_ref[2] - x[8]
 
         lim = g.int_limit
         self.int_roll = min(max(self.int_roll + e_phi * dt, -lim), lim)
@@ -103,9 +108,9 @@ class PidAttitudeController:
 
         u = self.trim.inputs
         dlat = u.delta_lat + g.roll_kp * e_phi + g.roll_ki * self.int_roll \
-            - g.roll_kd * rates.p
+            - g.roll_kd * x[9]
         dlon = u.delta_lon + g.pitch_kp * e_theta + g.pitch_ki * self.int_pitch \
-            - g.pitch_kd * rates.q
+            - g.pitch_kd * x[10]
         dped = u.delta_ped + g.yaw_kp * e_psi + g.yaw_ki * self.int_yaw
         return dlat, dlon, dped
 
@@ -131,6 +136,24 @@ def reference_at(segments, t: float) -> PositionReference:
     p = active.p0 + active.v * dt
     return PositionReference(p_ref=NedPosition(p[0], p[1], p[2]),
                              v_ref=active.v.copy(), psi_ref=active.psi)
+
+
+def reference_table(segments, t: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p_ref and v_ref rows and psi_ref at every time in `t`, each equal to
+    what `reference_at` returns there."""
+    t = np.asarray(t, dtype=float)
+    active = np.zeros(t.size, dtype=int)
+    started = np.ones(t.size, dtype=bool)
+    for k, seg in enumerate(segments):
+        started &= seg.t_start <= t
+        active[started] = k
+    t_start = np.array([seg.t_start for seg in segments], dtype=float)
+    p0 = np.array([seg.p0 for seg in segments], dtype=float)
+    v = np.array([seg.v for seg in segments], dtype=float)
+    psi = np.array([seg.psi for seg in segments], dtype=float)
+    dt = t - t_start[active]
+    return p0[active] + v[active] * dt[:, None], v[active], psi[active]
 
 
 def reference_events(segments) -> list[float]:
@@ -287,12 +310,7 @@ def compute_metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport
     max_theta = float(np.max(np.abs(theta_err))) * 180.0 / math.pi
 
     if config.use_outer and config.references:
-        p_ref = np.empty((t.size, 3))
-        v_ref = np.empty((t.size, 3))
-        for i, ti in enumerate(t):
-            ref = reference_at(config.references, ti)
-            p_ref[i] = (ref.p_ref.pn, ref.p_ref.pe, ref.p_ref.pd)
-            v_ref[i] = ref.v_ref
+        p_ref, v_ref, _ = reference_table(config.references, t)
         rot = _rotation_rows(states[:, 6], states[:, 7], states[:, 8])
         v_ned = np.einsum("nij,nj->ni", rot, states[:, 3:6])
         vel_err = v_ned - v_ref
@@ -327,12 +345,13 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                  artifacts: SimArtifacts) -> tuple[ScenarioLog, MetricsReport]:
     """Execute one closed-loop scenario.
 
-    Loop order per step: sample wind, evaluate references and the outer loop,
-    form the inner-loop command from measurements plus observer estimates,
-    log, integrate the plant one RK4 step with everything held, then step the
-    observer on the same held measurements.  A toolkit error raised by any of
-    these stages stops the run as a SimulationAbort that names the stage, the
-    step and the simulated time.
+    Wind and references are tabulated for every step time before the loop,
+    which runs on the flat state.  Loop order per step: evaluate the outer
+    loop, form the inner-loop command from measurements plus observer
+    estimates, log, integrate the plant one RK4 step with everything held,
+    then step the observer on the same held measurements.  A toolkit error
+    raised by any of these stages stops the run as a SimulationAbort that
+    names the stage, the step and the simulated time.
     """
     config.validate()
     if config.controller == "hinf" and (artifacts.synthesis is None
@@ -341,31 +360,38 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
     par = params
     trim = artifacts.trim
+    controller = config.controller
+    gains = artifacts.outer_gains
     n_steps = int(round(config.duration / config.dt))
     dt = config.dt
     times = np.arange(n_steps + 1) * dt
 
-    wind_seq = config.wind.realize(config.duration, config.seed)
+    winds = config.wind.realize(config.duration, config.seed).table(times)
+    if config.use_outer:
+        p_refs, v_refs, psi_refs = (
+            a.tolist() for a in reference_table(config.references, times))
 
     x = trim.state.as_vector().copy()
     x[0:3] += config.initial_offset
     x_trim = trim.state.as_vector()
-    u_trim3 = trim.inputs.as_vector()[0:3]
+    u_trim = trim.inputs.as_vector()
+    u_trim3 = u_trim[0:3]
     col_trim = trim.inputs.delta_col
+    h_trim = trim.h_out_trim.tolist()
 
     att_ref_fixed = (np.asarray(config.att_ref, dtype=float)
-                     if config.att_ref is not None else trim.h_out_trim.copy())
+                     if config.att_ref is not None else trim.h_out_trim).tolist()
 
     pid = PidAttitudeController(artifacts.pid_gains, trim)
-    obs_design = artifacts.observer
-    obs_state = (observer_init(obs_design, np.zeros(6))
-                 if obs_design is not None else None)
+    obs_state = None
+    if artifacts.observer is not None:
+        obs_step = artifacts.observer.discretize(dt)
+        obs_state = observer_init(artifacts.observer, np.zeros(6))
     z_trim = np.array([trim.state.flap.a_s, trim.state.flap.b_s,
                        trim.dped_prime])
 
     states = np.empty((n_steps + 1, N_STATES))
     inputs = np.empty((n_steps + 1, 4))
-    winds = np.empty((n_steps + 1, 3))
     att_refs = np.empty((n_steps + 1, 3))
     estimates = np.zeros((n_steps + 1, 3))
     flags = np.zeros(n_steps + 1, dtype=int)
@@ -376,85 +402,79 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     carry_flags = 0
     try:
         for k in range(n_steps + 1):
-            t = times[k]
-            if not np.all(np.isfinite(x)):
-                raise SimulationAbort(k, t)
-            stage = "wind"
-            w = wind_seq.at(t)
-            state = FullState.from_vector(x)
+            xl = x.tolist()
+            if not all(map(math.isfinite, xl)):
+                raise SimulationAbort(k, times[k])
             step_flags = carry_flags
             carry_flags = 0
 
             # outer loop; tilt commands are deviations about the trim attitude
             stage = "outer loop"
             if config.use_outer:
-                ref = reference_at(config.references, t)
+                p_ref, v_ref = p_refs[k], v_refs[k]
+                v_ned = ned_velocity(x).tolist()
                 theta_dev, phi_dev, tilt_sat = horizontal_control(
-                    ref, state, artifacts.outer_gains)
+                    p_ref, v_ref, xl, v_ned, gains)
                 if tilt_sat:
                     step_flags |= SAT_TILT
                 delta_col, col_sat = altitude_control(
-                    ref, state, artifacts.outer_gains, par)
+                    p_ref, v_ref, xl, v_ned, gains, par)
                 if col_sat:
                     step_flags |= SAT_DCOL
-                att_ref = np.array([trim.h_out_trim[0] + phi_dev,
-                                    trim.h_out_trim[1] + theta_dev,
-                                    ref.psi_ref])
+                att_ref = [h_trim[0] + phi_dev, h_trim[1] + theta_dev,
+                           psi_refs[k]]
             else:
                 att_ref = att_ref_fixed
                 delta_col = col_trim
 
             # measurements (deviations from trim)
-            dx = x - x_trim
-            y_dev = np.array([dx[6], dx[7], dx[9], dx[10], dx[11], dx[8]])
+            y_dev = (x - x_trim)[MEASURED_STATES]
 
             # inner loop
             stage = "inner loop"
-            if config.controller == "hinf":
+            if controller == "hinf":
                 x_hat = assemble_state_estimate(y_dev, obs_state.estimate)
-                u_cmd, sat = control_law(artifacts.synthesis, x_hat, att_ref,
-                                         u_trim3, delta_col=delta_col)
+                u, sat = control_law(artifacts.synthesis, x_hat, att_ref,
+                                     u_trim3, delta_col=delta_col)
                 step_flags |= sat
-                u = u_cmd.as_vector()
-            elif config.controller == "pid":
-                dlat, dlon, dped = pid.step(state, att_ref, dt)
-                u_cmd, sat = ControlInputs(dlat, dlon, dped, delta_col).clamped()
-                step_flags |= sat
-                u = u_cmd.as_vector()
+            elif controller == "pid":
+                u = [*pid.step(xl, att_ref, dt), delta_col]
+                step_flags |= clamp_servos(u)
+                u = np.array(u)
             else:  # open loop at trim
-                u = trim.inputs.as_vector().copy()
-                u[3] = col_trim
+                u = u_trim
 
-            _, _, gyro_sat = yaw_gyro_output(x[14], u[2], x[11], par)
+            _, _, gyro_sat = yaw_gyro_output(xl[14], u[2], xl[11], par)
             if gyro_sat:
                 step_flags |= SAT_GYRO
 
             states[k] = x
             inputs[k] = u
-            winds[k] = w
             att_refs[k] = att_ref
             if obs_state is not None:
-                estimates[k] = obs_state.estimate + z_trim
+                estimates[k] = obs_state.estimate
             flags[k] = step_flags
 
             if k == n_steps:
                 break
 
             stage = "plant RK4"
-            x = rk4_step(deriv, x, u, w, dt)
+            x = rk4_step(deriv, x, u, winds[k], dt)
             for idx in (12, 13):  # mechanical flapping stops
                 if abs(x[idx]) > par.flap_limit:
                     x[idx] = math.copysign(par.flap_limit, x[idx])
                     carry_flags |= SAT_FLAP
             if obs_state is not None:
                 stage = "observer"
-                obs_state = observer_step(obs_design, obs_state, y_dev,
-                                          u[0:3] - u_trim3, dt)
+                obs_state = observer_step(obs_step, obs_state, y_dev,
+                                          u[0:3] - u_trim3)
     except SimulationAbort:
         raise
     except HeliError as exc:
         raise SimulationAbort(k, times[k], stage, exc) from exc
 
+    if obs_state is not None:
+        estimates += z_trim
     log = ScenarioLog(t=times, states=states, inputs=inputs, wind=winds,
                       att_ref=att_refs, estimates=estimates, sat_flags=flags,
                       config=config)

@@ -9,6 +9,7 @@ over that layout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ STATE_LABELS = (
 )
 N_STATES = len(STATE_LABELS)
 
+# flat-state rows of the six measured outputs (phi, theta, p, q, r, psi)
+MEASURED_STATES = [6, 7, 9, 10, 11, 8]
+
 INPUT_LABELS = ("dlat", "dlon", "dped", "dcol")
 
 # Saturation flag bits used in scenario logs.
@@ -32,6 +36,7 @@ SAT_DCOL = 8
 SAT_FLAP = 16
 SAT_TILT = 32
 SAT_GYRO = 64
+SERVO_BITS = (SAT_DLAT, SAT_DLON, SAT_DPED, SAT_DCOL)  # in input order
 
 INPUT_LIMIT = 1.0  # servo channels live in (-1, 1)
 
@@ -157,13 +162,20 @@ class ControlInputs:
 
     def clamped(self) -> tuple["ControlInputs", int]:
         """Clamp every channel to the servo range; returns (inputs, flag bits)."""
-        u = self.as_vector()
-        flags = 0
-        for i, bit in enumerate((SAT_DLAT, SAT_DLON, SAT_DPED, SAT_DCOL)):
-            if abs(u[i]) > INPUT_LIMIT:
-                u[i] = np.sign(u[i]) * INPUT_LIMIT
-                flags |= bit
-        return ControlInputs.from_vector(u), flags
+        u = [self.delta_lat, self.delta_lon, self.delta_ped, self.delta_col]
+        flags = clamp_servos(u)
+        return ControlInputs(*u), flags
+
+
+def clamp_servos(u: list) -> int:
+    """Clamp each leading input channel in the list `u` to the servo range,
+    in place; returns the flag bits of the channels that were clamped."""
+    flags = 0
+    for i, bit in enumerate(SERVO_BITS[:len(u)]):
+        if abs(u[i]) > INPUT_LIMIT:
+            u[i] = math.copysign(INPUT_LIMIT, u[i])
+            flags |= bit
+    return flags
 
 
 @dataclass(frozen=True)

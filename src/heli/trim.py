@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import _state_derivative_flat, yaw_gyro_output
 from .errors import TrimConvergenceError
 from .params import HelicopterParams
-from .state import ControlInputs, FullState, N_STATES
+from .state import MEASURED_STATES, ControlInputs, FullState, N_STATES
 
 # indices of the flat state vector
 _POS = (0, 1, 2)
@@ -53,7 +53,7 @@ class TrimPoint:
         dped_prime, _, _ = yaw_gyro_output(x[14], u[2], x[11], params)
         return TrimPoint(
             state=FullState.from_vector(x), inputs=ControlInputs.from_vector(u),
-            y_trim=np.array([x[6], x[7], x[9], x[10], x[11], x[8]]),
+            y_trim=x[MEASURED_STATES],
             h_out_trim=np.array([x[6], x[7], x[8]]),
             residual=np.linalg.norm(_hover_residual(x, u, params)),
             dped_prime=dped_prime)

@@ -74,3 +74,15 @@ class WindSequence:
         idx = int(np.floor((t + 1e-12) / TURBULENCE_GRID_DT))
         idx = min(max(idx, 0), self.turbulence.shape[0] - 1)
         return w + self.turbulence[idx]
+
+    def table(self, times: np.ndarray) -> np.ndarray:
+        """Rows of `at(t)` for every t in `times`, with the same arithmetic."""
+        times = np.asarray(times, dtype=float)
+        w = np.empty((times.size, 3))
+        w[:] = self.model.mean
+        for g in self.model.gusts:
+            on = (g.start <= times) & (times < g.end)
+            w[on] += g.delta
+        idx = np.floor((times + 1e-12) / TURBULENCE_GRID_DT).astype(int)
+        idx = np.clip(idx, 0, self.turbulence.shape[0] - 1)
+        return w + self.turbulence[idx]

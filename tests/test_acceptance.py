@@ -224,8 +224,9 @@ class TestA8Observer:
         state = observer_init(des, np.zeros(6),
                               estimate=np.array([0.05, 0.0, 0.0]))
         dt = 0.002
+        disc = des.discretize(dt)
         for _ in range(int(1.0 / dt)):
-            state = observer_step(des, state, np.zeros(6), np.zeros(3), dt)
+            state = observer_step(disc, state, np.zeros(6), np.zeros(3))
         final_err = np.linalg.norm(state.estimate)
 
         ok = union_err < 1e-6 and final_err < 1e-3

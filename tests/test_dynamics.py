@@ -5,7 +5,6 @@ import pytest
 
 from heli import (
     ControlInputs,
-    EulerAngles,
     FullState,
     HelicopterParams,
     SingularAttitudeError,
@@ -48,17 +47,16 @@ def _force_moment(x, inputs, wind, params):
 
 class TestRotation:
     def test_zero_angles_identity(self):
-        r = rotation_body_to_ned(EulerAngles(0.0, 0.0, 0.0))
+        r = rotation_body_to_ned(0.0, 0.0, 0.0)
         assert np.allclose(r, np.eye(3), atol=1e-15)
 
     def test_quarter_roll_maps_body_y_to_ned_z(self):
-        r = rotation_body_to_ned(EulerAngles(math.pi / 2, 0.0, 0.0))
+        r = rotation_body_to_ned(math.pi / 2, 0.0, 0.0)
         assert np.allclose(r @ np.array([0.0, 1.0, 0.0]),
                            np.array([0.0, 0.0, 1.0]), atol=1e-15)
 
     def test_small_angle_orthogonality_and_bottom_corner(self):
-        att = EulerAngles(0.0287, 0.0011, 0.0)
-        r = rotation_body_to_ned(att)
+        r = rotation_body_to_ned(0.0287, 0.0011, 0.0)
         assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-12
         assert r[2][2] == pytest.approx(math.cos(0.0287) * math.cos(0.0011),
                                         abs=1e-15)
@@ -68,13 +66,13 @@ class TestRotation:
         for _ in range(1000):
             phi, psi = rng.uniform(-math.pi, math.pi, size=2)
             theta = rng.uniform(-1.5, 1.5)
-            r = rotation_body_to_ned(EulerAngles(phi, theta, psi))
+            r = rotation_body_to_ned(phi, theta, psi)
             assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-12
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
     def test_gimbal_singularity_rejected(self):
         with pytest.raises(SingularAttitudeError):
-            rotation_body_to_ned(EulerAngles(0.0, math.pi / 2, 0.0))
+            rotation_body_to_ned(0.0, math.pi / 2, 0.0)
 
 
 class TestEulerRates:
@@ -283,7 +281,7 @@ class TestStateDerivative:
         psi = rng.uniform(-math.pi, math.pi, n)
         rows = _rotation_rows(phi, theta, psi)
         for k in range(n):
-            rot = rotation_body_to_ned(EulerAngles(phi[k], theta[k], psi[k]))
+            rot = rotation_body_to_ned(phi[k], theta[k], psi[k])
             assert np.array_equal(rows[k], rot)
             v = rng.standard_normal(3)
             x = _state(phi=phi[k], theta=theta[k], psi=psi[k], vel=v)

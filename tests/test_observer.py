@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import place_poles
 
 from heli import (
     UnobservablePairError,
@@ -72,6 +74,18 @@ class TestDesign:
         assert np.max(np.abs(achieved - np.sort_complex(
             np.array([-40.0 + 8.0j, -40.0 - 8.0j, -60.0])))) < 1e-6
 
+    def test_rank_deficient_coupling_rejected(self):
+        # z3 reaches the measurements only through z2: the pair stays
+        # observable, but a_yz has rank 2 and the least-squares gain needs 3
+        a, b = _toy_plant()
+        a[MEASURED_IDX[2], UNMEASURED_IDX[2]] = 0.0
+        a[UNMEASURED_IDX[1], UNMEASURED_IDX[2]] = 1.0
+        _, a_yz, _, a_zz, _, _ = partition_plant(a, b)
+        obs = np.vstack([a_yz, a_yz @ a_zz, a_yz @ a_zz @ a_zz])
+        assert np.linalg.matrix_rank(obs) == 3
+        with pytest.raises(UnobservablePairError, match="rank 2"):
+            design_reduced_observer((a, b), (-2.0, -3.0, -4.0))
+
     def test_unobservable_pair_rejected(self):
         a, b = _toy_plant()
         for idx in UNMEASURED_IDX:
@@ -83,8 +97,8 @@ class TestDesign:
 class TestStep:
     def test_origin_is_fixed_point(self, observer_design):
         state = observer_init(observer_design, np.zeros(6))
-        out = observer_step(observer_design, state, np.zeros(6), np.zeros(3),
-                            0.002)
+        out = observer_step(observer_design.discretize(0.002), state,
+                            np.zeros(6), np.zeros(3))
         assert np.all(out.x_obs == 0.0)
         assert np.all(out.estimate == 0.0)
 
@@ -92,9 +106,9 @@ class TestStep:
         rng = np.random.default_rng(5)
         y = rng.standard_normal(6)
         state = observer_init(observer_design, y, estimate=rng.standard_normal(3))
+        disc = observer_design.discretize(0.002)
         for _ in range(20):
-            state = observer_step(observer_design, state, y,
-                                  rng.standard_normal(3), 0.002)
+            state = observer_step(disc, state, y, rng.standard_normal(3))
             assert np.allclose(state.estimate,
                                state.x_obs + observer_design.k_obs @ y,
                                atol=1e-14)
@@ -102,16 +116,34 @@ class TestStep:
     def test_constant_measurement_steady_state(self, observer_design):
         y = np.array([0.01, -0.02, 0.0, 0.03, 0.0, 0.01])
         state = observer_init(observer_design, y)
+        disc = observer_design.discretize(0.002)
         for _ in range(5000):
-            state = observer_step(observer_design, state, y, np.zeros(3), 0.002)
+            state = observer_step(disc, state, y, np.zeros(3))
         expect = -np.linalg.solve(observer_design.a_obs,
                                   observer_design.b_obs @ y)
         assert np.allclose(state.x_obs, expect, atol=1e-9)
 
     def test_nonpositive_dt_rejected(self, observer_design):
-        state = observer_init(observer_design, np.zeros(6))
         with pytest.raises(ValueError):
-            observer_step(observer_design, state, np.zeros(6), np.zeros(3), 0.0)
+            observer_design.discretize(0.0)
+
+
+    @pytest.mark.parametrize("dt", [0.0005, 0.002, 0.02])
+    def test_step_matches_fine_rk4(self, observer_design, dt):
+        des = observer_design
+        rng = np.random.default_rng(31)
+        x0 = rng.standard_normal(3)
+        y = rng.standard_normal(6)
+        u = rng.standard_normal(3)
+        state = observer_init(des, y, estimate=x0 + des.k_obs @ y)
+        out = observer_step(des.discretize(dt), state, y, u)
+
+        drive = des.b_obs @ y + des.h_obs @ u
+        x = x0.copy()
+        for _ in range(1000):
+            x = rk4_step(lambda xv, uv, wv: des.a_obs @ xv + drive, x, None,
+                         None, dt / 1000)
+        assert np.max(np.abs(out.x_obs - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 class TestErrorDynamics:
@@ -121,10 +153,10 @@ class TestErrorDynamics:
         state = observer_init(observer_design, np.zeros(6),
                               estimate=np.array([0.05, 0.0, 0.0]))
         dt = 0.002
+        disc = observer_design.discretize(dt)
         err = [np.linalg.norm(state.estimate)]
         for _ in range(int(1.0 / dt)):
-            state = observer_step(observer_design, state, np.zeros(6),
-                                  np.zeros(3), dt)
+            state = observer_step(disc, state, np.zeros(6), np.zeros(3))
             err.append(np.linalg.norm(state.estimate))
         err = np.array(err)
         assert err[-1] < 1e-3
@@ -205,3 +237,32 @@ class TestAssemble:
         z = np.array([10.0, 20.0, 30.0])
         x = assemble_state_estimate(y, z)
         assert list(x) == [1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 5.0, 30.0, 6.0]
+
+
+@st.composite
+def placement_problems(draw):
+    """A random plant, whose measured coupling a_yz has rank 3, and a
+    conjugate-closed set of stable poles."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(9, 9))
+    b = rng.normal(size=(9, 3))
+    pole = st.floats(-80.0, -1.0)
+    if draw(st.booleans()):
+        re, im = draw(pole), draw(st.floats(0.5, 20.0))
+        poles = (complex(re, im), complex(re, -im), draw(pole))
+    else:
+        poles = tuple(draw(pole) for _ in range(3))
+    return a, b, poles
+
+
+@settings(deadline=None)
+@given(placement_problems())
+def test_gain_equals_place_poles(problem):
+    a, b, poles = problem
+    _, a_yz, _, a_zz, _, _ = partition_plant(a, b)
+    design = design_reduced_observer((a, b), poles)
+    wanted = np.asarray(poles, dtype=complex)
+    if np.all(wanted.imag == 0.0):
+        wanted = wanted.real
+    expect = place_poles(a_zz.T, a_yz.T, wanted).gain_matrix.T
+    assert np.array_equal(design.k_obs, expect)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heli import (
     ConfigError,
-    FullState,
     PidGains,
     PidAttitudeController,
     ReferenceSegment,
@@ -22,7 +22,13 @@ from heli import (
     run_scenario,
 )
 from heli.dynamics import _state_derivative_flat
-from heli.sim import LOG_COLUMNS, read_log_csv, reference_at, settled_mask
+from heli.sim import (
+    LOG_COLUMNS,
+    read_log_csv,
+    reference_at,
+    reference_table,
+    settled_mask,
+)
 
 
 class TestRk4:
@@ -56,7 +62,7 @@ class TestRk4:
 class TestPidController:
     def test_equilibrium_returns_trim(self, trim):
         pid = PidAttitudeController(PidGains(), trim)
-        out = pid.step(trim.state, trim.h_out_trim, 0.002)
+        out = pid.step(trim.state.as_vector(), trim.h_out_trim, 0.002)
         assert np.allclose(out, trim.inputs.as_vector()[0:3], atol=1e-14)
 
     def test_roll_step_converges_with_bounded_overshoot(self, params, trim):
@@ -67,7 +73,7 @@ class TestPidController:
         dt = 0.002
         hist = []
         for _ in range(int(5.0 / dt)):
-            dlat, dlon, dped = pid.step(FullState.from_vector(x), target, dt)
+            dlat, dlon, dped = pid.step(x, target, dt)
             u = np.clip([dlat, dlon, dped, trim.inputs.delta_col], -1.0, 1.0)
             x = rk4_step(lambda xv, uv, wv: _state_derivative_flat(
                 xv, u, np.zeros(3), params), x, None, None, dt)
@@ -84,7 +90,7 @@ class TestPidController:
         x = trim.state.as_vector().copy()
         x[6] -= 1.0  # persistent huge roll error
         for _ in range(10000):
-            pid.step(FullState.from_vector(x), trim.h_out_trim, 0.01)
+            pid.step(x, trim.h_out_trim, 0.01)
         assert pid.int_roll == gains.int_limit
 
 
@@ -297,3 +303,37 @@ class TestCompare:
         cfg.duration = 2.0
         _, log_a, log_b = compare_controllers(cfg, params, artifacts)
         assert np.array_equal(log_a.wind, log_b.wind)
+
+
+@st.composite
+def reference_runs(draw):
+    """Time-ordered reference segments and step times, with some segment
+    starts exactly on a step time."""
+    dt = draw(st.sampled_from([0.0005, 0.001, 0.002, 0.003, 0.01, 0.02]))
+    n = draw(st.integers(1, 2000))
+    starts = set()
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            starts.add(draw(st.integers(0, n)) * dt)
+        else:
+            starts.add(draw(st.floats(-0.5, n * dt + 0.5)))
+    coord = st.floats(-20.0, 20.0)
+    segments = tuple(
+        ReferenceSegment(t_start=t0,
+                         p0=np.array([draw(coord) for _ in range(3)]),
+                         v=np.array([draw(coord) for _ in range(3)]),
+                         psi=draw(coord))
+        for t0 in sorted(starts))
+    return segments, np.arange(n + 1) * dt
+
+
+@settings(deadline=None, max_examples=60)
+@given(reference_runs())
+def test_reference_table_equals_reference_at(run):
+    segments, times = run
+    p_ref, v_ref, psi_ref = reference_table(segments, times)
+    for k, t in enumerate(times):
+        ref = reference_at(segments, t)
+        assert list(p_ref[k]) == [ref.p_ref.pn, ref.p_ref.pe, ref.p_ref.pd]
+        assert np.array_equal(v_ref[k], ref.v_ref)
+        assert psi_ref[k] == ref.psi_ref

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heli import ConfigError, Gust, WindModel
 
@@ -53,3 +54,41 @@ class TestWindModel:
             WindModel(tau_c=0.0).validate()
         with pytest.raises(ConfigError):
             WindModel(gusts=(Gust(3.0, 2.0, np.zeros(3)),)).validate()
+
+
+@st.composite
+def wind_runs(draw):
+    """A wind model, a run length and a step, with some gust edges exactly
+    on a step time."""
+    dt = draw(st.sampled_from([0.0005, 0.001, 0.002, 0.003, 0.01, 0.02]))
+    n = draw(st.integers(1, 2000))
+    t_end = n * dt
+
+    def edge():
+        if draw(st.booleans()):
+            return draw(st.integers(0, n)) * dt
+        return draw(st.floats(-0.5, t_end + 0.5))
+
+    gusts = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = sorted((edge(), edge()))
+        if b > a:
+            delta = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+            gusts.append(Gust(a, b, np.array(delta)))
+    mean = draw(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    model = WindModel(mean=np.array(mean), gusts=tuple(gusts),
+                      sigma=draw(st.sampled_from([0.0, 0.5])),
+                      tau_c=draw(st.floats(0.1, 5.0)))
+    return model, n, dt
+
+
+@settings(deadline=None, max_examples=60)
+@given(wind_runs(), st.integers(0, 2 ** 31 - 1))
+def test_table_equals_at_every_step(run, seed):
+    model, n, dt = run
+    seq = model.realize(n * dt, seed)
+    times = np.arange(n + 1) * dt
+    table = seq.table(times)
+    assert table.shape == (n + 1, 3)
+    for k, t in enumerate(times):
+        assert np.array_equal(table[k], seq.at(t))
