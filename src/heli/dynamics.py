@@ -3,14 +3,15 @@
 Four coupled pieces make up the state derivative: rigid-body kinematics and
 dynamics, first-order main-rotor flapping, and the onboard yaw-rate PI loop.
 The model is written once, in `_state_derivative_flat`, over the flat
-15-vector; trim, linearization and the scenario loop all call it.  It
-unpacks its state, input and wind arrays into Python floats once per call
-and returns the derivative as an array.  `state_derivative` is the
-shape-checking API edge that also accepts the typed containers.  Two helpers
-are shared with other modules: the body-to-NED rotation used by the outer
-loop and the yaw-gyro law used by trim and by the scenario's saturation
-flag.  All functions are pure; repeated evaluation with identical arguments
-is bit-identical.
+15-vector; trim, linearization and the scenario loop all call it.  It takes
+the state, input and wind as flat sequences of Python floats and returns the
+derivative as a list, so the plant path of a scenario step stays in scalar
+arithmetic.  `state_derivative` is the array edge: it checks shapes, also
+accepts the typed containers, and returns an ndarray.  Two helpers are
+shared with other modules: the body-to-NED rotation used by the outer loop
+and the yaw-gyro law used by trim and by the scenario's saturation flag.
+All functions are pure; repeated evaluation with identical arguments is
+bit-identical.
 """
 from __future__ import annotations
 
@@ -69,18 +70,18 @@ def yaw_gyro_output(xi: float, delta_ped: float, r: float,
 
 def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarray:
     """Flat 15-element time derivative of the full nonlinear state."""
-    x = as_state_vector(state)
-    u = as_input_vector(inputs)
-    w = as_wind_vector(wind)
-    return _state_derivative_flat(x, u, w, params)
+    x = as_state_vector(state).tolist()
+    u = as_input_vector(inputs).tolist()
+    w = as_wind_vector(wind).tolist()
+    return np.array(_state_derivative_flat(x, u, w, params))
 
 
-def _state_derivative_flat(x: np.ndarray, u: np.ndarray, w: np.ndarray,
-                           par: HelicopterParams) -> np.ndarray:
-    # Python floats: scalar arithmetic on numpy scalars costs several times more
-    _, _, _, vx, vy, vz, phi, theta, psi, p, q, r, a_s, b_s, xi = x.tolist()
-    dlat, dlon, dped, dcol = u.tolist()
-    w_u, w_v, w_w = w.tolist()
+def _state_derivative_flat(x, u, w, par: HelicopterParams) -> list:
+    # x, u and w hold Python floats: scalar arithmetic on numpy scalars costs
+    # several times more, so callers unpack arrays with `.tolist()` first
+    _, _, _, vx, vy, vz, phi, theta, psi, p, q, r, a_s, b_s, xi = x
+    dlat, dlon, dped, dcol = u
+    w_u, w_v, w_w = w
 
     _check_theta(theta)
     sphi, cphi = math.sin(phi), math.cos(phi)
@@ -140,6 +141,6 @@ def _state_derivative_flat(x: np.ndarray, u: np.ndarray, w: np.ndarray,
     a_s_dot = -q - inv_tau * a_s + a_bs * b_s + inv_tau * par.k_lon * dlon
     b_s_dot = -p - inv_tau * b_s - a_bs * a_s + inv_tau * par.k_lat * dlat
 
-    return np.array([pn_dot, pe_dot, pd_dot, vx_dot, vy_dot, vz_dot,
-                     phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot,
-                     a_s_dot, b_s_dot, xi_dot])
+    return [pn_dot, pe_dot, pd_dot, vx_dot, vy_dot, vz_dot,
+            phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot,
+            a_s_dot, b_s_dot, xi_dot]

@@ -276,19 +276,20 @@ def compute_gains(riccati: RiccatiSolution, a, b, c, d,
 
 
 def control_law(result: SynthesisResult, x: np.ndarray, r, u_trim,
-                delta_col: float = 0.0) -> tuple[np.ndarray, int]:
+                delta_col: float = 0.0) -> tuple[list, int]:
     """Servo inputs for a deviation state and attitude reference.
 
     Computes u = F x + G (r - h_out_trim), adds the trim inputs, and clamps
     each cyclic and pedal channel, reporting which channels saturated.
-    Returns the flat input vector (dlat, dlon, dped, dcol) with the
-    collective `delta_col` passed through untouched, and the flag bits.
+    Returns the flat input list (dlat, dlon, dped, dcol) of Python floats
+    with the collective `delta_col` passed through untouched, and the flag
+    bits.
     """
     u3 = result.f @ x + result.g @ (r - result.h_out_trim) + u_trim
     u = u3.tolist()
     flags = clamp_servos(u)
     u.append(delta_col)
-    return np.array(u), flags
+    return u, flags
 
 
 def hinf_norm(a_cl, e, c_cl) -> float:

@@ -45,22 +45,31 @@ from .trim import TrimPoint
 from .wind import WindModel
 
 SETTLE_WINDOW = 2.0  # seconds excluded after each reference or wind event
+CSV_BLOCK_ROWS = 1024  # log rows formatted per block by ScenarioLog.to_csv
 
 LOG_COLUMNS = ("t," + ",".join(STATE_LABELS)
                + ",dlat,dlon,dped,dcol,wind_u,wind_v,wind_w"
                + ",phi_ref,theta_ref,psi_ref,est_a_s,est_b_s,est_dped,sat_flags")
 
 
-def rk4_step(derivative, state: np.ndarray, inputs: np.ndarray,
-             wind: np.ndarray, dt: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta step with inputs and wind held."""
+def rk4_step(derivative, state, inputs, wind, dt: float) -> list:
+    """Classical fourth-order Runge-Kutta step with inputs and wind held.
+
+    `state` is a flat sequence and `derivative(state, inputs, wind)` returns
+    one of the same length; the stages are combined element by element in
+    Python floats, as `a + (0.5*dt)*k` and
+    `a + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4)`, and the new state is a list.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    half = 0.5 * dt
     k1 = derivative(state, inputs, wind)
-    k2 = derivative(state + 0.5 * dt * k1, inputs, wind)
-    k3 = derivative(state + 0.5 * dt * k2, inputs, wind)
-    k4 = derivative(state + dt * k3, inputs, wind)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = derivative([a + half * k for a, k in zip(state, k1)], inputs, wind)
+    k3 = derivative([a + half * k for a, k in zip(state, k2)], inputs, wind)
+    k4 = derivative([a + dt * k for a, k in zip(state, k3)], inputs, wind)
+    sixth = dt / 6.0
+    return [a + sixth * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
+            for a, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
 
 
 @dataclass
@@ -214,13 +223,20 @@ class ScenarioLog:
     config: ScenarioConfig
 
     def to_csv(self, path):
+        """Write one row per step: every float as its shortest round-trip
+        `repr`, then the flag bits as an integer."""
+        columns = (self.t, self.states, self.inputs, self.wind, self.att_ref,
+                   self.estimates)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(LOG_COLUMNS + "\n")
-            for i in range(self.t.size):
-                row = [self.t[i], *self.states[i], *self.inputs[i],
-                       *self.wind[i], *self.att_ref[i], *self.estimates[i]]
-                fh.write(",".join(repr(float(v)) for v in row)
-                         + f",{int(self.sat_flags[i])}\n")
+            # a block at a time: Python floats for every row at once would
+            # take several times the memory of the log itself
+            for start in range(0, self.t.size, CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                rows = np.column_stack([c[block] for c in columns]).tolist()
+                flags = self.sat_flags[block].astype(int).tolist()
+                fh.writelines(f"{','.join(map(repr, row))},{bits}\n"
+                              for row, bits in zip(rows, flags))
 
 
 def read_log_csv(path) -> dict:
@@ -346,12 +362,13 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     """Execute one closed-loop scenario.
 
     Wind and references are tabulated for every step time before the loop,
-    which runs on the flat state.  Loop order per step: evaluate the outer
-    loop, form the inner-loop command from measurements plus observer
-    estimates, log, integrate the plant one RK4 step with everything held,
-    then step the observer on the same held measurements.  A toolkit error
-    raised by any of these stages stops the run as a SimulationAbort that
-    names the stage, the step and the simulated time.
+    which keeps the flat state and the inputs as lists of Python floats
+    between steps and reads one wind row per step.  Loop order per step:
+    evaluate the outer loop, form the inner-loop command from measurements
+    plus observer estimates, log, integrate the plant one RK4 step with
+    everything held, then step the observer on the same held measurements.
+    A toolkit error raised by any of these stages stops the run as a
+    SimulationAbort that names the stage, the step and the simulated time.
     """
     config.validate()
     if config.controller == "hinf" and (artifacts.synthesis is None
@@ -373,9 +390,11 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
     x = trim.state.as_vector().copy()
     x[0:3] += config.initial_offset
-    x_trim = trim.state.as_vector()
+    x = x.tolist()
+    x_trim = trim.state.as_vector().tolist()
     u_trim = trim.inputs.as_vector()
     u_trim3 = u_trim[0:3]
+    u_open = u_trim.tolist()
     col_trim = trim.inputs.delta_col
     h_trim = trim.h_out_trim.tolist()
 
@@ -402,8 +421,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     carry_flags = 0
     try:
         for k in range(n_steps + 1):
-            xl = x.tolist()
-            if not all(map(math.isfinite, xl)):
+            if not all(map(math.isfinite, x)):
                 raise SimulationAbort(k, times[k])
             step_flags = carry_flags
             carry_flags = 0
@@ -414,11 +432,11 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 p_ref, v_ref = p_refs[k], v_refs[k]
                 v_ned = ned_velocity(x).tolist()
                 theta_dev, phi_dev, tilt_sat = horizontal_control(
-                    p_ref, v_ref, xl, v_ned, gains)
+                    p_ref, v_ref, x, v_ned, gains)
                 if tilt_sat:
                     step_flags |= SAT_TILT
                 delta_col, col_sat = altitude_control(
-                    p_ref, v_ref, xl, v_ned, gains, par)
+                    p_ref, v_ref, x, v_ned, gains, par)
                 if col_sat:
                     step_flags |= SAT_DCOL
                 att_ref = [h_trim[0] + phi_dev, h_trim[1] + theta_dev,
@@ -427,8 +445,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 att_ref = att_ref_fixed
                 delta_col = col_trim
 
-            # measurements (deviations from trim)
-            y_dev = (x - x_trim)[MEASURED_STATES]
+            # measurements (deviations from trim), an array for the observer
+            y_dev = np.array([x[i] - x_trim[i] for i in MEASURED_STATES])
 
             # inner loop
             stage = "inner loop"
@@ -438,13 +456,12 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                                      u_trim3, delta_col=delta_col)
                 step_flags |= sat
             elif controller == "pid":
-                u = [*pid.step(xl, att_ref, dt), delta_col]
+                u = [*pid.step(x, att_ref, dt), delta_col]
                 step_flags |= clamp_servos(u)
-                u = np.array(u)
             else:  # open loop at trim
-                u = u_trim
+                u = u_open
 
-            _, _, gyro_sat = yaw_gyro_output(xl[14], u[2], xl[11], par)
+            _, _, gyro_sat = yaw_gyro_output(x[14], u[2], x[11], par)
             if gyro_sat:
                 step_flags |= SAT_GYRO
 
@@ -459,7 +476,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 break
 
             stage = "plant RK4"
-            x = rk4_step(deriv, x, u, winds[k], dt)
+            x = rk4_step(deriv, x, u, winds[k].tolist(), dt)
             for idx in (12, 13):  # mechanical flapping stops
                 if abs(x[idx]) > par.flap_limit:
                     x[idx] = math.copysign(par.flap_limit, x[idx])

@@ -122,6 +122,7 @@ class FullState:
         x = np.asarray(x, dtype=float)
         if x.shape != (N_STATES,):
             raise ValueError(f"state vector must have shape ({N_STATES},), got {x.shape}")
+        x = x.tolist()  # Python floats, not numpy scalars
         return FullState(
             position=NedPosition(x[0], x[1], x[2]),
             velocity=BodyVelocity(x[3], x[4], x[5]),
@@ -154,7 +155,7 @@ class ControlInputs:
         u = np.asarray(u, dtype=float)
         if u.shape != (4,):
             raise ValueError(f"input vector must have shape (4,), got {u.shape}")
-        return ControlInputs(u[0], u[1], u[2], u[3])
+        return ControlInputs(*u.tolist())
 
     @staticmethod
     def zero() -> "ControlInputs":

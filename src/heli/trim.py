@@ -74,7 +74,8 @@ class LinearPlant:
 def _hover_residual(x: np.ndarray, u: np.ndarray,
                     params: HelicopterParams) -> np.ndarray:
     """Still-air derivative of every state except position."""
-    xdot = _state_derivative_flat(x, u, np.zeros(3), params)
+    xdot = np.array(_state_derivative_flat(x.tolist(), u.tolist(),
+                                           [0.0, 0.0, 0.0], params))
     return xdot[list(_NONPOS)]
 
 
@@ -152,7 +153,8 @@ def _model_derivative(w: np.ndarray, u3: np.ndarray, wind: np.ndarray,
         x[idx] = w[k]
     u = trim.inputs.as_vector().copy()
     u[0:3] = u3
-    xdot = _state_derivative_flat(x, u, wind, params)
+    xdot = np.array(_state_derivative_flat(x.tolist(), u.tolist(),
+                                           wind.tolist(), params))
     return xdot[list(_MODEL_IDX)]
 
 

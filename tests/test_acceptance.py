@@ -252,9 +252,10 @@ class TestA9Determinism:
 
         # fourth-order convergence of the integrator
         def global_err(dt):
-            x = np.array([1.0])
+            x = [1.0]
             for _ in range(int(round(1.0 / dt))):
-                x = rk4_step(lambda xv, u, w: -xv, x, None, None, dt)
+                x = rk4_step(lambda xv, u, w: [-v for v in xv], x, None, None,
+                             dt)
             return abs(x[0] - math.exp(-1.0))
         ratio = global_err(0.01) / global_err(0.005)
         fourth_order = 12.0 < ratio < 20.0

@@ -7,14 +7,41 @@ per-layer metrics.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from heli import builtin_scenario, run_scenario
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_trace_hook_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing
+
+
+def test_every_trace_hook_resolves():
+    tracer = _tracing().Tracer()
     with tracer:
         pass
     assert tracer.missing == []
+
+
+@pytest.mark.parametrize("controller", ["hinf", "pid", "open_loop"])
+def test_plant_calls_pass_through_the_hooks(params, artifacts, controller):
+    # a step that reached the plant by another name would read as fewer
+    # derivative calls and less plant time in the traced metrics
+    tracing = _tracing()
+    cfg = builtin_scenario("paper-hover-climb", seed=4)
+    cfg.controller = controller
+    cfg.duration = 0.1
+    n_steps = 50
+    tracer = tracing.Tracer()
+    with tracer:
+        run_scenario(cfg, params, artifacts)
+    counts = np.bincount(tracer.spans()["names"],
+                         minlength=len(tracing.SPAN_NAMES))
+    assert counts[tracing.SPAN_NAMES.index("sim.rk4_step")] == n_steps
+    assert counts[tracing.SPAN_NAMES.index("dynamics.derivative")] == 4 * n_steps

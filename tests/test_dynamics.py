@@ -288,6 +288,24 @@ class TestStateDerivative:
             xdot = state_derivative(x, np.zeros(4), np.zeros(3), params)
             assert np.max(np.abs(xdot[0:3] - rot @ v)) < 1e-14
 
+    def test_array_edge_equals_list_core(self, params):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            x = rng.standard_normal(15)
+            x[7] = rng.uniform(-1.5, 1.5)
+            u = rng.uniform(-1.0, 1.0, 4)
+            w = 3.0 * rng.standard_normal(3)
+            core = _state_derivative_flat(x.tolist(), u.tolist(), w.tolist(),
+                                          params)
+            assert all(type(v) is float for v in core)
+            edge = state_derivative(x, u, w, params)
+            assert isinstance(edge, np.ndarray)
+            assert edge.tobytes() == np.array(core).tobytes()
+            typed = state_derivative(FullState.from_vector(x),
+                                     ControlInputs.from_vector(u),
+                                     WindVector(*w.tolist()), params)
+            assert typed.tobytes() == edge.tobytes()
+
     def test_rejects_wrong_shapes(self, params):
         with pytest.raises(ValueError):
             state_derivative(np.zeros(14), np.zeros(4), np.zeros(3), params)
@@ -300,6 +318,14 @@ class TestStateContainers:
         rng = np.random.default_rng(3)
         vec = rng.standard_normal(15)
         assert np.array_equal(FullState.from_vector(vec).as_vector(), vec)
+
+    def test_containers_hold_python_floats(self, trim):
+        for s in (FullState.from_vector(np.arange(15.0)), trim.state):
+            for group in (s.position, s.velocity, s.attitude, s.rates,
+                          s.flap, s.gyro):
+                assert all(type(v) is float for v in vars(group).values())
+        for u in (ControlInputs.from_vector(np.ones(4)), trim.inputs):
+            assert all(type(v) is float for v in vars(u).values())
 
     def test_altitude_is_negative_down(self):
         s = FullState.from_vector(np.r_[0.0, 0.0, -12.5, np.zeros(12)])

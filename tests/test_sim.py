@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heli.sim
 from heli import (
     ConfigError,
+    HelicopterParams,
     PidGains,
     PidAttitudeController,
     ReferenceSegment,
@@ -21,9 +23,12 @@ from heli import (
     rk4_step,
     run_scenario,
 )
-from heli.dynamics import _state_derivative_flat
+from heli.dynamics import _state_derivative_flat, state_derivative
 from heli.sim import (
+    CSV_BLOCK_ROWS,
     LOG_COLUMNS,
+    ScenarioConfig,
+    ScenarioLog,
     read_log_csv,
     reference_at,
     reference_table,
@@ -33,8 +38,8 @@ from heli.sim import (
 
 class TestRk4:
     def test_exponential_single_step(self):
-        f = lambda x, u, w: -x
-        x1 = rk4_step(f, np.array([1.0]), None, None, 0.01)
+        f = lambda x, u, w: [-v for v in x]
+        x1 = rk4_step(f, [1.0], None, None, 0.01)
         assert abs(x1[0] - math.exp(-0.01)) < 1e-10
 
     def test_zero_derivative_fixed_point(self):
@@ -43,10 +48,10 @@ class TestRk4:
         assert np.array_equal(rk4_step(f, x0, None, None, 0.5), x0)
 
     def test_fourth_order_convergence(self):
-        f = lambda x, u, w: -x
+        f = lambda x, u, w: [-v for v in x]
 
         def global_err(dt):
-            x = np.array([1.0])
+            x = [1.0]
             for _ in range(int(round(1.0 / dt))):
                 x = rk4_step(f, x, None, None, dt)
             return abs(x[0] - math.exp(-1.0))
@@ -57,6 +62,40 @@ class TestRk4:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             rk4_step(lambda x, u, w: x, np.zeros(1), None, None, 0.0)
+
+
+def _rk4_array_oracle(x, u, w, dt, params):
+    """The array RK4 step the list step replaced, on the array edge."""
+    def f(xv):
+        return state_derivative(xv, u, w, params)
+    x = np.array(x)
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@st.composite
+def plant_points(draw):
+    x = draw(st.lists(st.floats(-5.0, 5.0), min_size=15, max_size=15))
+    x[7] = draw(st.floats(-1.3, 1.3))  # every stage stays clear of pi/2
+    u = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    w = draw(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    dt = draw(st.floats(1e-4, 0.02))
+    return x, u, w, dt
+
+
+@settings(deadline=None, max_examples=200)
+@given(plant_points())
+def test_plant_rk4_bit_equals_array_formula(point):
+    x, u, w, dt = point
+    par = HelicopterParams()
+    got = rk4_step(lambda xv, uv, wv: _state_derivative_flat(xv, uv, wv, par),
+                   x, u, w, dt)
+    assert all(type(v) is float for v in got)
+    want = _rk4_array_oracle(x, u, w, dt, par)
+    assert np.array(got).tobytes() == want.tobytes()
 
 
 class TestPidController:
@@ -230,6 +269,50 @@ class TestRunScenario:
         again = compute_metrics(cols["t"], states, att_ref, cfg)
         for key, value in metrics.as_dict().items():
             assert again.as_dict()[key] == pytest.approx(value, abs=1e-9)
+
+    def test_csv_matches_per_value_repr(self, tmp_path):
+        # rows span several write blocks and include awkward floats
+        n = 2 * CSV_BLOCK_ROWS + 5
+        rng = np.random.default_rng(12)
+        vals = rng.standard_normal((n, 29)) * 10.0 ** rng.integers(-20, 20,
+                                                                  (n, 29))
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5,
+                            3.0, -42.0, 1e22, 0.1, 1.7976931348623157e308,
+                            math.inf, -math.inf, math.nan])
+        pick = rng.random((n, 29)) < 0.3
+        vals[pick] = rng.choice(special, size=int(pick.sum()))
+        flags = rng.integers(0, 128, n)
+        log = ScenarioLog(t=vals[:, 0], states=vals[:, 1:16],
+                          inputs=vals[:, 16:20], wind=vals[:, 20:23],
+                          att_ref=vals[:, 23:26], estimates=vals[:, 26:29],
+                          sat_flags=flags, config=ScenarioConfig())
+        path = tmp_path / "log.csv"
+        log.to_csv(path)
+        expected = LOG_COLUMNS + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + f",{int(bits)}\n"
+            for row, bits in zip(vals, flags))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("controller", ["hinf", "pid", "open_loop"])
+    def test_plant_sees_only_python_floats(self, params, artifacts,
+                                           monkeypatch, controller):
+        # numpy scalars here give the same output, but every scalar
+        # operation of the model on them costs several times more
+        seen = []
+        plant = heli.sim._state_derivative_flat
+
+        def spy(x, u, w, par):
+            seen.append({type(v) for v in (*x, *u, *w)})
+            return plant(x, u, w, par)
+
+        monkeypatch.setattr(heli.sim, "_state_derivative_flat", spy)
+        for name in ("paper-hover-climb", "gust-attitude-hold"):
+            cfg = builtin_scenario(name, seed=3)
+            cfg.controller = controller
+            cfg.duration = 0.2
+            run_scenario(cfg, params, artifacts)
+        assert len(seen) == 2 * 4 * 100
+        assert set().union(*seen) == {float}
 
     def test_nonfinite_state_aborts_with_step(self, params, artifacts):
         cfg = builtin_scenario("hover-hold", seed=2)
