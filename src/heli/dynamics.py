@@ -6,12 +6,15 @@ The model is written once, in `_state_derivative_flat`, over the flat
 15-vector; trim, linearization and the scenario loop all call it.  It takes
 the state, input and wind as flat sequences of Python floats and returns the
 derivative as a list, so the plant path of a scenario step stays in scalar
-arithmetic.  `state_derivative` is the array edge: it checks shapes, also
-accepts the typed containers, and returns an ndarray.  Two helpers are
-shared with other modules: the body-to-NED rotation used by the outer loop
-and the yaw-gyro law used by trim and by the scenario's saturation flag.
-All functions are pure; repeated evaluation with identical arguments is
-bit-identical.
+arithmetic.  It reads the parameters from `plant_constants(params)`, one
+tuple of the fields and derived products it uses, which each caller builds
+once: per scenario run, per trim solve, per linearization, and per call of
+`state_derivative`, the array edge that checks shapes, also accepts the
+typed containers, and returns an ndarray.  Two helpers are shared with other
+modules: the body-to-NED rotation rows used by the outer loop, and the
+yaw-gyro law that the derivative, `yaw_gyro_output` (trim) and the
+scenario's saturation flag all call.  All functions are pure; repeated
+evaluation with identical arguments is bit-identical.
 """
 from __future__ import annotations
 
@@ -31,17 +34,21 @@ def _check_theta(theta: float):
         raise SingularAttitudeError(f"|theta| = {abs(theta):.4f} rad >= pi/2")
 
 
-def rotation_body_to_ned(phi: float, theta: float, psi: float) -> np.ndarray:
-    """ZYX (yaw-pitch-roll) direction cosine matrix mapping body vectors to NED."""
+def body_to_ned_rows(phi: float, theta: float, psi: float) -> tuple:
+    """Rows of the ZYX (yaw-pitch-roll) direction cosine matrix mapping body
+    vectors to NED, as tuples of Python floats."""
     _check_theta(theta)
     sphi, cphi = math.sin(phi), math.cos(phi)
     sth, cth = math.sin(theta), math.cos(theta)
     spsi, cpsi = math.sin(psi), math.cos(psi)
-    return np.array([
-        [cth * cpsi, sphi * sth * cpsi - cphi * spsi, cphi * sth * cpsi + sphi * spsi],
-        [cth * spsi, sphi * sth * spsi + cphi * cpsi, cphi * sth * spsi - sphi * cpsi],
-        [-sth,       sphi * cth,                      cphi * cth],
-    ])
+    return ((cth * cpsi, sphi * sth * cpsi - cphi * spsi, cphi * sth * cpsi + sphi * spsi),
+            (cth * spsi, sphi * sth * spsi + cphi * cpsi, cphi * sth * spsi - sphi * cpsi),
+            (-sth,       sphi * cth,                      cphi * cth))
+
+
+def rotation_body_to_ned(phi: float, theta: float, psi: float) -> np.ndarray:
+    """ZYX (yaw-pitch-roll) direction cosine matrix mapping body vectors to NED."""
+    return np.array(body_to_ned_rows(phi, theta, psi))
 
 
 def flap_coupling(params: HelicopterParams) -> float:
@@ -53,19 +60,43 @@ def flap_coupling(params: HelicopterParams) -> float:
     return 8.0 * params.k_beta / (params.gamma_mr * params.omega_mr ** 2 * params.i_beta)
 
 
-def yaw_gyro_output(xi: float, delta_ped: float, r: float,
-                    params: HelicopterParams) -> tuple[float, float, bool]:
+def yaw_gyro_law(xi: float, delta_ped: float, r: float, ka_g: float,
+                 kp_g: float, ki_g: float) -> tuple[float, float, bool]:
     """Tail servo command and integrator rate of the onboard yaw-rate PI loop.
 
     Returns (delta_ped_prime, xi_dot, saturated): the servo command is
     clamped to the actuator range before it reaches the tail rotor, and
     `saturated` tells whether the clamp was active.
     """
-    err = params.ka_g * delta_ped - r
-    out = params.kp_g * err + xi
+    err = ka_g * delta_ped - r
+    out = kp_g * err + xi
     saturated = abs(out) > 1.0
     out = min(max(out, -1.0), 1.0)
-    return out, params.ki_g * err, saturated
+    return out, ki_g * err, saturated
+
+
+def yaw_gyro_output(xi: float, delta_ped: float, r: float,
+                    params: HelicopterParams) -> tuple[float, float, bool]:
+    """`yaw_gyro_law` with the gyro gains of `params`."""
+    return yaw_gyro_law(xi, delta_ped, r, params.ka_g, params.kp_g, params.ki_g)
+
+
+def plant_constants(params: HelicopterParams) -> tuple:
+    """Everything `_state_derivative_flat` reads of `params`, as one tuple.
+
+    It holds the parameter fields the derivative uses and the products it
+    forms of them (m g, 1/m, 1/tau, the cyclic gains over tau, the tail
+    moment gain, the inertia differences, the flap coupling), each computed
+    exactly as the derivative's formulas group it, so binding them once per
+    run or per trim changes no bit of the result.
+    """
+    p = params
+    inv_tau = 1.0 / p.tau_mr
+    return (p.thrust_trim, p.k_col, p.k_ped, p.dx, p.dy, p.dz, p.m * p.g,
+            p.k_beta, p.h_mr, p.lp, p.h_tr, p.h_cp, p.mq, p.torque_scale,
+            p.l_tr * p.k_ped, p.nr, 1.0 / p.m, p.jx, p.jy, p.jz,
+            p.jz - p.jy, p.jx - p.jz, p.jy - p.jx, flap_coupling(p), inv_tau,
+            inv_tau * p.k_lon, inv_tau * p.k_lat, p.ka_g, p.kp_g, p.ki_g)
 
 
 def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarray:
@@ -73,15 +104,19 @@ def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarra
     x = as_state_vector(state).tolist()
     u = as_input_vector(inputs).tolist()
     w = as_wind_vector(wind).tolist()
-    return np.array(_state_derivative_flat(x, u, w, params))
+    return np.array(_state_derivative_flat(x, u, w, plant_constants(params)))
 
 
-def _state_derivative_flat(x, u, w, par: HelicopterParams) -> list:
+def _state_derivative_flat(x, u, w, consts: tuple) -> list:
     # x, u and w hold Python floats: scalar arithmetic on numpy scalars costs
-    # several times more, so callers unpack arrays with `.tolist()` first
+    # several times more, so callers unpack arrays with `.tolist()` first;
+    # `consts` is `plant_constants(params)`, bound once by the caller
     _, _, _, vx, vy, vz, phi, theta, psi, p, q, r, a_s, b_s, xi = x
     dlat, dlon, dped, dcol = u
     w_u, w_v, w_w = w
+    (thrust_trim, k_col, k_ped, dx, dy, dz, mg, k_beta, h_mr, lp, h_tr, h_cp,
+     mq, torque_scale, l_tr_k_ped, nr, inv_m, jx, jy, jz, jz_jy, jx_jz, jy_jx,
+     a_bs, inv_tau, inv_tau_k_lon, inv_tau_k_lat, ka_g, kp_g, ki_g) = consts
 
     _check_theta(theta)
     sphi, cphi = math.sin(phi), math.cos(phi)
@@ -104,42 +139,38 @@ def _state_derivative_flat(x, u, w, par: HelicopterParams) -> list:
     # tail-rotor side force, linear drag on the wind-relative airspeed acting
     # at a centre of pressure above the CG, gravity, rotor reaction torque and
     # linear rate damping.  Wind enters only through the relative airspeed.
-    thrust = par.thrust_trim + par.k_col * dcol
+    thrust = thrust_trim + k_col * dcol
     sa, ca = math.sin(a_s), math.cos(a_s)
     sb, cb = math.sin(b_s), math.cos(b_s)
 
-    dped_prime, xi_dot, _ = yaw_gyro_output(xi, dped, r, par)
-    tail_y = -par.k_ped * dped_prime
+    dped_prime, xi_dot, _ = yaw_gyro_law(xi, dped, r, ka_g, kp_g, ki_g)
+    tail_y = -k_ped * dped_prime
 
-    drag_x = -par.dx * (vx - w_u)
-    drag_y = -par.dy * (vy - w_v)
-    drag_z = -par.dz * (vz - w_w)
+    drag_x = -dx * (vx - w_u)
+    drag_y = -dy * (vy - w_v)
+    drag_z = -dz * (vz - w_w)
 
-    mg = par.m * par.g
     fx = -thrust * sa + drag_x - mg * sth
     fy = thrust * sb + tail_y + drag_y + mg * sphi * cth
     fz = -thrust * ca * cb + drag_z + mg * cphi * cth
 
-    hub = par.k_beta + thrust * par.h_mr
-    mx = hub * b_s - par.lp * p + par.h_tr * tail_y + par.h_cp * drag_y
-    my = hub * a_s - par.mq * q - par.h_cp * drag_x
-    mz = -par.torque_scale * thrust + par.l_tr * par.k_ped * dped_prime - par.nr * r
+    hub = k_beta + thrust * h_mr
+    mx = hub * b_s - lp * p + h_tr * tail_y + h_cp * drag_y
+    my = hub * a_s - mq * q - h_cp * drag_x
+    mz = -torque_scale * thrust + l_tr_k_ped * dped_prime - nr * r
 
     # rigid body: translational and rotational dynamics
-    inv_m = 1.0 / par.m
     vx_dot = -(q * vz - r * vy) + fx * inv_m
     vy_dot = -(r * vx - p * vz) + fy * inv_m
     vz_dot = -(p * vy - q * vx) + fz * inv_m
 
-    p_dot = (mx - (q * r * (par.jz - par.jy))) / par.jx
-    q_dot = (my - (p * r * (par.jx - par.jz))) / par.jy
-    r_dot = (mz - (p * q * (par.jy - par.jx))) / par.jz
+    p_dot = (mx - (q * r * jz_jy)) / jx
+    q_dot = (my - (p * r * jx_jz)) / jy
+    r_dot = (mz - (p * q * jy_jx)) / jz
 
     # flapping (the gyro integrator rate comes from the yaw-gyro law above)
-    a_bs = flap_coupling(par)
-    inv_tau = 1.0 / par.tau_mr
-    a_s_dot = -q - inv_tau * a_s + a_bs * b_s + inv_tau * par.k_lon * dlon
-    b_s_dot = -p - inv_tau * b_s - a_bs * a_s + inv_tau * par.k_lat * dlat
+    a_s_dot = -q - inv_tau * a_s + a_bs * b_s + inv_tau_k_lon * dlon
+    b_s_dot = -p - inv_tau * b_s - a_bs * a_s + inv_tau_k_lat * dlat
 
     return [pn_dot, pe_dot, pd_dot, vx_dot, vy_dot, vz_dot,
             phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot,

@@ -71,12 +71,27 @@ class RiccatiInfeasible:
 
 
 @dataclass(frozen=True)
+class GainRows:
+    """F, G and h_out_trim of a `SynthesisResult` as tuples of Python
+    floats, F and G row by row: what `control_law` reads each step."""
+
+    f: tuple
+    g: tuple
+    h_out_trim: tuple
+
+
+@dataclass(frozen=True)
 class SynthesisResult:
     f: np.ndarray            # 3x9 state feedback gain
     g: np.ndarray            # 3x3 reference feedforward gain
     gamma: float
     riccati: RiccatiSolution
     h_out_trim: np.ndarray   # (phi, theta, psi) at trim
+
+    def gain_rows(self) -> GainRows:
+        return GainRows(f=tuple(map(tuple, self.f.tolist())),
+                        g=tuple(map(tuple, self.g.tolist())),
+                        h_out_trim=tuple(self.h_out_trim.tolist()))
 
 
 @dataclass(frozen=True)
@@ -275,18 +290,24 @@ def compute_gains(riccati: RiccatiSolution, a, b, c, d,
                            h_out_trim=np.asarray(h_out_trim, dtype=float))
 
 
-def control_law(result: SynthesisResult, x: np.ndarray, r, u_trim,
+def control_law(gains: GainRows, x, r, u_trim,
                 delta_col: float = 0.0) -> tuple[list, int]:
     """Servo inputs for a deviation state and attitude reference.
 
-    Computes u = F x + G (r - h_out_trim), adds the trim inputs, and clamps
-    each cyclic and pedal channel, reporting which channels saturated.
-    Returns the flat input list (dlat, dlon, dped, dcol) of Python floats
-    with the collective `delta_col` passed through untouched, and the flag
-    bits.
+    Computes u = (F x + G (r - h_out_trim)) + u_trim from `gains`
+    (`SynthesisResult.gain_rows()`), each matrix-vector product summed left
+    to right over Python floats, and clamps each cyclic and pedal channel,
+    reporting which channels saturated.  Returns the flat input list (dlat,
+    dlon, dped, dcol) with the collective `delta_col` passed through
+    untouched, and the flag bits.
     """
-    u3 = result.f @ x + result.g @ (r - result.h_out_trim) + u_trim
-    u = u3.tolist()
+    h0, h1, h2 = gains.h_out_trim
+    e0, e1, e2 = r[0] - h0, r[1] - h1, r[2] - h2
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    u = [f[0] * x0 + f[1] * x1 + f[2] * x2 + f[3] * x3 + f[4] * x4
+         + f[5] * x5 + f[6] * x6 + f[7] * x7 + f[8] * x8
+         + (g[0] * e0 + g[1] * e1 + g[2] * e2) + ut
+         for f, g, ut in zip(gains.f, gains.g, u_trim)]
     flags = clamp_servos(u)
     u.append(delta_col)
     return u, flags

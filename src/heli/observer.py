@@ -25,12 +25,16 @@ DEFAULT_POLES = (-50.0, -50.0, -60.0)
 
 @dataclass(frozen=True)
 class DiscreteObserver:
-    """Zero-order-hold map of the estimator over one step of fixed length."""
+    """Zero-order-hold map of the estimator over one step of fixed length.
 
-    phi: np.ndarray       # 3x3 state transition exp(A_obs dt)
-    gamma_b: np.ndarray   # 3x6 held-measurement drive
-    gamma_h: np.ndarray   # 3x3 held-input drive
-    k_obs: np.ndarray     # 3x6 direct measurement injection
+    Each matrix is a tuple of its rows, each row a tuple of Python floats:
+    `observer_step` reads them once per step.
+    """
+
+    phi: tuple       # 3x3 state transition exp(A_obs dt)
+    gamma_b: tuple   # 3x6 held-measurement drive
+    gamma_h: tuple   # 3x3 held-input drive
+    k_obs: tuple     # 3x6 direct measurement injection
 
 
 @dataclass(frozen=True)
@@ -55,14 +59,20 @@ class ObserverDesign:
         m[:3, 3:] = np.eye(3)
         e = scipy.linalg.expm(m * dt)
         gamma = e[:3, 3:]
-        return DiscreteObserver(phi=e[:3, :3], gamma_b=gamma @ self.b_obs,
-                                gamma_h=gamma @ self.h_obs, k_obs=self.k_obs)
+        phi, gamma_b, gamma_h, k_obs = (
+            tuple(map(tuple, mat.tolist()))
+            for mat in (e[:3, :3], gamma @ self.b_obs, gamma @ self.h_obs,
+                        self.k_obs))
+        return DiscreteObserver(phi=phi, gamma_b=gamma_b, gamma_h=gamma_h,
+                                k_obs=k_obs)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObserverState:
-    x_obs: np.ndarray     # internal 3-vector
-    estimate: np.ndarray  # deviation estimate of (a_s, b_s, dped)
+    """Estimator state as lists of Python floats; a new one per step."""
+
+    x_obs: list      # internal 3-vector
+    estimate: list   # deviation estimate of (a_s, b_s, dped)
 
 
 def partition_plant(a: np.ndarray, b: np.ndarray):
@@ -159,22 +169,34 @@ def observer_init(design: ObserverDesign, y: np.ndarray,
         estimate = np.zeros(3)
     estimate = np.asarray(estimate, dtype=float)
     x_obs = estimate - design.k_obs @ y
-    return ObserverState(x_obs=x_obs, estimate=estimate.copy())
+    return ObserverState(x_obs=x_obs.tolist(), estimate=estimate.tolist())
 
 
-def observer_step(disc: DiscreteObserver, state: ObserverState,
-                  y: np.ndarray, u: np.ndarray) -> ObserverState:
+def observer_step(disc: DiscreteObserver, state: ObserverState, y, u
+                  ) -> ObserverState:
     """One exact zero-order-hold step of the estimator (`design.discretize`)
-    with measurements `y` and inputs `u` held over the step."""
-    x_new = disc.phi @ state.x_obs + disc.gamma_b @ y + disc.gamma_h @ u
-    return ObserverState(x_obs=x_new, estimate=x_new + disc.k_obs @ y)
+    with the six measurements `y` and three inputs `u` held over the step.
+
+    x' = (Phi x + Gamma_b y) + Gamma_h u and estimate = x' + K y, each
+    matrix-vector product summed left to right over Python floats.
+    """
+    x0, x1, x2 = state.x_obs
+    y0, y1, y2, y3, y4, y5 = y
+    u0, u1, u2 = u
+    x_new = [p[0] * x0 + p[1] * x1 + p[2] * x2
+             + (b[0] * y0 + b[1] * y1 + b[2] * y2 + b[3] * y3 + b[4] * y4
+                + b[5] * y5)
+             + (h[0] * u0 + h[1] * u1 + h[2] * u2)
+             for p, b, h in zip(disc.phi, disc.gamma_b, disc.gamma_h)]
+    estimate = [xn + (k[0] * y0 + k[1] * y1 + k[2] * y2 + k[3] * y3
+                      + k[4] * y4 + k[5] * y5)
+                for xn, k in zip(x_new, disc.k_obs)]
+    return ObserverState(x_new, estimate)
 
 
-def assemble_state_estimate(y_dev: np.ndarray, z_est: np.ndarray) -> np.ndarray:
-    """Interleave measured deviations and estimates into the 9-state order."""
-    x = np.empty(9)
-    for k, idx in enumerate(MEASURED_IDX):
-        x[idx] = y_dev[k]
-    for k, idx in enumerate(UNMEASURED_IDX):
-        x[idx] = z_est[k]
-    return x
+def assemble_state_estimate(y_dev, z_est) -> list:
+    """Interleave measured deviations and estimates into the 9-state order
+    (`MEASURED_IDX` and `UNMEASURED_IDX`)."""
+    phi, theta, p, q, r, psi = y_dev
+    a_s, b_s, dped = z_est
+    return [phi, theta, p, q, a_s, b_s, r, dped, psi]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rotation_body_to_ned
+from .dynamics import body_to_ned_rows
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
 from .state import NedPosition
@@ -44,9 +44,15 @@ class PositionReference:
     psi_ref: float = 0.0
 
 
-def ned_velocity(x: np.ndarray) -> np.ndarray:
-    """Body velocity of the flat state `x` rotated into the NED frame."""
-    return rotation_body_to_ned(x[6], x[7], x[8]) @ x[3:6]
+def ned_velocity(x) -> list:
+    """Body velocity of the flat state `x` rotated into the NED frame.
+
+    Each row is summed left to right over Python floats, as the position
+    rows of the state derivative are, so the two agree bit for bit.
+    """
+    vx, vy, vz = x[3], x[4], x[5]
+    return [r[0] * vx + r[1] * vy + r[2] * vz
+            for r in body_to_ned_rows(x[6], x[7], x[8])]
 
 
 def altitude_control(p_ref, v_ref, x, v_ned, gains: OuterGains,

@@ -5,6 +5,17 @@ controllers (the H-infinity inner loop with the PD outer loop, a PID
 attitude baseline, or open loop at trim), logs every step, and reduces the
 log to hover-precision metrics.  Runs are deterministic given the scenario
 configuration and seed.
+
+Everything a step reads is bound once per run: the plant constants, the
+gain rows of the controller and the observer, and the wind and reference
+tables.  The arithmetic of a step then runs on Python floats alone; its
+matrix-vector products are explicit left-to-right sums.  The loop reaches
+each layer by its module-level name in this module at call time
+(`_state_derivative_flat` through `rk4_step`, `control_law`,
+`assemble_state_estimate`, `observer_step`, `horizontal_control`,
+`altitude_control`), so wrapping those names from outside traces every
+call; a layer reached through any other reference, such as an alias or a
+closure over the physics, would not be seen.
 """
 from __future__ import annotations
 
@@ -13,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import _state_derivative_flat, yaw_gyro_output
+from .dynamics import _state_derivative_flat, plant_constants, yaw_gyro_law
 from .errors import ConfigError, HeliError, SimulationAbort
 from .hinf import SynthesisResult, control_law
 from .observer import (
@@ -391,10 +402,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     x = trim.state.as_vector().copy()
     x[0:3] += config.initial_offset
     x = x.tolist()
-    x_trim = trim.state.as_vector().tolist()
-    u_trim = trim.inputs.as_vector()
-    u_trim3 = u_trim[0:3]
-    u_open = u_trim.tolist()
+    y_trim = trim.y_trim.tolist()
+    u_open = trim.inputs.as_vector().tolist()
+    u_trim3 = u_open[0:3]
     col_trim = trim.inputs.delta_col
     h_trim = trim.h_out_trim.tolist()
 
@@ -402,6 +412,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                      if config.att_ref is not None else trim.h_out_trim).tolist()
 
     pid = PidAttitudeController(artifacts.pid_gains, trim)
+    if controller == "hinf":
+        gain_rows = artifacts.synthesis.gain_rows()
     obs_state = None
     if artifacts.observer is not None:
         obs_step = artifacts.observer.discretize(dt)
@@ -415,13 +427,18 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     estimates = np.zeros((n_steps + 1, 3))
     flags = np.zeros(n_steps + 1, dtype=int)
 
+    consts = plant_constants(par)
+    ka_g, kp_g, ki_g = par.ka_g, par.kp_g, par.ki_g
+    flap_limit = par.flap_limit
+
     def deriv(xv, uv, wv):
-        return _state_derivative_flat(xv, uv, wv, par)
+        return _state_derivative_flat(xv, uv, wv, consts)
 
     carry_flags = 0
     try:
         for k in range(n_steps + 1):
-            if not all(map(math.isfinite, x)):
+            # the sum is finite unless an element is not or the sum overflows
+            if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
                 raise SimulationAbort(k, times[k])
             step_flags = carry_flags
             carry_flags = 0
@@ -430,7 +447,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             stage = "outer loop"
             if config.use_outer:
                 p_ref, v_ref = p_refs[k], v_refs[k]
-                v_ned = ned_velocity(x).tolist()
+                v_ned = ned_velocity(x)
                 theta_dev, phi_dev, tilt_sat = horizontal_control(
                     p_ref, v_ref, x, v_ned, gains)
                 if tilt_sat:
@@ -445,15 +462,15 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 att_ref = att_ref_fixed
                 delta_col = col_trim
 
-            # measurements (deviations from trim), an array for the observer
-            y_dev = np.array([x[i] - x_trim[i] for i in MEASURED_STATES])
+            # measurements (deviations from trim)
+            y_dev = [x[i] - yt for i, yt in zip(MEASURED_STATES, y_trim)]
 
             # inner loop
             stage = "inner loop"
             if controller == "hinf":
                 x_hat = assemble_state_estimate(y_dev, obs_state.estimate)
-                u, sat = control_law(artifacts.synthesis, x_hat, att_ref,
-                                     u_trim3, delta_col=delta_col)
+                u, sat = control_law(gain_rows, x_hat, att_ref, u_trim3,
+                                     delta_col=delta_col)
                 step_flags |= sat
             elif controller == "pid":
                 u = [*pid.step(x, att_ref, dt), delta_col]
@@ -461,7 +478,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             else:  # open loop at trim
                 u = u_open
 
-            _, _, gyro_sat = yaw_gyro_output(x[14], u[2], x[11], par)
+            _, _, gyro_sat = yaw_gyro_law(x[14], u[2], x[11], ka_g, kp_g, ki_g)
             if gyro_sat:
                 step_flags |= SAT_GYRO
 
@@ -478,13 +495,14 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             stage = "plant RK4"
             x = rk4_step(deriv, x, u, winds[k].tolist(), dt)
             for idx in (12, 13):  # mechanical flapping stops
-                if abs(x[idx]) > par.flap_limit:
-                    x[idx] = math.copysign(par.flap_limit, x[idx])
+                if abs(x[idx]) > flap_limit:
+                    x[idx] = math.copysign(flap_limit, x[idx])
                     carry_flags |= SAT_FLAP
             if obs_state is not None:
                 stage = "observer"
-                obs_state = observer_step(obs_step, obs_state, y_dev,
-                                          u[0:3] - u_trim3)
+                obs_state = observer_step(
+                    obs_step, obs_state, y_dev,
+                    [u[0] - u_trim3[0], u[1] - u_trim3[1], u[2] - u_trim3[2]])
     except SimulationAbort:
         raise
     except HeliError as exc:

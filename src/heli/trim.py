@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _state_derivative_flat, yaw_gyro_output
+from .dynamics import _state_derivative_flat, plant_constants, yaw_gyro_output
 from .errors import TrimConvergenceError
 from .params import HelicopterParams
 from .state import MEASURED_STATES, ControlInputs, FullState, N_STATES
@@ -51,12 +51,12 @@ class TrimPoint:
                      params: HelicopterParams) -> "TrimPoint":
         """Trim point at flat state `x` and inputs `u`, with its hover residual."""
         dped_prime, _, _ = yaw_gyro_output(x[14], u[2], x[11], params)
+        residual = _hover_residual(x, u, plant_constants(params))
         return TrimPoint(
             state=FullState.from_vector(x), inputs=ControlInputs.from_vector(u),
             y_trim=x[MEASURED_STATES],
             h_out_trim=np.array([x[6], x[7], x[8]]),
-            residual=np.linalg.norm(_hover_residual(x, u, params)),
-            dped_prime=dped_prime)
+            residual=np.linalg.norm(residual), dped_prime=dped_prime)
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,16 @@ class LinearPlant:
     input_labels: tuple = MODEL_INPUT_LABELS
 
 
-def _hover_residual(x: np.ndarray, u: np.ndarray,
-                    params: HelicopterParams) -> np.ndarray:
-    """Still-air derivative of every state except position."""
+def _hover_residual(x: np.ndarray, u: np.ndarray, consts: tuple) -> np.ndarray:
+    """Still-air derivative of every state except position (`consts` is
+    `plant_constants(params)`)."""
     xdot = np.array(_state_derivative_flat(x.tolist(), u.tolist(),
-                                           [0.0, 0.0, 0.0], params))
+                                           [0.0, 0.0, 0.0], consts))
     return xdot[list(_NONPOS)]
 
 
-def _residual(unknowns: np.ndarray, params: HelicopterParams) -> np.ndarray:
-    return _hover_residual(*_assemble(unknowns), params)
+def _residual(unknowns: np.ndarray, consts: tuple) -> np.ndarray:
+    return _hover_residual(*_assemble(unknowns), consts)
 
 
 def _assemble(unknowns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,21 +101,22 @@ def find_trim(params: HelicopterParams, max_iter: int = 100,
     convention.  Starts from the all-zero guess with the collective set so the
     rotor carries the full weight.
     """
+    consts = plant_constants(params)
     z = np.zeros(len(_UNKNOWN_LABELS))
     z[0] = (params.m * params.g - params.thrust_trim) / params.k_col \
         if params.k_col > 0.0 else 0.0
 
-    res = _residual(z, params)
+    res = _residual(z, consts)
     norm = np.linalg.norm(res)
     for _ in range(max_iter):
         if norm < tol:
             break
-        jac = _fd_jacobian(lambda v: _residual(v, params), z)
+        jac = _fd_jacobian(lambda v: _residual(v, consts), z)
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         alpha = 1.0
         while alpha > 1e-8:
             trial = z + alpha * step
-            trial_res = _residual(trial, params)
+            trial_res = _residual(trial, consts)
             trial_norm = np.linalg.norm(trial_res)
             if trial_norm < norm:
                 z, res, norm = trial, trial_res, trial_norm
@@ -142,8 +143,9 @@ def _fd_jacobian(fun, z: np.ndarray, step: float = 1e-7) -> np.ndarray:
 
 
 def _model_derivative(w: np.ndarray, u3: np.ndarray, wind: np.ndarray,
-                      trim: TrimPoint, params: HelicopterParams) -> np.ndarray:
-    """Derivative of the nine model states (gyro slot holds the integrator).
+                      trim: TrimPoint, consts: tuple) -> np.ndarray:
+    """Derivative of the nine model states (gyro slot holds the integrator);
+    `consts` is `plant_constants(params)`.
 
     Velocities and position are frozen at their trim values, which truncates
     the slow translational modes out of the attitude model.
@@ -154,7 +156,7 @@ def _model_derivative(w: np.ndarray, u3: np.ndarray, wind: np.ndarray,
     u = trim.inputs.as_vector().copy()
     u[0:3] = u3
     xdot = np.array(_state_derivative_flat(x.tolist(), u.tolist(),
-                                           wind.tolist(), params))
+                                           wind.tolist(), consts))
     return xdot[list(_MODEL_IDX)]
 
 
@@ -185,6 +187,7 @@ def linearize(params: HelicopterParams, trim: TrimPoint,
     integrator coordinate into the tail servo command so the state ordering
     matches the design model.
     """
+    consts = plant_constants(params)
     w0 = trim.state.as_vector()[list(_MODEL_IDX)]
     u0 = trim.inputs.as_vector()[0:3]
 
@@ -198,22 +201,22 @@ def linearize(params: HelicopterParams, trim: TrimPoint,
         wp, wm = w0.copy(), w0.copy()
         wp[j] += h
         wm[j] -= h
-        a_w[:, j] = (_model_derivative(wp, u0, np.zeros(3), trim, params)
-                     - _model_derivative(wm, u0, np.zeros(3), trim, params)) / (2 * h)
+        a_w[:, j] = (_model_derivative(wp, u0, np.zeros(3), trim, consts)
+                     - _model_derivative(wm, u0, np.zeros(3), trim, consts)) / (2 * h)
     for j in range(3):
         h = step * max(1.0, abs(u0[j]))
         up, um = u0.copy(), u0.copy()
         up[j] += h
         um[j] -= h
-        b_w[:, j] = (_model_derivative(w0, up, np.zeros(3), trim, params)
-                     - _model_derivative(w0, um, np.zeros(3), trim, params)) / (2 * h)
+        b_w[:, j] = (_model_derivative(w0, up, np.zeros(3), trim, consts)
+                     - _model_derivative(w0, um, np.zeros(3), trim, consts)) / (2 * h)
     for j in range(3):
         h = step
         vp, vm = np.zeros(3), np.zeros(3)
         vp[j] += h
         vm[j] -= h
-        e_w[:, j] = (_model_derivative(w0, u0, vp, trim, params)
-                     - _model_derivative(w0, u0, vm, trim, params)) / (2 * h)
+        e_w[:, j] = (_model_derivative(w0, u0, vp, trim, consts)
+                     - _model_derivative(w0, u0, vm, trim, consts)) / (2 * h)
 
     m_t, m_inv, n_t = _gyro_coordinate_change(params)
     a = m_t @ a_w @ m_inv
@@ -237,6 +240,7 @@ def verify_linearization(params: HelicopterParams, plant: LinearPlant,
     trim = plant.trim
     n = len(_MODEL_IDX)
     m_t, m_inv, n_t = _gyro_coordinate_change(params)
+    consts = plant_constants(params)
 
     w0 = trim.state.as_vector()[list(_MODEL_IDX)]
     u0 = trim.inputs.as_vector()[0:3]
@@ -247,7 +251,7 @@ def verify_linearization(params: HelicopterParams, plant: LinearPlant,
         dv = perturbation_scale * rng.standard_normal(3)
         # map the model-state perturbation back to integrator coordinates
         dw = m_inv @ (dz - n_t @ du)
-        wdot = _model_derivative(w0 + dw, u0 + du, dv, trim, params)
+        wdot = _model_derivative(w0 + dw, u0 + du, dv, trim, consts)
         zdot_nl = m_t @ wdot
         zdot_lin = plant.a @ dz + plant.b @ du + plant.e @ dv
         denom = max(np.linalg.norm(zdot_nl), 1e-12)

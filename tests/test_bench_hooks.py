@@ -45,3 +45,31 @@ def test_plant_calls_pass_through_the_hooks(params, artifacts, controller):
                          minlength=len(tracing.SPAN_NAMES))
     assert counts[tracing.SPAN_NAMES.index("sim.rk4_step")] == n_steps
     assert counts[tracing.SPAN_NAMES.index("dynamics.derivative")] == 4 * n_steps
+
+
+@pytest.mark.parametrize("controller", ["hinf", "pid"])
+def test_every_layer_passes_through_its_hook(params, artifacts, controller):
+    # the loop evaluates the controller on each of the n + 1 logged steps and
+    # steps the observer after each of the n plant steps; a layer reached by
+    # another name would read as zero calls in its per-layer metric
+    tracing = _tracing()
+    cfg = builtin_scenario("paper-hover-climb", seed=4)
+    cfg.controller = controller
+    cfg.duration = 0.1
+    n = 50
+    tracer = tracing.Tracer()
+    with tracer:
+        run_scenario(cfg, params, artifacts)
+    counts = np.bincount(tracer.spans()["names"],
+                         minlength=len(tracing.SPAN_NAMES))
+    hinf = controller == "hinf"
+    expected = {
+        "outer.horizontal_control": n + 1,
+        "outer.altitude_control": n + 1,
+        "hinf.control_law": n + 1 if hinf else 0,
+        "observer.assemble_state_estimate": n + 1 if hinf else 0,
+        "observer.observer_step": n,
+    }
+    got = {name: int(counts[tracing.SPAN_NAMES.index(name)])
+           for name in expected}
+    assert got == expected

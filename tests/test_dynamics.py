@@ -1,7 +1,9 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heli import (
     ControlInputs,
@@ -15,7 +17,8 @@ from heli import (
     yaw_gyro_output,
 )
 from heli.sim import _rotation_rows, rk4_step
-from heli.dynamics import _state_derivative_flat
+from heli.dynamics import _state_derivative_flat, plant_constants
+from heli.outer import ned_velocity
 
 
 def _state(phi=0.0, theta=0.0, psi=0.0, p=0.0, q=0.0, r=0.0,
@@ -260,9 +263,10 @@ class TestStateDerivative:
         x[9:12] = (0.12, -0.08, 0.10)
         inertia = np.diag([par.jx, par.jy, par.jz])
         h0 = np.linalg.norm(inertia @ x[9:12])
+        consts = plant_constants(par)
 
         def f(xv, uv, wv):
-            return _state_derivative_flat(xv, np.zeros(4), np.zeros(3), par)
+            return _state_derivative_flat(xv, np.zeros(4), np.zeros(3), consts)
 
         dt = 1e-3
         for _ in range(10000):
@@ -287,6 +291,9 @@ class TestStateDerivative:
             x = _state(phi=phi[k], theta=theta[k], psi=psi[k], vel=v)
             xdot = state_derivative(x, np.zeros(4), np.zeros(3), params)
             assert np.max(np.abs(xdot[0:3] - rot @ v)) < 1e-14
+            # the outer loop's NED velocity sums each row in the same order
+            v_ned = ned_velocity(x.tolist())
+            assert np.array(v_ned).tobytes() == xdot[0:3].tobytes()
 
     def test_array_edge_equals_list_core(self, params):
         rng = np.random.default_rng(21)
@@ -296,7 +303,7 @@ class TestStateDerivative:
             u = rng.uniform(-1.0, 1.0, 4)
             w = 3.0 * rng.standard_normal(3)
             core = _state_derivative_flat(x.tolist(), u.tolist(), w.tolist(),
-                                          params)
+                                          plant_constants(params))
             assert all(type(v) is float for v in core)
             edge = state_derivative(x, u, w, params)
             assert isinstance(edge, np.ndarray)
@@ -311,6 +318,84 @@ class TestStateDerivative:
             state_derivative(np.zeros(14), np.zeros(4), np.zeros(3), params)
         with pytest.raises(ValueError):
             state_derivative(np.zeros(15), np.zeros(3), np.zeros(3), params)
+
+
+def _parent_derivative(x, u, w, par):
+    """The derivative as written before the plant constants were bound once:
+    every parameter read from `par` at the point of use."""
+    _, _, _, vx, vy, vz, phi, theta, psi, p, q, r, a_s, b_s, xi = x
+    dlat, dlon, dped, dcol = u
+    w_u, w_v, w_w = w
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    spsi, cpsi = math.sin(psi), math.cos(psi)
+    tth = sth / cth
+    pn_dot = cth * cpsi * vx + (sphi * sth * cpsi - cphi * spsi) * vy \
+        + (cphi * sth * cpsi + sphi * spsi) * vz
+    pe_dot = cth * spsi * vx + (sphi * sth * spsi + cphi * cpsi) * vy \
+        + (cphi * sth * spsi - sphi * cpsi) * vz
+    pd_dot = -sth * vx + sphi * cth * vy + cphi * cth * vz
+    phi_dot = p + tth * (sphi * q + cphi * r)
+    theta_dot = cphi * q - sphi * r
+    psi_dot = (sphi * q + cphi * r) / cth
+    thrust = par.thrust_trim + par.k_col * dcol
+    sa, ca = math.sin(a_s), math.cos(a_s)
+    sb, cb = math.sin(b_s), math.cos(b_s)
+    err = par.ka_g * dped - r
+    dped_prime = min(max(par.kp_g * err + xi, -1.0), 1.0)
+    xi_dot = par.ki_g * err
+    tail_y = -par.k_ped * dped_prime
+    drag_x = -par.dx * (vx - w_u)
+    drag_y = -par.dy * (vy - w_v)
+    drag_z = -par.dz * (vz - w_w)
+    mg = par.m * par.g
+    fx = -thrust * sa + drag_x - mg * sth
+    fy = thrust * sb + tail_y + drag_y + mg * sphi * cth
+    fz = -thrust * ca * cb + drag_z + mg * cphi * cth
+    hub = par.k_beta + thrust * par.h_mr
+    mx = hub * b_s - par.lp * p + par.h_tr * tail_y + par.h_cp * drag_y
+    my = hub * a_s - par.mq * q - par.h_cp * drag_x
+    mz = -par.torque_scale * thrust + par.l_tr * par.k_ped * dped_prime \
+        - par.nr * r
+    inv_m = 1.0 / par.m
+    vx_dot = -(q * vz - r * vy) + fx * inv_m
+    vy_dot = -(r * vx - p * vz) + fy * inv_m
+    vz_dot = -(p * vy - q * vx) + fz * inv_m
+    p_dot = (mx - (q * r * (par.jz - par.jy))) / par.jx
+    q_dot = (my - (p * r * (par.jx - par.jz))) / par.jy
+    r_dot = (mz - (p * q * (par.jy - par.jx))) / par.jz
+    a_bs = 8.0 * par.k_beta / (par.gamma_mr * par.omega_mr ** 2 * par.i_beta)
+    inv_tau = 1.0 / par.tau_mr
+    a_s_dot = -q - inv_tau * a_s + a_bs * b_s + inv_tau * par.k_lon * dlon
+    b_s_dot = -p - inv_tau * b_s - a_bs * a_s + inv_tau * par.k_lat * dlat
+    return [pn_dot, pe_dot, pd_dot, vx_dot, vy_dot, vz_dot,
+            phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot,
+            a_s_dot, b_s_dot, xi_dot]
+
+
+_PARAM_NAMES = tuple(f.name for f in fields(HelicopterParams))
+
+
+@st.composite
+def perturbed_params(draw):
+    """Every field within +-10 % of its default, each scaled on its own, so
+    two constants that share a default value cannot trade places unseen."""
+    base = HelicopterParams()
+    return base.replace(**{name: getattr(base, name) * draw(st.floats(0.9, 1.1))
+                           for name in _PARAM_NAMES})
+
+
+@settings(deadline=None, max_examples=300)
+@given(perturbed_params(),
+       st.lists(st.floats(-5.0, 5.0), min_size=15, max_size=15),
+       st.floats(-1.5, 1.5),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+def test_bound_constants_bit_equal_parent_formula(par, x, theta, u, w):
+    x[7] = theta
+    got = _state_derivative_flat(x, u, w, plant_constants(par))
+    assert np.array(got).tobytes() == np.array(
+        _parent_derivative(x, u, w, par)).tobytes()
 
 
 class TestStateContainers:

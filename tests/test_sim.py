@@ -23,7 +23,11 @@ from heli import (
     rk4_step,
     run_scenario,
 )
-from heli.dynamics import _state_derivative_flat, state_derivative
+from heli.dynamics import (
+    _state_derivative_flat,
+    plant_constants,
+    state_derivative,
+)
 from heli.sim import (
     CSV_BLOCK_ROWS,
     LOG_COLUMNS,
@@ -91,7 +95,8 @@ def plant_points(draw):
 def test_plant_rk4_bit_equals_array_formula(point):
     x, u, w, dt = point
     par = HelicopterParams()
-    got = rk4_step(lambda xv, uv, wv: _state_derivative_flat(xv, uv, wv, par),
+    consts = plant_constants(par)
+    got = rk4_step(lambda xv, uv, wv: _state_derivative_flat(xv, uv, wv, consts),
                    x, u, w, dt)
     assert all(type(v) is float for v in got)
     want = _rk4_array_oracle(x, u, w, dt, par)
@@ -115,7 +120,7 @@ class TestPidController:
             dlat, dlon, dped = pid.step(x, target, dt)
             u = np.clip([dlat, dlon, dped, trim.inputs.delta_col], -1.0, 1.0)
             x = rk4_step(lambda xv, uv, wv: _state_derivative_flat(
-                xv, u, np.zeros(3), params), x, None, None, dt)
+                xv, u, np.zeros(3), plant_constants(params)), x, None, None, dt)
             hist.append(x[6])
         hist = np.array(hist)
         final_err = abs(hist[-1] - target[0])
@@ -322,6 +327,19 @@ class TestRunScenario:
             run_scenario(cfg, params, artifacts)
         assert info.value.step == 1
         assert "step 1" in str(info.value)
+
+    def test_overflowing_sum_of_finite_state_runs_on(self, params, artifacts):
+        # pn + pe overflows to inf, so the quick sum test fails; the
+        # element-wise test must then let the run go on.  Open loop without
+        # the outer loop never reads the position.
+        cfg = builtin_scenario("hover-hold", seed=2)
+        cfg.duration = 0.02
+        base, _ = run_scenario(cfg, params, artifacts)
+        cfg.initial_offset = np.array([1e308, 1e308, 0.0])
+        log, _ = run_scenario(cfg, params, artifacts)
+        assert not math.isfinite(sum(log.states[0].tolist()))
+        assert np.all(log.states[:, 0:2] == 1e308)
+        assert log.states[:, 2:].tobytes() == base.states[:, 2:].tobytes()
 
     def test_midrun_error_aborts_with_step_time_and_stage(self, params, trim):
         # forced pitch-up: theta crosses pi/2 inside the second RK4 step

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heli import (
     HelicopterParams,
@@ -54,6 +55,28 @@ class TestFindTrim:
         par = HelicopterParams().replace(thrust_trim=0.0, k_col=0.0)
         with pytest.raises(TrimConvergenceError):
             find_trim(par, max_iter=30)
+
+
+# the mass, inertia, rotor and drag constants that set the trim attitude
+_TRIM_BOX = ("m", "jx", "jy", "jz", "thrust_trim", "k_col", "k_beta", "h_mr",
+             "k_lat", "k_lon", "torque_scale", "dx", "dy", "dz", "k_ped",
+             "l_tr", "h_tr", "h_cp")
+
+
+@st.composite
+def trim_params(draw):
+    base = HelicopterParams()
+    return base.replace(**{name: getattr(base, name) * draw(st.floats(0.8, 1.2))
+                           for name in _TRIM_BOX})
+
+
+@settings(deadline=None, max_examples=40)
+@given(trim_params())
+def test_trim_converges_across_parameter_box(par):
+    trim = find_trim(par)
+    assert trim.residual < 1e-8
+    xdot = state_derivative(trim.state, trim.inputs, WindVector.zero(), par)
+    assert np.linalg.norm(xdot) < 1e-8
 
 
 class TestLinearize:
@@ -112,6 +135,17 @@ class TestVerifyLinearization:
         err = verify_linearization(params, plant, 1e-4)
         err_half = verify_linearization(params, plant, 5e-5)
         assert err_half <= 0.5 * err * (1.0 + 1e-3)
+
+    @settings(deadline=None, max_examples=20)
+    @given(scale=st.floats(1e-5, 5e-3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_halving_scale_halves_error(self, params, plant, scale, seed):
+        # the Taylor remainder is second order in the perturbation and the
+        # response first order, so their ratio is linear in the scale
+        err = verify_linearization(params, plant, scale, n_samples=20,
+                                   seed=seed)
+        err_half = verify_linearization(params, plant, 0.5 * scale,
+                                        n_samples=20, seed=seed)
+        assert err_half / err == pytest.approx(0.5, abs=0.02)
 
     def test_zero_scale_rejected(self, params, plant):
         with pytest.raises(ValueError):
