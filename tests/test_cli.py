@@ -47,11 +47,17 @@ class TestCli:
         assert "gamma" in report
         assert "norm" in report
 
-    def test_gamma_search_writes_trace(self, tmp_path):
+    def test_gamma_search_writes_trace(self, tmp_path, capsys):
         assert main(["gamma-search", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "gamma_trace.csv").read_text().splitlines()
         assert lines[0] == "gamma,feasible,reason"
         assert len(lines) > 10
+        # gamma* is the smallest gamma the search found feasible
+        rows = [line.split(",") for line in lines[1:]]
+        smallest = min(float(g) for g, ok, _ in rows if ok == "1")
+        out = capsys.readouterr().out
+        assert out.startswith(f"gamma_star ~= {smallest:.6g} "
+                              f"({len(rows)} evaluations)")
 
     @pytest.mark.parametrize("command, output", [
         ("synthesize", "F.csv"),

@@ -1,0 +1,318 @@
+"""The galloping gamma search against the plain bisection it replaces.
+
+`_plain_solve_riccati` and `_plain_gamma_star` are the Riccati solve and the
+linear bisection written out in full, one Hamiltonian built per gamma: the
+oracle.  The search under test must reach the same gamma*, the same gamma
+used and the same P bytes, raise the same errors, and probe no point the
+oracle does not probe except a halving gamma_hi / 2**j with j <= max_iter.
+"""
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given, reject, settings, strategies as st
+
+from heli import (
+    HelicopterParams,
+    RiccatiInfeasible,
+    RiccatiSolution,
+    SynthesisError,
+    find_trim,
+    gamma_star,
+    linearize,
+    solve_riccati,
+    synthesize,
+)
+from heli import hinf
+from heli.hinf import _check_dims, feedback_gain, riccati_residual
+
+
+def _plain_solve_riccati(a, b, c, d, e, gamma):
+    a, b, c, d, e = (np.atleast_2d(np.asarray(m, dtype=float))
+                     for m in (a, b, c, d, e))
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    _check_dims(a, b, c, d, e)
+    n = a.shape[0]
+
+    rtr = d.T @ d
+    if np.linalg.matrix_rank(rtr) < b.shape[1]:
+        raise ValueError("D must have full column rank")
+    r_inv_dt_c = np.linalg.solve(rtr, d.T @ c)
+    a_bar = a - b @ r_inv_dt_c
+    q_bar = c.T @ c - c.T @ d @ r_inv_dt_c
+    g_bar = b @ np.linalg.solve(rtr, b.T) - e @ e.T / gamma ** 2
+
+    ham = np.block([[a_bar, -g_bar],
+                    [-q_bar, -a_bar.T]])
+
+    eigs = np.linalg.eigvals(ham)
+    scale = max(1.0, np.max(np.abs(eigs)))
+    if np.any(np.abs(eigs.real) < 1e-9 * scale):
+        return RiccatiInfeasible(gamma, "imaginary_axis",
+                                 "Hamiltonian eigenvalues on the imaginary axis")
+
+    t, z, sdim = scipy.linalg.schur(ham, output="real",
+                                    sort=lambda re, im: re < 0.0)
+    if sdim != n:
+        return RiccatiInfeasible(gamma, "imaginary_axis",
+                                 f"stable subspace has dimension {sdim} != {n}")
+    x1 = z[:n, :n]
+    x2 = z[n:, :n]
+    if np.linalg.cond(x1) > 1e12:
+        return RiccatiInfeasible(gamma, "singular_subspace",
+                                 "stable subspace not a graph over the state space")
+    p = np.linalg.solve(x1.T, x2.T).T
+    p = 0.5 * (p + p.T)
+
+    residual = riccati_residual(p, a, b, c, d, e, gamma)
+    if residual >= 1e-8 * (1.0 + np.max(np.abs(p))):
+        return RiccatiInfeasible(gamma, "verification_failed",
+                                 f"residual {residual:.3e}")
+    min_eig = float(np.min(np.linalg.eigvalsh(p)))
+    if min_eig <= -1e-10:
+        return RiccatiInfeasible(gamma, "verification_failed",
+                                 f"minimum eigenvalue {min_eig:.3e}")
+    f = feedback_gain(p, b, c, d)
+    cl_eigs = np.linalg.eigvals(a + b @ f)
+    if np.any(cl_eigs.real >= 0.0):
+        return RiccatiInfeasible(gamma, "verification_failed",
+                                 "closed loop not Hurwitz")
+    return RiccatiSolution(p=p, gamma=float(gamma), residual_norm=residual)
+
+
+def _plain_gamma_star(a, b, c, d, e, tol=1e-4, margin=0.05, gamma_hi=1e6,
+                      max_iter=200):
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    trace = []
+
+    def feasible(g):
+        res = _plain_solve_riccati(a, b, c, d, e, g)
+        ok = isinstance(res, RiccatiSolution)
+        trace.append((g, ok, "" if ok else res.reason))
+        return ok, res
+
+    ok, res_hi = feasible(gamma_hi)
+    if not ok:
+        raise SynthesisError(
+            f"problem infeasible at the upper bound gamma = {gamma_hi:g} "
+            f"({res_hi.reason})")
+
+    lo, hi = 0.0, gamma_hi
+    for _ in range(max_iter):
+        if hi - lo <= tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= 0.0:
+            break
+        ok, _ = feasible(mid)
+        if ok:
+            hi = mid
+        else:
+            lo = mid
+
+    g_star = hi
+    g_used = g_star * (1.0 + margin)
+    result = _plain_solve_riccati(a, b, c, d, e, g_used)
+    while isinstance(result, RiccatiInfeasible) and g_used < gamma_hi:
+        g_used *= 1.0 + margin
+        result = _plain_solve_riccati(a, b, c, d, e, g_used)
+    if isinstance(result, RiccatiInfeasible):
+        raise SynthesisError("no feasible solution above the located boundary")
+    return g_star, g_used, result, trace
+
+
+def _outcome(search, *args, **kwargs):
+    # (result, None), or (None, (exception type, message))
+    try:
+        return search(*args, **kwargs), None
+    except (ValueError, SynthesisError, np.linalg.LinAlgError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _monotone(*traces):
+    # every infeasible verdict lies below every feasible one
+    verdicts = [(g, ok) for trace in traces for g, ok, _ in trace]
+    feasible = [g for g, ok in verdicts if ok]
+    infeasible = [g for g, ok in verdicts if not ok]
+    return not feasible or not infeasible or max(infeasible) < min(feasible)
+
+
+def check_same_search(a, b, c, d, e, **kwargs) -> bool:
+    """Compare the two searches; False if the solver's verdicts on the
+    points either one probed are not monotone in gamma, so that the two
+    may differ and are not compared."""
+    expect, expect_error = _outcome(_plain_gamma_star, a, b, c, d, e, **kwargs)
+    got, error = _outcome(gamma_star, a, b, c, d, e, **kwargs)
+    assert error == expect_error
+    if error is not None:
+        return True
+    g_star, g_used, solution, trace = expect
+    if not _monotone(trace, got.trace):
+        return False
+
+    gamma_hi = kwargs.get("gamma_hi", 1e6)
+    max_iter = kwargs.get("max_iter", 200)
+    halvings = [gamma_hi]
+    while len(halvings) <= max_iter:
+        halvings.append(0.5 * halvings[-1])
+    allowed = set(halvings) | {g for g, _, _ in trace}
+    assert {g for g, _, _ in got.trace} <= allowed
+    assert got.gamma_star == g_star
+    assert got.gamma_used == g_used
+    assert got.solution.p.tobytes() == solution.p.tobytes()
+    assert got.solution.residual_norm == solution.residual_norm
+    return True
+
+
+@st.composite
+def stabilizable_plants(draw):
+    """A random plant with controllable (A, B) and observable (A, C).
+
+    The outputs are m pure-input rows, D1 u, over n state rows, C1 x with C1
+    square: D has full column rank and C'D = 0, as in the design plant.  A
+    is unstable about half the time.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(n, n))
+    b = rng.normal(size=(n, m))
+    e = draw(st.floats(0.1, 10.0)) * rng.normal(size=(n, k))
+    c = np.vstack([np.zeros((m, n)), rng.normal(size=(n, n))])
+    d = np.vstack([np.diag(rng.uniform(0.5, 2.0, m)), np.zeros((n, m))])
+    ctrb = np.hstack([np.linalg.matrix_power(a, i) @ b for i in range(n)])
+    obsv = np.vstack([c @ np.linalg.matrix_power(a, i) for i in range(n)])
+    assume(np.linalg.matrix_rank(ctrb) == n)
+    assume(np.linalg.matrix_rank(obsv) == n)
+    return a, b, c, d, e
+
+
+@settings(deadline=None, max_examples=60)
+@given(stabilizable_plants(),
+       st.floats(1e-8, 2.0),
+       st.integers(0, 60),
+       st.one_of(st.just(1e6), st.floats(1e-2, 1e8)))
+def test_random_plants_match_plain_bisection(plant, tol, max_iter, gamma_hi):
+    # about 1 plant in 6 000 of this family gets verdicts that are not
+    # monotone (test_verdict_stays_feasible_above_boundary)
+    assume(check_same_search(*plant, tol=tol, max_iter=max_iter,
+                             gamma_hi=gamma_hi))
+
+
+def _perturbed_params(seed, count=20, spread=0.10):
+    # the design-sweep benchmark's mass and inertia perturbations
+    rng = np.random.default_rng(seed)
+    base = HelicopterParams()
+    sets = []
+    for _ in range(count):
+        f = 1.0 + rng.uniform(-spread, spread, 4)
+        sets.append(base.replace(m=base.m * f[0], jx=base.jx * f[1],
+                                 jy=base.jy * f[2], jz=base.jz * f[3]))
+    return sets
+
+
+@pytest.mark.parametrize("seed", [2026, 7])
+def test_perturbed_designs_match_plain_bisection(seed, output_map):
+    for params in _perturbed_params(seed):
+        plant = linearize(params, find_trim(params))
+        assert check_same_search(plant.a, plant.b, output_map.c,
+                                 output_map.d, plant.e)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(1e-4, 200), (1e-6, 37),
+                                           (0.5, 0), (1.0, 200)])
+def test_no_disturbance_matches_plain_bisection(scalar_plant, tol, max_iter):
+    # every midpoint is feasible: gamma* walks to the last halving allowed
+    a, b, c, d, _ = scalar_plant
+    assert check_same_search(a, b, c, d, np.zeros((1, 1)), tol=tol,
+                             max_iter=max_iter)
+
+
+def test_default_design_matches_plain_bisection(plant, output_map):
+    assert check_same_search(plant.a, plant.b, output_map.c, output_map.d,
+                             plant.e)
+
+
+def test_default_design_solve_count(plant, monkeypatch):
+    # the plain bisection makes 39 solves here: 24 of them walk down from 1e6
+    calls = []
+    solve = hinf._RiccatiGame.solve
+
+    def counted(self, gamma):
+        calls.append(gamma)
+        return solve(self, gamma)
+
+    monkeypatch.setattr(hinf._RiccatiGame, "solve", counted)
+    synthesize(plant)
+    assert len(calls) <= 24
+
+
+@pytest.fixture(scope="module")
+def design_game(plant, output_map, synthesis):
+    args = (plant.a, plant.b, output_map.c, output_map.d, plant.e)
+    return args, hinf._RiccatiGame(*args), synthesis[1].gamma_star
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.one_of(st.floats(0.3, 1.2), st.floats(1.2, 1e6 / 0.1138)),
+                min_size=1, max_size=4))
+def test_per_gamma_solve_matches_plain_solve(design_game, factors):
+    # one set-up solved at several gammas in turn, as the search does
+    args, game, g_star = design_game
+    for f in factors:
+        gamma = min(f * g_star, 1e6)
+        expect = _plain_solve_riccati(*args, gamma)
+        got = game.solve(gamma)
+        assert type(got) is type(expect)
+        if isinstance(expect, RiccatiSolution):
+            assert got.p.tobytes() == expect.p.tobytes()
+            assert got.residual_norm == expect.residual_norm
+        else:
+            assert got == expect
+
+
+@settings(deadline=None, max_examples=60)
+@given(stabilizable_plants(), st.floats(1.001, 1.1, exclude_min=True))
+def test_matches_scipy_care_near_boundary(plant, factor):
+    a, b, c, d, e = plant
+    try:
+        boundary = gamma_star(a, b, c, d, e).gamma_star
+    except SynthesisError:
+        reject()
+    gamma = factor * boundary
+    sol = solve_riccati(a, b, c, d, e, gamma)
+    # an infeasible verdict above a feasible gamma comes from the residual
+    # gate on a large P; test_verdict_stays_feasible_above_boundary pins it
+    assume(isinstance(sol, RiccatiSolution))
+    # the stacked-input, indefinite-weight CARE of test_matches_scipy_care
+    k = e.shape[1]
+    r = scipy.linalg.block_diag(d.T @ d, -gamma ** 2 * np.eye(k))
+    s = np.hstack([c.T @ d, np.zeros((a.shape[0], k))])
+    oracle = scipy.linalg.solve_continuous_are(a, np.hstack([b, e]), c.T @ c,
+                                               r, s=s)
+    # both solvers lose accuracy as P grows: 1e-9 of max |P| up to
+    # max |P| = 100, growing in proportion beyond (largest error in 13 451
+    # random solves: 0.043 of this bound; 9.6e-8 relative at max |P| ~ 1e7)
+    scale = np.max(np.abs(oracle))
+    assert (np.max(np.abs(sol.p - oracle))
+            <= 1e-9 * scale * max(1.0, scale / 100.0))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the residual gate 1e-8 (1 + max|P|) fails on "
+                   "round-off when max|P| ~ 5e6")
+def test_verdict_stays_feasible_above_boundary():
+    # feasibility is monotone in gamma, but this plant's solve reports
+    # verification_failed at 1.002 and 1.003 gamma*, between feasible 1.001
+    # and 1.005
+    rng = np.random.default_rng(3421539235)
+    a, b = rng.normal(size=(5, 5)), rng.normal(size=(5, 1))
+    e = 2.330751574569085 * rng.normal(size=(5, 2))
+    c = np.vstack([np.zeros((1, 5)), rng.normal(size=(5, 5))])
+    d = np.vstack([np.diag(rng.uniform(0.5, 2.0, 1)), np.zeros((5, 1))])
+    boundary = gamma_star(a, b, c, d, e).gamma_star
+    for factor in (1.0, 1.001, 1.002, 1.003, 1.005, 1.01):
+        sol = solve_riccati(a, b, c, d, e, factor * boundary)
+        assert isinstance(sol, RiccatiSolution), sol

@@ -176,6 +176,13 @@ class TestGammaStar:
         with pytest.raises(SynthesisError):
             gamma_star(a, b, c, d, e)
 
+    @pytest.mark.parametrize("margin", [-0.01, math.nan])
+    def test_bad_margin_rejected(self, scalar_plant, margin):
+        # with 1 + margin < 1 the back-off loop would shrink gamma one solve
+        # at a time until E E'/gamma^2 overflows
+        with pytest.raises(ValueError, match="margin"):
+            gamma_star(*scalar_plant, margin=margin)
+
     def test_trace_records_bisection(self, scalar_plant):
         a, b, c, d, e = scalar_plant
         search = gamma_star(a, b, c, d, e, tol=1e-4)
