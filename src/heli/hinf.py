@@ -271,7 +271,7 @@ def gamma_star(a, b, c, d, e, tol: float = 1e-4, margin: float = 0.05,
     Returns the boundary estimate together with a verified solution computed
     at (1 + margin) times the boundary.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if not margin >= 0.0:
         raise ValueError("margin must be non-negative")
@@ -374,19 +374,30 @@ def control_law(gains: GainRows, x, r, u_trim,
     """Servo inputs for a deviation state and attitude reference.
 
     Computes u = (F x + G (r - h_out_trim)) + u_trim from `gains`
-    (`SynthesisResult.gain_rows()`), each matrix-vector product summed left
-    to right over Python floats, and clamps each cyclic and pedal channel,
-    reporting which channels saturated.  Returns the flat input list (dlat,
-    dlon, dped, dcol) with the collective `delta_col` passed through
-    untouched, and the flag bits.
+    (`SynthesisResult.gain_rows()`), written out over the 3x9 and 3x3
+    gains with each matrix-vector product summed left to right over Python
+    floats, and clamps each cyclic and pedal channel, reporting which
+    channels saturated.  Returns the flat input list (dlat, dlon, dped,
+    dcol) with the collective `delta_col` passed through untouched, and the
+    flag bits.
     """
+    (f00, f01, f02, f03, f04, f05, f06, f07, f08), \
+        (f10, f11, f12, f13, f14, f15, f16, f17, f18), \
+        (f20, f21, f22, f23, f24, f25, f26, f27, f28) = gains.f
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gains.g
     h0, h1, h2 = gains.h_out_trim
+    ut0, ut1, ut2 = u_trim
     e0, e1, e2 = r[0] - h0, r[1] - h1, r[2] - h2
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
-    u = [f[0] * x0 + f[1] * x1 + f[2] * x2 + f[3] * x3 + f[4] * x4
-         + f[5] * x5 + f[6] * x6 + f[7] * x7 + f[8] * x8
-         + (g[0] * e0 + g[1] * e1 + g[2] * e2) + ut
-         for f, g, ut in zip(gains.f, gains.g, u_trim)]
+    u = [f00 * x0 + f01 * x1 + f02 * x2 + f03 * x3 + f04 * x4 + f05 * x5
+         + f06 * x6 + f07 * x7 + f08 * x8
+         + (g00 * e0 + g01 * e1 + g02 * e2) + ut0,
+         f10 * x0 + f11 * x1 + f12 * x2 + f13 * x3 + f14 * x4 + f15 * x5
+         + f16 * x6 + f17 * x7 + f18 * x8
+         + (g10 * e0 + g11 * e1 + g12 * e2) + ut1,
+         f20 * x0 + f21 * x1 + f22 * x2 + f23 * x3 + f24 * x4 + f25 * x5
+         + f26 * x6 + f27 * x7 + f28 * x8
+         + (g20 * e0 + g21 * e1 + g22 * e2) + ut2]
     flags = clamp_servos(u)
     u.append(delta_col)
     return u, flags

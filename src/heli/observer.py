@@ -177,21 +177,36 @@ def observer_step(disc: DiscreteObserver, state: ObserverState, y, u
     """One exact zero-order-hold step of the estimator (`design.discretize`)
     with the six measurements `y` and three inputs `u` held over the step.
 
-    x' = (Phi x + Gamma_b y) + Gamma_h u and estimate = x' + K y, each
-    matrix-vector product summed left to right over Python floats.
+    x' = (Phi x + Gamma_b y) + Gamma_h u and estimate = x' + K y, written
+    out over the 3x3 and 3x6 matrices with each matrix-vector product summed
+    left to right over Python floats.
     """
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = disc.phi
+    (b00, b01, b02, b03, b04, b05), (b10, b11, b12, b13, b14, b15), \
+        (b20, b21, b22, b23, b24, b25) = disc.gamma_b
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = disc.gamma_h
+    (k00, k01, k02, k03, k04, k05), (k10, k11, k12, k13, k14, k15), \
+        (k20, k21, k22, k23, k24, k25) = disc.k_obs
     x0, x1, x2 = state.x_obs
     y0, y1, y2, y3, y4, y5 = y
     u0, u1, u2 = u
-    x_new = [p[0] * x0 + p[1] * x1 + p[2] * x2
-             + (b[0] * y0 + b[1] * y1 + b[2] * y2 + b[3] * y3 + b[4] * y4
-                + b[5] * y5)
-             + (h[0] * u0 + h[1] * u1 + h[2] * u2)
-             for p, b, h in zip(disc.phi, disc.gamma_b, disc.gamma_h)]
-    estimate = [xn + (k[0] * y0 + k[1] * y1 + k[2] * y2 + k[3] * y3
-                      + k[4] * y4 + k[5] * y5)
-                for xn, k in zip(x_new, disc.k_obs)]
-    return ObserverState(x_new, estimate)
+    n0 = (p00 * x0 + p01 * x1 + p02 * x2
+          + (b00 * y0 + b01 * y1 + b02 * y2 + b03 * y3 + b04 * y4 + b05 * y5)
+          + (h00 * u0 + h01 * u1 + h02 * u2))
+    n1 = (p10 * x0 + p11 * x1 + p12 * x2
+          + (b10 * y0 + b11 * y1 + b12 * y2 + b13 * y3 + b14 * y4 + b15 * y5)
+          + (h10 * u0 + h11 * u1 + h12 * u2))
+    n2 = (p20 * x0 + p21 * x1 + p22 * x2
+          + (b20 * y0 + b21 * y1 + b22 * y2 + b23 * y3 + b24 * y4 + b25 * y5)
+          + (h20 * u0 + h21 * u1 + h22 * u2))
+    return ObserverState(
+        [n0, n1, n2],
+        [n0 + (k00 * y0 + k01 * y1 + k02 * y2 + k03 * y3 + k04 * y4
+               + k05 * y5),
+         n1 + (k10 * y0 + k11 * y1 + k12 * y2 + k13 * y3 + k14 * y4
+               + k15 * y5),
+         n2 + (k20 * y0 + k21 * y1 + k22 * y2 + k23 * y3 + k24 * y4
+               + k25 * y5)])
 
 
 def assemble_state_estimate(y_dev, z_est) -> list:

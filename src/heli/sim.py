@@ -7,9 +7,12 @@ log to hover-precision metrics.  Runs are deterministic given the scenario
 configuration and seed.
 
 Everything a step reads is bound once per run: the plant constants, the
-gain rows of the controller and the observer, and the wind and reference
-tables.  The arithmetic of a step then runs on Python floats alone; its
-matrix-vector products are explicit left-to-right sums.  The loop reaches
+gain rows of the controller and the observer, the measured-state indices,
+and the wind and reference tables.  The arithmetic of a step then runs on
+Python floats alone, written out over the model's fixed sizes: `rk4_step`
+integrates the 15-vector plant state element by element, and the control
+law, the observer and the measurement deviations name every term, with each
+matrix-vector product an explicit left-to-right sum.  The loop reaches
 each layer by its module-level name in this module at call time
 (`_state_derivative_flat` through `rk4_step`, `control_law`,
 `assemble_state_estimate`, `observer_step`, `horizontal_control`,
@@ -64,23 +67,58 @@ LOG_COLUMNS = ("t," + ",".join(STATE_LABELS)
 
 
 def rk4_step(derivative, state, inputs, wind, dt: float) -> list:
-    """Classical fourth-order Runge-Kutta step with inputs and wind held.
+    """Classical fourth-order Runge-Kutta step of the 15-vector plant state
+    with inputs and wind held.
 
-    `state` is a flat sequence and `derivative(state, inputs, wind)` returns
-    one of the same length; the stages are combined element by element in
-    Python floats, as `a + (0.5*dt)*k` and
-    `a + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4)`, and the new state is a list.
+    `derivative(state, inputs, wind)` returns 15 derivatives.  The step is
+    written out over the 15 elements in Python floats: each stage state is
+    `x + (0.5*dt)*k` or `x + dt*k`, and the new state, a list, is
+    `x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4)`.  A state or derivative of any
+    other length raises ValueError.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     half = 0.5 * dt
-    k1 = derivative(state, inputs, wind)
-    k2 = derivative([a + half * k for a, k in zip(state, k1)], inputs, wind)
-    k3 = derivative([a + half * k for a, k in zip(state, k2)], inputs, wind)
-    k4 = derivative([a + dt * k for a, k in zip(state, k3)], inputs, wind)
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14 = state
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14 = \
+        derivative(state, inputs, wind)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14 = \
+        derivative([x0 + half * a0, x1 + half * a1, x2 + half * a2,
+                    x3 + half * a3, x4 + half * a4, x5 + half * a5,
+                    x6 + half * a6, x7 + half * a7, x8 + half * a8,
+                    x9 + half * a9, x10 + half * a10, x11 + half * a11,
+                    x12 + half * a12, x13 + half * a13, x14 + half * a14],
+                   inputs, wind)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = \
+        derivative([x0 + half * b0, x1 + half * b1, x2 + half * b2,
+                    x3 + half * b3, x4 + half * b4, x5 + half * b5,
+                    x6 + half * b6, x7 + half * b7, x8 + half * b8,
+                    x9 + half * b9, x10 + half * b10, x11 + half * b11,
+                    x12 + half * b12, x13 + half * b13, x14 + half * b14],
+                   inputs, wind)
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14 = \
+        derivative([x0 + dt * c0, x1 + dt * c1, x2 + dt * c2,
+                    x3 + dt * c3, x4 + dt * c4, x5 + dt * c5,
+                    x6 + dt * c6, x7 + dt * c7, x8 + dt * c8,
+                    x9 + dt * c9, x10 + dt * c10, x11 + dt * c11,
+                    x12 + dt * c12, x13 + dt * c13, x14 + dt * c14],
+                   inputs, wind)
     sixth = dt / 6.0
-    return [a + sixth * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
-            for a, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
+    return [x0 + sixth * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+            x1 + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+            x2 + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+            x3 + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+            x4 + sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+            x5 + sixth * (((a5 + 2.0 * b5) + 2.0 * c5) + d5),
+            x6 + sixth * (((a6 + 2.0 * b6) + 2.0 * c6) + d6),
+            x7 + sixth * (((a7 + 2.0 * b7) + 2.0 * c7) + d7),
+            x8 + sixth * (((a8 + 2.0 * b8) + 2.0 * c8) + d8),
+            x9 + sixth * (((a9 + 2.0 * b9) + 2.0 * c9) + d9),
+            x10 + sixth * (((a10 + 2.0 * b10) + 2.0 * c10) + d10),
+            x11 + sixth * (((a11 + 2.0 * b11) + 2.0 * c11) + d11),
+            x12 + sixth * (((a12 + 2.0 * b12) + 2.0 * c12) + d12),
+            x13 + sixth * (((a13 + 2.0 * b13) + 2.0 * c13) + d13),
+            x14 + sixth * (((a14 + 2.0 * b14) + 2.0 * c14) + d14)]
 
 
 @dataclass
@@ -402,9 +440,12 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     x = trim.state.as_vector().copy()
     x[0:3] += config.initial_offset
     x = x.tolist()
-    y_trim = trim.y_trim.tolist()
+    # measured-state indices and their trim values, for y_dev
+    i0, i1, i2, i3, i4, i5 = MEASURED_STATES
+    yt0, yt1, yt2, yt3, yt4, yt5 = trim.y_trim.tolist()
     u_open = trim.inputs.as_vector().tolist()
     u_trim3 = u_open[0:3]
+    ut0, ut1, ut2 = u_trim3
     col_trim = trim.inputs.delta_col
     h_trim = trim.h_out_trim.tolist()
 
@@ -463,7 +504,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 delta_col = col_trim
 
             # measurements (deviations from trim)
-            y_dev = [x[i] - yt for i, yt in zip(MEASURED_STATES, y_trim)]
+            y_dev = [x[i0] - yt0, x[i1] - yt1, x[i2] - yt2, x[i3] - yt3,
+                     x[i4] - yt4, x[i5] - yt5]
 
             # inner loop
             stage = "inner loop"
@@ -502,7 +544,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 stage = "observer"
                 obs_state = observer_step(
                     obs_step, obs_state, y_dev,
-                    [u[0] - u_trim3[0], u[1] - u_trim3[1], u[2] - u_trim3[2]])
+                    [u[0] - ut0, u[1] - ut1, u[2] - ut2])
     except SimulationAbort:
         raise
     except HeliError as exc:

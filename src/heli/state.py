@@ -169,13 +169,16 @@ class ControlInputs:
 
 
 def clamp_servos(u: list) -> int:
-    """Clamp each leading input channel in the list `u` to the servo range,
-    in place; returns the flag bits of the channels that were clamped."""
+    """Clamp each servo channel in the list `u` (the three cyclic and pedal
+    channels or all four, in input order) to the servo range, in place;
+    returns the flag bits of the channels that were clamped."""
     flags = 0
-    for i, bit in enumerate(SERVO_BITS[:len(u)]):
-        if abs(u[i]) > INPUT_LIMIT:
-            u[i] = math.copysign(INPUT_LIMIT, u[i])
-            flags |= bit
+    i = 0
+    for v in u:
+        if abs(v) > INPUT_LIMIT:
+            u[i] = math.copysign(INPUT_LIMIT, v)
+            flags |= SERVO_BITS[i]
+        i += 1
     return flags
 
 

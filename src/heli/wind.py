@@ -6,6 +6,7 @@ the same wind history regardless of the simulation step size.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,19 @@ class WindModel:
             noise = np.empty((n, 3))
             noise[0] = self.sigma * rng.standard_normal(3)  # stationary start
             shocks = rng.standard_normal((n - 1, 3))
-            for k in range(1, n):
-                noise[k] = a * noise[k - 1] + b * shocks[k - 1]
+            # the AR(1) recurrence per component on Python floats: the same
+            # products and sums as numpy's row arithmetic, without an array
+            # operation per grid point.  Each path is an array("d"), not a
+            # list: lists of floats raised the peak RSS of a scenario sweep
+            # by ~0.4 MB
+            a, b = float(a), float(b)
+            for c, column in enumerate(np.ascontiguousarray(shocks.T)):
+                v = float(noise[0, c])
+                path = array("d")
+                for shock in memoryview(column):
+                    v = a * v + b * shock
+                    path.append(v)
+                noise[1:, c] = path
         else:
             noise = np.zeros((n, 3))
         return WindSequence(model=self, turbulence=noise)

@@ -252,7 +252,7 @@ class TestA9Determinism:
 
         # fourth-order convergence of the integrator
         def global_err(dt):
-            x = [1.0]
+            x = [1.0] * 15
             for _ in range(int(round(1.0 / dt))):
                 x = rk4_step(lambda xv, u, w: [-v for v in xv], x, None, None,
                              dt)

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heli import (
     ControlInputs,
@@ -19,6 +19,7 @@ from heli import (
 from heli.sim import _rotation_rows, rk4_step
 from heli.dynamics import _state_derivative_flat, plant_constants
 from heli.outer import ned_velocity
+from heli.state import clamp_servos
 
 
 def _state(phi=0.0, theta=0.0, psi=0.0, p=0.0, q=0.0, r=0.0,
@@ -421,3 +422,43 @@ class TestStateContainers:
         assert (u.delta_lat, u.delta_ped) == (1.0, -1.0)
         assert u.delta_lon == -0.2
         assert flags == 1 | 4
+
+
+def _clamp_oracle(u):
+    """Each channel clamped to [-1, 1], with the bit of every clamped one
+    (dlat 1, dlon 2, dped 4, dcol 8)."""
+    out, flags = [], 0
+    for v, bit in zip(u, (1, 2, 4, 8)):
+        if v > 1.0:
+            out.append(1.0)
+            flags |= bit
+        elif v < -1.0:
+            out.append(-1.0)
+            flags |= bit
+        else:
+            out.append(v)
+    return out, flags
+
+
+_SERVO_VALUES = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.0, -0.0, math.nextafter(1.0, 2.0),
+                     math.nextafter(-1.0, -2.0), math.nextafter(1.0, 0.0),
+                     math.nextafter(-1.0, 0.0), math.inf, -math.inf,
+                     math.nan]),
+    st.floats(-3.0, 3.0),
+    st.floats())
+
+
+@settings(max_examples=300)
+@given(st.lists(_SERVO_VALUES, min_size=3, max_size=4))
+@example([0.5, -0.25, 0.0])
+@example([1.0, -1.0, 1.0, -1.0])
+@example([1.5, -0.2, -3.0])
+@example([0.1, 2.0, 0.3, -1.5])
+@example([-7.0, 7.0, -7.0, 7.0])
+def test_clamp_servos_matches_oracle(u):
+    want, want_flags = _clamp_oracle(u)
+    got = list(u)
+    flags = clamp_servos(got)
+    assert flags == want_flags
+    assert list(map(repr, got)) == list(map(repr, want))  # keeps -0.0

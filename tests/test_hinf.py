@@ -183,6 +183,13 @@ class TestGammaStar:
         with pytest.raises(ValueError, match="margin"):
             gamma_star(*scalar_plant, margin=margin)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan])
+    def test_bad_tol_rejected(self, scalar_plant, tol):
+        # a NaN width never meets the stopping test, so the search would
+        # run all max_iter solves
+        with pytest.raises(ValueError, match="tol"):
+            gamma_star(*scalar_plant, tol=tol)
+
     def test_trace_records_bisection(self, scalar_plant):
         a, b, c, d, e = scalar_plant
         search = gamma_star(a, b, c, d, e, tol=1e-4)

@@ -38,24 +38,27 @@ from heli.sim import (
     reference_table,
     settled_mask,
 )
+from heli.state import MEASURED_STATES
+
+from rk4_reference import rk4_reference
 
 
 class TestRk4:
     def test_exponential_single_step(self):
         f = lambda x, u, w: [-v for v in x]
-        x1 = rk4_step(f, [1.0], None, None, 0.01)
+        x1 = rk4_step(f, [1.0] * 15, None, None, 0.01)
         assert abs(x1[0] - math.exp(-0.01)) < 1e-10
 
     def test_zero_derivative_fixed_point(self):
         f = lambda x, u, w: np.zeros_like(x)
-        x0 = np.array([3.0, -1.0])
+        x0 = np.linspace(3.0, -1.0, 15)
         assert np.array_equal(rk4_step(f, x0, None, None, 0.5), x0)
 
     def test_fourth_order_convergence(self):
         f = lambda x, u, w: [-v for v in x]
 
         def global_err(dt):
-            x = [1.0]
+            x = [1.0] * 15
             for _ in range(int(round(1.0 / dt))):
                 x = rk4_step(f, x, None, None, dt)
             return abs(x[0] - math.exp(-1.0))
@@ -65,7 +68,34 @@ class TestRk4:
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
-            rk4_step(lambda x, u, w: x, np.zeros(1), None, None, 0.0)
+            rk4_step(lambda x, u, w: x, np.zeros(15), None, None, 0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 14, 16])
+    def test_other_state_length_rejected(self, n):
+        with pytest.raises(ValueError):
+            rk4_step(lambda x, u, w: list(x), [0.5] * n, None, None, 0.01)
+
+    @pytest.mark.parametrize("n", [14, 16])
+    def test_other_derivative_length_rejected(self, n):
+        with pytest.raises(ValueError):
+            rk4_step(lambda x, u, w: [0.5] * n, [0.5] * 15, None, None, 0.01)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=225, max_size=225),
+       st.lists(st.floats(-100.0, 100.0), min_size=15, max_size=15),
+       st.floats(min_value=0.0, max_value=1e3, exclude_min=True))
+def test_rk4_step_bit_equals_reference(entries, x, dt):
+    # a random 15x15 linear derivative, each row summed left to right
+    rows = [entries[15 * i:15 * i + 15] for i in range(15)]
+
+    def f(xv, uv, wv):
+        return [sum(a * v for a, v in zip(row, xv)) for row in rows]
+
+    got = rk4_step(f, x, None, None, dt)
+    want = rk4_reference(f, x, None, None, dt)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def _rk4_array_oracle(x, u, w, dt, params):
@@ -318,6 +348,29 @@ class TestRunScenario:
             run_scenario(cfg, params, artifacts)
         assert len(seen) == 2 * 4 * 100
         assert set().union(*seen) == {float}
+
+    def test_observer_sees_logged_deviations(self, params, artifacts,
+                                             monkeypatch):
+        # y is the logged state at MEASURED_STATES minus y_trim, and the
+        # observer input the logged cyclic and pedal inputs minus trim
+        seen = []
+        step = heli.sim.observer_step
+
+        def spy(disc, state, y, u):
+            seen.append((list(y), list(u)))
+            return step(disc, state, y, u)
+
+        monkeypatch.setattr(heli.sim, "observer_step", spy)
+        cfg = builtin_scenario("gust-attitude-hold", seed=3)
+        cfg.duration = 0.2
+        log, _ = run_scenario(cfg, params, artifacts)
+        trim = artifacts.trim
+        y_want = log.states[:-1, MEASURED_STATES] - trim.y_trim
+        u_want = log.inputs[:-1, 0:3] - trim.inputs.as_vector()[0:3]
+        assert len(seen) == 100
+        assert np.array([y for y, _ in seen]).tobytes() == y_want.tobytes()
+        assert np.array([u for _, u in seen]).tobytes() == u_want.tobytes()
+        assert np.ptp(y_want, axis=0).min() > 0.0  # every channel moves
 
     def test_nonfinite_state_aborts_with_step(self, params, artifacts):
         cfg = builtin_scenario("hover-hold", seed=2)

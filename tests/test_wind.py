@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from heli import ConfigError, Gust, WindModel
+from heli import ConfigError, Gust, WindModel, builtin_scenario
+from heli.wind import TURBULENCE_GRID_DT
 
 
 class TestWindModel:
@@ -92,3 +93,32 @@ def test_table_equals_at_every_step(run, seed):
     assert table.shape == (n + 1, 3)
     for k, t in enumerate(times):
         assert np.array_equal(table[k], seq.at(t))
+
+
+def _turbulence_by_rows(model, duration, seed):
+    """The turbulence path as numpy row arithmetic, one grid point at a
+    time: the recurrence `WindModel.realize` runs on Python floats."""
+    n = int(np.ceil(duration / TURBULENCE_GRID_DT)) + 2
+    rng = np.random.default_rng(seed)
+    a = np.exp(-TURBULENCE_GRID_DT / model.tau_c)
+    b = model.sigma * np.sqrt(1.0 - a * a)
+    noise = np.empty((n, 3))
+    noise[0] = model.sigma * rng.standard_normal(3)
+    shocks = rng.standard_normal((n - 1, 3))
+    for k in range(1, n):
+        noise[k] = a * noise[k - 1] + b * shocks[k - 1]
+    return noise
+
+
+_GUST = builtin_scenario("gust-attitude-hold", seed=2026)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(1e-3, 10.0), st.floats(1e-3, 1e3),
+       st.integers(0, 2 ** 64 - 1), st.floats(1e-3, 60.0))
+@example(_GUST.wind.sigma, _GUST.wind.tau_c, _GUST.seed, _GUST.duration)
+def test_turbulence_bit_equals_row_recurrence(sigma, tau_c, seed, duration):
+    model = WindModel(sigma=sigma, tau_c=tau_c)
+    got = model.realize(duration, seed).turbulence
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _turbulence_by_rows(model, duration, seed).tobytes()
