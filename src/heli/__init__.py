@@ -63,16 +63,6 @@ from .sim import (
     rk4_step,
     run_scenario,
 )
-from .state import (
-    BodyRates,
-    BodyVelocity,
-    ControlInputs,
-    EulerAngles,
-    FlapState,
-    FullState,
-    NedPosition,
-    WindVector,
-    YawGyroState,
-)
+from .state import ControlInputs, FullState
 from .trim import LinearPlant, TrimPoint, find_trim, linearize, verify_linearization
 from .wind import Gust, WindModel, WindSequence

@@ -7,7 +7,7 @@ so typos fail loudly.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .observer import DEFAULT_POLES
 from .outer import OuterGains
 from .params import HelicopterParams, PARAM_SECTIONS
 from .sim import PidGains, ReferenceSegment, ScenarioConfig
-from .wind import Gust, WindModel
+from .wind import Gust
 
 _OUTER_KEYS = ("kp_z", "kd_z", "kp_x", "kd_x", "kp_y", "kd_y",
                "tilt_limit", "col_limit")
@@ -97,11 +97,9 @@ def load_toolkit_config(path) -> ToolkitConfig:
             if section in PARAM_SECTIONS:
                 param_values[key] = _float(section, key, raw)
             elif section == "outer":
-                cfg.outer = _replace_dataclass(cfg.outer, key,
-                                               _float(section, key, raw))
+                cfg.outer = replace(cfg.outer, **{key: _float(section, key, raw)})
             elif section == "pid":
-                cfg.pid = _replace_dataclass(cfg.pid, key,
-                                             _float(section, key, raw))
+                cfg.pid = replace(cfg.pid, **{key: _float(section, key, raw)})
             elif section == "weights":
                 cfg.weights = _apply_weight(cfg.weights, key, raw)
             elif section == "observer":
@@ -115,6 +113,9 @@ def load_toolkit_config(path) -> ToolkitConfig:
         cfg.outer.validate()
     except ValueError as exc:
         raise ConfigError(f"[outer] {exc}") from exc
+    # a negative limit would pin every PID integrator at -|int_limit|
+    if cfg.pid.int_limit < 0.0:
+        raise ConfigError("[pid] int_limit must be >= 0")
     # the bisection needs a positive tolerance; a negative back-off would
     # place the design below the feasibility boundary
     if cfg.gamma_tol <= 0.0:
@@ -122,12 +123,6 @@ def load_toolkit_config(path) -> ToolkitConfig:
     if cfg.gamma_margin < 0.0:
         raise ConfigError("[hinf] gamma_margin must be >= 0")
     return cfg
-
-
-def _replace_dataclass(obj, key, value):
-    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    values[key] = value
-    return type(obj)(**values)
 
 
 def _apply_weight(weights: OutputWeights, key: str, raw: str) -> OutputWeights:
@@ -224,19 +219,13 @@ def _apply_scenario_key(cfg: ScenarioConfig, key: str, raw: str):
 
 
 def _apply_wind_key(cfg: ScenarioConfig, key: str, raw: str):
-    wind = cfg.wind
     if key == "mean":
         vals = _floats(raw)
         if vals.size != 3:
             raise ConfigError("wind mean needs 3 values")
-        cfg.wind = WindModel(mean=vals, gusts=wind.gusts, sigma=wind.sigma,
-                             tau_c=wind.tau_c)
-    elif key == "sigma":
-        cfg.wind = WindModel(mean=wind.mean, gusts=wind.gusts,
-                             sigma=_float("wind", key, raw), tau_c=wind.tau_c)
-    elif key == "tau_c":
-        cfg.wind = WindModel(mean=wind.mean, gusts=wind.gusts,
-                             sigma=wind.sigma, tau_c=_float("wind", key, raw))
+        cfg.wind = replace(cfg.wind, mean=vals)
+    elif key in ("sigma", "tau_c"):
+        cfg.wind = replace(cfg.wind, **{key: _float("wind", key, raw)})
     elif key == "gusts":
         gusts = []
         for chunk in raw.split(";"):
@@ -252,8 +241,7 @@ def _apply_wind_key(cfg: ScenarioConfig, key: str, raw: str):
                 raise ConfigError(f"gust delta needs 3 values in '{chunk}'")
             gusts.append(Gust(_float("wind", "gust start", parts[0]),
                               _float("wind", "gust end", parts[1]), delta))
-        cfg.wind = WindModel(mean=wind.mean, gusts=tuple(gusts),
-                             sigma=wind.sigma, tau_c=wind.tau_c)
+        cfg.wind = replace(cfg.wind, gusts=tuple(gusts))
 
 
 def _parse_segment(raw: str) -> ReferenceSegment:

@@ -9,12 +9,14 @@ derivative as a list, so the plant path of a scenario step stays in scalar
 arithmetic.  It reads the parameters from `plant_constants(params)`, one
 tuple of the fields and derived products it uses, which each caller builds
 once: per scenario run, per trim solve, per linearization, and per call of
-`state_derivative`, the array edge that checks shapes, also accepts the
-typed containers, and returns an ndarray.  Two helpers are shared with other
-modules: the body-to-NED rotation rows used by the outer loop, and the
-yaw-gyro law that the derivative, `yaw_gyro_output` (trim) and the
-scenario's saturation flag all call.  All functions are pure; repeated
-evaluation with identical arguments is bit-identical.
+`state_derivative`, the array edge that takes any flat sequences (the named
+views of `heli.state` among them), checks their shapes and returns an
+ndarray.  Two helpers are shared with other modules: the body-to-NED
+rotation rows (`dcm_rows`), used by the outer loop on floats and by the
+scenario metrics on arrays, and the yaw-gyro law that the derivative,
+`yaw_gyro_output` (trim) and the scenario's saturation flag all call.  All
+functions are pure; repeated evaluation with identical arguments is
+bit-identical.
 """
 from __future__ import annotations
 
@@ -34,16 +36,20 @@ def _check_theta(theta: float):
         raise SingularAttitudeError(f"|theta| = {abs(theta):.4f} rad >= pi/2")
 
 
-def body_to_ned_rows(phi: float, theta: float, psi: float) -> tuple:
+def dcm_rows(sphi, cphi, sth, cth, spsi, cpsi) -> tuple:
     """Rows of the ZYX (yaw-pitch-roll) direction cosine matrix mapping body
-    vectors to NED, as tuples of Python floats."""
-    _check_theta(theta)
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    sth, cth = math.sin(theta), math.cos(theta)
-    spsi, cpsi = math.sin(psi), math.cos(psi)
+    vectors to NED, from the sines and cosines of phi, theta and psi; each
+    entry is formed the same way from floats or from numpy arrays."""
     return ((cth * cpsi, sphi * sth * cpsi - cphi * spsi, cphi * sth * cpsi + sphi * spsi),
             (cth * spsi, sphi * sth * spsi + cphi * cpsi, cphi * sth * spsi - sphi * cpsi),
             (-sth,       sphi * cth,                      cphi * cth))
+
+
+def body_to_ned_rows(phi: float, theta: float, psi: float) -> tuple:
+    """`dcm_rows` at one attitude, as tuples of Python floats."""
+    _check_theta(theta)
+    return dcm_rows(math.sin(phi), math.cos(phi), math.sin(theta),
+                    math.cos(theta), math.sin(psi), math.cos(psi))
 
 
 def rotation_body_to_ned(phi: float, theta: float, psi: float) -> np.ndarray:
@@ -100,7 +106,8 @@ def plant_constants(params: HelicopterParams) -> tuple:
 
 
 def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarray:
-    """Flat 15-element time derivative of the full nonlinear state."""
+    """Flat 15-element time derivative of the full nonlinear state; `wind`
+    may be None for still air."""
     x = as_state_vector(state).tolist()
     u = as_input_vector(inputs).tolist()
     w = as_wind_vector(wind).tolist()

@@ -22,9 +22,6 @@ from .state import clamp_servos
 # rows of the design state holding the tracked outputs (phi, theta, psi)
 TRACKED_ROWS = (0, 1, 8)
 
-N_X = 9
-N_U = 3
-
 _NORM_TOL = 1e-10        # hinf_norm: relative accuracy of the peak
 _AXIS_TOL = 1e-8         # |Re l| / max |l| under which l is on the j-axis
 _RANK_TOL = 1e-10        # check_feasibility: rank cut-off for D and C_res

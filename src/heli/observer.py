@@ -43,7 +43,6 @@ class ObserverDesign:
     b_obs: np.ndarray    # 3x6 measurement drive
     h_obs: np.ndarray    # 3x3 input drive
     k_obs: np.ndarray    # 3x6 direct measurement injection
-    pole_set: np.ndarray
 
     def discretize(self, dt: float) -> DiscreteObserver:
         """Exact step map for measurements and inputs held over `dt`.
@@ -157,8 +156,7 @@ def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
                for order in itertools.permutations(range(3)))
     if miss > 1e-6:
         raise UnobservablePairError("placed poles miss the requested ones by > 1e-6")
-    return ObserverDesign(a_obs=a_obs, b_obs=b_obs, h_obs=h_obs, k_obs=k_obs,
-                          pole_set=np.sort_complex(poles))
+    return ObserverDesign(a_obs=a_obs, b_obs=b_obs, h_obs=h_obs, k_obs=k_obs)
 
 
 def observer_init(design: ObserverDesign, y: np.ndarray,

@@ -14,7 +14,6 @@ import numpy as np
 from .dynamics import body_to_ned_rows
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
-from .state import NedPosition
 
 
 @dataclass(frozen=True)
@@ -34,12 +33,14 @@ class OuterGains:
                 raise ValueError(f"outer gain {name} must be >= 0")
         if not 0.0 < self.tilt_limit < math.pi / 2:
             raise ValueError("tilt_limit must lie in (0, pi/2)")
+        if not 0.0 < self.col_limit <= 1.0:
+            raise ValueError("col_limit must lie in (0, 1]")
         return self
 
 
 @dataclass(frozen=True)
 class PositionReference:
-    p_ref: NedPosition
+    p_ref: np.ndarray        # NED position reference (m)
     v_ref: np.ndarray        # NED velocity reference (m/s)
     psi_ref: float = 0.0
 

@@ -27,7 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import _state_derivative_flat, plant_constants, yaw_gyro_law
+from .dynamics import (
+    _state_derivative_flat,
+    dcm_rows,
+    plant_constants,
+    yaw_gyro_law,
+)
 from .errors import ConfigError, HeliError, SimulationAbort
 from .hinf import SynthesisResult, control_law
 from .observer import (
@@ -46,7 +51,6 @@ from .outer import (
 from .params import HelicopterParams
 from .state import (
     MEASURED_STATES,
-    NedPosition,
     SAT_DCOL,
     SAT_FLAP,
     SAT_GYRO,
@@ -144,7 +148,7 @@ class PidAttitudeController:
 
     def __init__(self, gains: PidGains, trim: TrimPoint):
         self.gains = gains
-        self.trim = trim
+        self.u_trim = trim.inputs[0:3]  # trim cyclic and pedal inputs
         self.reset()
 
     def reset(self):
@@ -164,12 +168,12 @@ class PidAttitudeController:
         self.int_pitch = min(max(self.int_pitch + e_theta * dt, -lim), lim)
         self.int_yaw = min(max(self.int_yaw + e_psi * dt, -lim), lim)
 
-        u = self.trim.inputs
-        dlat = u.delta_lat + g.roll_kp * e_phi + g.roll_ki * self.int_roll \
+        lat0, lon0, ped0 = self.u_trim
+        dlat = lat0 + g.roll_kp * e_phi + g.roll_ki * self.int_roll \
             - g.roll_kd * x[9]
-        dlon = u.delta_lon + g.pitch_kp * e_theta + g.pitch_ki * self.int_pitch \
+        dlon = lon0 + g.pitch_kp * e_theta + g.pitch_ki * self.int_pitch \
             - g.pitch_kd * x[10]
-        dped = u.delta_ped + g.yaw_kp * e_psi + g.yaw_ki * self.int_yaw
+        dped = ped0 + g.yaw_kp * e_psi + g.yaw_ki * self.int_yaw
         return dlat, dlon, dped
 
 
@@ -192,8 +196,8 @@ def reference_at(segments, t: float) -> PositionReference:
             break
     dt = t - active.t_start
     p = active.p0 + active.v * dt
-    return PositionReference(p_ref=NedPosition(p[0], p[1], p[2]),
-                             v_ref=active.v.copy(), psi_ref=active.psi)
+    return PositionReference(p_ref=p, v_ref=active.v.copy(),
+                             psi_ref=active.psi)
 
 
 def reference_table(segments, t: np.ndarray
@@ -212,10 +216,6 @@ def reference_table(segments, t: np.ndarray
     psi = np.array([seg.psi for seg in segments], dtype=float)
     dt = t - t_start[active]
     return p0[active] + v[active] * dt[:, None], v[active], psi[active]
-
-
-def reference_events(segments) -> list[float]:
-    return [seg.t_start for seg in segments]
 
 
 @dataclass
@@ -342,20 +342,10 @@ def settled_mask(t: np.ndarray, config: ScenarioConfig,
 
 
 def _rotation_rows(phi, theta, psi):
-    sph, cph = np.sin(phi), np.cos(phi)
-    sth, cth = np.sin(theta), np.cos(theta)
-    sps, cps = np.sin(psi), np.cos(psi)
-    r = np.empty((phi.size, 3, 3))
-    r[:, 0, 0] = cth * cps
-    r[:, 0, 1] = sph * sth * cps - cph * sps
-    r[:, 0, 2] = cph * sth * cps + sph * sps
-    r[:, 1, 0] = cth * sps
-    r[:, 1, 1] = sph * sth * sps + cph * cps
-    r[:, 1, 2] = cph * sth * sps - sph * cps
-    r[:, 2, 0] = -sth
-    r[:, 2, 1] = sph * cth
-    r[:, 2, 2] = cph * cth
-    return r
+    """Body-to-NED rotation at every sample, shape (n, 3, 3)."""
+    rows = dcm_rows(np.sin(phi), np.cos(phi), np.sin(theta), np.cos(theta),
+                    np.sin(psi), np.cos(psi))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def compute_metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport:
@@ -437,13 +427,13 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
         p_refs, v_refs, psi_refs = (
             a.tolist() for a in reference_table(config.references, times))
 
-    x = trim.state.as_vector().copy()
+    x = trim.state.as_vector()
     x[0:3] += config.initial_offset
     x = x.tolist()
     # measured-state indices and their trim values, for y_dev
     i0, i1, i2, i3, i4, i5 = MEASURED_STATES
     yt0, yt1, yt2, yt3, yt4, yt5 = trim.y_trim.tolist()
-    u_open = trim.inputs.as_vector().tolist()
+    u_open = list(trim.inputs)
     u_trim3 = u_open[0:3]
     ut0, ut1, ut2 = u_trim3
     col_trim = trim.inputs.delta_col
@@ -459,8 +449,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     if artifacts.observer is not None:
         obs_step = artifacts.observer.discretize(dt)
         obs_state = observer_init(artifacts.observer, np.zeros(6))
-    z_trim = np.array([trim.state.flap.a_s, trim.state.flap.b_s,
-                       trim.dped_prime])
+    z_trim = np.array([trim.state.a_s, trim.state.b_s, trim.dped_prime])
 
     states = np.empty((n_steps + 1, N_STATES))
     inputs = np.empty((n_steps + 1, 4))

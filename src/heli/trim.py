@@ -67,8 +67,6 @@ class LinearPlant:
     b: np.ndarray
     e: np.ndarray
     trim: TrimPoint
-    state_labels: tuple = MODEL_STATE_LABELS
-    input_labels: tuple = MODEL_INPUT_LABELS
 
 
 def _hover_residual(x: np.ndarray, u: np.ndarray, consts: tuple) -> np.ndarray:
@@ -150,10 +148,10 @@ def _model_derivative(w: np.ndarray, u3: np.ndarray, wind: np.ndarray,
     Velocities and position are frozen at their trim values, which truncates
     the slow translational modes out of the attitude model.
     """
-    x = trim.state.as_vector().copy()
+    x = trim.state.as_vector()
     for k, idx in enumerate(_MODEL_IDX):
         x[idx] = w[k]
-    u = trim.inputs.as_vector().copy()
+    u = trim.inputs.as_vector()
     u[0:3] = u3
     xdot = np.array(_state_derivative_flat(x.tolist(), u.tolist(),
                                            wind.tolist(), consts))

@@ -93,6 +93,10 @@ class TestToolkitConfig:
         "[hinf]\ngamma_margin = inf\n",
         "[outer]\ntilt_limit = 2.0\n",
         "[outer]\nkp_z = -1\n",
+        "[outer]\ncol_limit = -0.5\n",
+        "[outer]\ncol_limit = 0\n",
+        "[outer]\ncol_limit = 1.5\n",
+        "[pid]\nint_limit = -0.35\n",
         "[mass]\nm = 50%(g)s\n",
         "[mass]\nm = nan\n",
         "[pid]\nint_limit = inf\n",
@@ -104,6 +108,13 @@ class TestToolkitConfig:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError):
             load_toolkit_config(path)
+
+    def test_limit_bounds_accepted(self, tmp_path):
+        path = tmp_path / "limits.cfg"
+        path.write_text("[outer]\ncol_limit = 1\n[pid]\nint_limit = 0\n",
+                        encoding="utf-8")
+        cfg = load_toolkit_config(path)
+        assert (cfg.outer.col_limit, cfg.pid.int_limit) == (1.0, 0.0)
 
     def test_zero_gamma_margin_accepted(self, tmp_path):
         path = tmp_path / "m.cfg"

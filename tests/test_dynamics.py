@@ -10,16 +10,15 @@ from heli import (
     FullState,
     HelicopterParams,
     SingularAttitudeError,
-    WindVector,
     flap_coupling,
     rotation_body_to_ned,
     state_derivative,
     yaw_gyro_output,
 )
-from heli.sim import _rotation_rows, rk4_step
+from heli.sim import LOG_COLUMNS, _rotation_rows, rk4_step
 from heli.dynamics import _state_derivative_flat, plant_constants
 from heli.outer import ned_velocity
-from heli.state import clamp_servos
+from heli.state import STATE_LABELS, clamp_servos
 
 
 def _state(phi=0.0, theta=0.0, psi=0.0, p=0.0, q=0.0, r=0.0,
@@ -214,8 +213,7 @@ class TestForcesAndMoments:
 
 class TestStateDerivative:
     def test_trim_is_equilibrium(self, params, trim):
-        xdot = state_derivative(trim.state, trim.inputs, WindVector.zero(),
-                                params)
+        xdot = state_derivative(trim.state, trim.inputs, None, params)
         assert np.linalg.norm(xdot[3:]) < 1e-8
         assert np.linalg.norm(xdot) < 1e-8  # position rates: velocity is zero
 
@@ -311,7 +309,7 @@ class TestStateDerivative:
             assert edge.tobytes() == np.array(core).tobytes()
             typed = state_derivative(FullState.from_vector(x),
                                      ControlInputs.from_vector(u),
-                                     WindVector(*w.tolist()), params)
+                                     tuple(w.tolist()), params)
             assert typed.tobytes() == edge.tobytes()
 
     def test_rejects_wrong_shapes(self, params):
@@ -405,23 +403,24 @@ class TestStateContainers:
         vec = rng.standard_normal(15)
         assert np.array_equal(FullState.from_vector(vec).as_vector(), vec)
 
+        u = np.array([0.5, -0.25, 1.0, -1.0])
+        assert np.array_equal(ControlInputs.from_vector(u).as_vector(), u)
+
     def test_containers_hold_python_floats(self, trim):
         for s in (FullState.from_vector(np.arange(15.0)), trim.state):
-            for group in (s.position, s.velocity, s.attitude, s.rates,
-                          s.flap, s.gyro):
-                assert all(type(v) is float for v in vars(group).values())
+            assert len(s) == 15
+            assert all(type(v) is float for v in s)
         for u in (ControlInputs.from_vector(np.ones(4)), trim.inputs):
-            assert all(type(v) is float for v in vars(u).values())
+            assert len(u) == 4
+            assert all(type(v) is float for v in u)
 
-    def test_altitude_is_negative_down(self):
-        s = FullState.from_vector(np.r_[0.0, 0.0, -12.5, np.zeros(12)])
-        assert s.position.altitude == 12.5
-
-    def test_input_clamping_flags(self):
-        u, flags = ControlInputs(1.5, -0.2, -3.0, 0.1).clamped()
-        assert (u.delta_lat, u.delta_ped) == (1.0, -1.0)
-        assert u.delta_lon == -0.2
-        assert flags == 1 | 4
+    def test_fields_are_the_flat_layout(self):
+        # the state order is written once: the view's fields are the labels
+        # and the state columns of every scenario log
+        assert STATE_LABELS == FullState._fields
+        assert tuple(LOG_COLUMNS.split(",")[1:16]) == FullState._fields
+        s = FullState.from_vector(np.arange(15.0))
+        assert (s.pd, s.theta, s.xi) == (2.0, 7.0, 14.0)
 
 
 def _clamp_oracle(u):

@@ -176,9 +176,9 @@ class TestReferences:
                              np.array([0.0, 0.0, -2.5])),
             ReferenceSegment(22.0, np.array([0.0, 0.0, -20.0]), np.zeros(3)),
         )
-        assert reference_at(segs, 5.0).p_ref.pd == -10.0
-        assert reference_at(segs, 20.0).p_ref.pd == pytest.approx(-15.0)
-        assert reference_at(segs, 40.0).p_ref.pd == -20.0
+        assert reference_at(segs, 5.0).p_ref[2] == -10.0
+        assert reference_at(segs, 20.0).p_ref[2] == pytest.approx(-15.0)
+        assert reference_at(segs, 40.0).p_ref[2] == -20.0
         assert reference_at(segs, 19.0).v_ref[2] == -2.5
 
     def test_settled_mask_excludes_event_windows(self):
@@ -488,6 +488,6 @@ def test_reference_table_equals_reference_at(run):
     p_ref, v_ref, psi_ref = reference_table(segments, times)
     for k, t in enumerate(times):
         ref = reference_at(segments, t)
-        assert list(p_ref[k]) == [ref.p_ref.pn, ref.p_ref.pe, ref.p_ref.pd]
+        assert list(p_ref[k]) == list(ref.p_ref)
         assert np.array_equal(v_ref[k], ref.v_ref)
         assert psi_ref[k] == ref.psi_ref
