@@ -205,8 +205,8 @@ def cmd_gamma_search(args) -> int:
     out = _out_dir(args)
     plant = _plant(cfg, getattr(args, "plant", None))
     out_map = build_output_map(cfg.weights)
-    search = gamma_star(plant.a, plant.b, out_map.c, out_map.d, plant.e,
-                        tol=cfg.gamma_tol, margin=cfg.gamma_margin)
+    search, _ = gamma_star(plant.a, plant.b, out_map.c, out_map.d, plant.e,
+                           tol=cfg.gamma_tol, margin=cfg.gamma_margin)
     with open(out / "gamma_trace.csv", "w", encoding="utf-8") as fh:
         fh.write("gamma,feasible,reason\n")
         for g, ok, reason in search.trace:

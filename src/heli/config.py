@@ -113,9 +113,10 @@ def load_toolkit_config(path) -> ToolkitConfig:
         cfg.outer.validate()
     except ValueError as exc:
         raise ConfigError(f"[outer] {exc}") from exc
-    # a negative limit would pin every PID integrator at -|int_limit|
-    if cfg.pid.int_limit < 0.0:
-        raise ConfigError("[pid] int_limit must be >= 0")
+    try:
+        cfg.pid.validate()
+    except ValueError as exc:
+        raise ConfigError(f"[pid] {exc}") from exc
     # the bisection needs a positive tolerance; a negative back-off would
     # place the design below the feasibility boundary
     if cfg.gamma_tol <= 0.0:

@@ -2,9 +2,11 @@
 
 The attenuation level gamma parameterizes a game-type algebraic Riccati
 equation; its stabilizing solution is extracted from the stable invariant
-subspace of the associated Hamiltonian via an ordered real Schur
-decomposition, then verified explicitly.  The smallest feasible gamma is
-located by bisection and the shipped controller backs off by a small margin.
+subspace of the associated Hamiltonian, then verified explicitly.  Each
+solve makes one ordered real Schur decomposition, whose eigenvalues also
+decide the imaginary-axis test.  The smallest feasible gamma is located by
+bisection and the shipped controller backs off by a small margin; the search
+record keeps one gamma and verdict per solve but no P.
 The closed-loop norm check is exact (imaginary-axis eigenvalues of a second
 Hamiltonian), and so are the plant's invariant zeros (its unobservable part).
 """
@@ -14,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgees
 
 from .errors import SynthesisError, UnstableSystemError
 from .state import clamp_servos
@@ -26,6 +28,11 @@ _NORM_TOL = 1e-10        # hinf_norm: relative accuracy of the peak
 _AXIS_TOL = 1e-8         # |Re l| / max |l| under which l is on the j-axis
 _RANK_TOL = 1e-10        # check_feasibility: rank cut-off for D and C_res
 _INVARIANCE_TOL = 1e-9   # share of max |A_res| that adds no direction
+
+
+def _stable(re, im):
+    """dgees select: the open left half plane first."""
+    return re < 0.0
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,6 @@ class SynthesisResult:
 class GammaSearchResult:
     gamma_star: float
     gamma_used: float
-    solution: RiccatiSolution
     gammas: array       # the gamma of each search solve, in the order made
     verdicts: bytes     # per solve, its index in _VERDICTS
 
@@ -170,10 +176,13 @@ def feedback_gain(p, b, c, d) -> np.ndarray:
 class _RiccatiGame:
     """The gamma-free part of `solve_riccati` for one plant, built once.
 
-    Checks the plant and holds B R^-1 B', E E' and the Hamiltonian with its
-    three gamma-free blocks (A_bar, -Q_bar, -A_bar') filled in; `solve`
-    writes the -G_bar block for one gamma and runs the decomposition and
-    the checks.
+    Checks the plant and holds B R^-1 B', E E', the Hamiltonian with its
+    three gamma-free blocks (A_bar, -Q_bar, -A_bar') filled in, and the
+    LAPACK workspace size of its Schur decomposition; `solve` writes the
+    -G_bar block for one gamma and makes one ordered real Schur
+    decomposition (Laub 1979, "A Schur method for solving algebraic Riccati
+    equations"), whose eigenvalues feed the imaginary-axis test and whose
+    leading Schur vectors span the stable subspace, then runs the checks.
     """
 
     def __init__(self, a, b, c, d, e):
@@ -190,7 +199,9 @@ class _RiccatiGame:
         self.plant = a, b, c, d, e
         self.brb = b @ np.linalg.solve(rtr, b.T)
         self.eet = e @ e.T
-        self.ham = np.empty((2 * n, 2 * n))
+        self.ham = np.zeros((2 * n, 2 * n))
+        # the workspace size depends on n only, so it is queried once
+        self.lwork = int(dgees(_stable, self.ham, lwork=-1)[-2][0])
         self.ham[:n, :n] = a_bar
         self.ham[n:, :n] = -q_bar
         self.ham[n:, n:] = -a_bar.T
@@ -203,15 +214,23 @@ class _RiccatiGame:
         g_bar = self.brb - self.eet / gamma ** 2
         ham = self.ham
         ham[:n, n:] = -g_bar
+        if not np.isfinite(ham).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
 
-        eigs = np.linalg.eigvals(ham)
-        scale = max(1.0, np.max(np.abs(eigs)))
-        if np.any(np.abs(eigs.real) < 1e-9 * scale):
+        _, sdim, wr, wi, z, _, info = dgees(_stable, ham, lwork=self.lwork,
+                                            sort_t=1)
+        if 0 < info <= 2 * n:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        scale = max(1.0, float(np.max(np.hypot(wr, wi))))
+        if np.any(np.abs(wr) < 1e-9 * scale):
             return RiccatiInfeasible(gamma, "imaginary_axis",
                                      "Hamiltonian eigenvalues on the imaginary axis")
-
-        t, z, sdim = scipy.linalg.schur(ham, output="real",
-                                        sort=lambda re, im: re < 0.0)
+        if info == 2 * n + 1:
+            raise np.linalg.LinAlgError(
+                "Eigenvalues could not be separated for reordering.")
+        if info == 2 * n + 2:
+            raise np.linalg.LinAlgError(
+                "Leading eigenvalues do not satisfy sort condition.")
         if sdim != n:
             return RiccatiInfeasible(gamma, "imaginary_axis",
                                      f"stable subspace has dimension {sdim} != {n}")
@@ -250,7 +269,8 @@ def solve_riccati(a, b, c, d, e, gamma: float):
 
 
 def gamma_star(a, b, c, d, e, tol: float = 1e-4, margin: float = 0.05,
-               gamma_hi: float = 1e6, max_iter: int = 200) -> GammaSearchResult:
+               gamma_hi: float = 1e6, max_iter: int = 200
+               ) -> tuple[GammaSearchResult, RiccatiSolution]:
     """Smallest feasible attenuation level, by bisection on [0, gamma_hi].
 
     Feasibility is monotone in gamma: the game Riccati equation has a
@@ -265,8 +285,10 @@ def gamma_star(a, b, c, d, e, tol: float = 1e-4, margin: float = 0.05,
     `max_iter`) as the plain bisection, so the result is the same; only the
     probes differ (`trace`, one row per solve in the order made).
 
-    Returns the boundary estimate together with a verified solution computed
-    at (1 + margin) times the boundary.
+    Returns the search record (the boundary estimate, the gamma used and
+    the probes) and the verified solution at the gamma used, (1 + margin)
+    times the boundary or above.  The record holds no P: callers that keep
+    many searches keep ~0.9 KB each.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -334,9 +356,9 @@ def gamma_star(a, b, c, d, e, tol: float = 1e-4, margin: float = 0.05,
         result = game.solve(g_used)
     if isinstance(result, RiccatiInfeasible):
         raise SynthesisError("no feasible solution above the located boundary")
-    return GammaSearchResult(gamma_star=g_star, gamma_used=g_used,
-                             solution=result, gammas=gammas,
-                             verdicts=bytes(verdicts))
+    search = GammaSearchResult(gamma_star=g_star, gamma_used=g_used,
+                               gammas=gammas, verdicts=bytes(verdicts))
+    return search, result
 
 
 def compute_gains(riccati: RiccatiSolution, a, b, c, d,
@@ -495,9 +517,9 @@ def synthesize(plant, weights: OutputWeights | None = None,
     report = check_feasibility(plant.a, plant.b, out_map.c, out_map.d)
     if not report.d_full_column_rank:
         raise SynthesisError("output map D is column rank deficient")
-    search = gamma_star(plant.a, plant.b, out_map.c, out_map.d, plant.e,
-                        tol=tol, margin=margin)
-    result = compute_gains(search.solution, plant.a, plant.b,
+    search, solution = gamma_star(plant.a, plant.b, out_map.c, out_map.d,
+                                  plant.e, tol=tol, margin=margin)
+    result = compute_gains(solution, plant.a, plant.b,
                            out_map.c, out_map.d,
                            h_out_trim=plant.trim.h_out_trim)
     return result, search, report

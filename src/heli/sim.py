@@ -137,6 +137,12 @@ class PidGains:
     yaw_ki: float = 0.30
     int_limit: float = 0.35
 
+    def validate(self) -> "PidGains":
+        # a negative limit would pin every integrator at -|int_limit|
+        if not self.int_limit >= 0.0:
+            raise ValueError("int_limit must be >= 0")
+        return self
+
 
 class PidAttitudeController:
     """Independent per-axis PID on roll/pitch plus PI on heading.
@@ -410,6 +416,11 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     SimulationAbort that names the stage, the step and the simulated time.
     """
     config.validate()
+    for name in ("outer_gains", "pid_gains"):
+        try:
+            getattr(artifacts, name).validate()
+        except ValueError as exc:
+            raise ConfigError(f"artifacts.{name}: {exc}") from exc
     if config.controller == "hinf" and (artifacts.synthesis is None
                                         or artifacts.observer is None):
         raise ConfigError("hinf controller requires synthesis and observer artifacts")

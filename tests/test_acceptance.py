@@ -113,7 +113,7 @@ class TestA2GammaStar:
         c = np.array([[1.0], [0.0]])
         d = np.array([[0.0], [1.0]])
         e = np.array([[1.0]])
-        search = gamma_star(a, b, c, d, e, tol=1e-6)
+        search, _ = gamma_star(a, b, c, d, e, tol=1e-6)
         scalar_err = abs(search.gamma_star - 1.0 / SQRT2)
 
         result, full_search, _ = synthesis

@@ -5,7 +5,13 @@ linear bisection written out in full, one Hamiltonian built per gamma: the
 oracle.  The search under test must reach the same gamma*, the same gamma
 used and the same P bytes, raise the same errors, and probe no point the
 oracle does not probe except a halving gamma_hi / 2**j with j <= max_iter.
+On the design plants every probe must also get the oracle's verdict, which
+the oracle reads from `eigvals` and `scipy.linalg.schur`.
 """
+import dataclasses
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -148,6 +154,7 @@ def check_same_search(a, b, c, d, e, **kwargs) -> bool:
     if error is not None:
         return True
     g_star, g_used, solution, trace = expect
+    got, got_solution = got
     if not _monotone(trace, got.trace):
         return False
 
@@ -160,8 +167,8 @@ def check_same_search(a, b, c, d, e, **kwargs) -> bool:
     assert {g for g, _, _ in got.trace} <= allowed
     assert got.gamma_star == g_star
     assert got.gamma_used == g_used
-    assert got.solution.p.tobytes() == solution.p.tobytes()
-    assert got.solution.residual_norm == solution.residual_norm
+    assert got_solution.p.tobytes() == solution.p.tobytes()
+    assert got_solution.residual_norm == solution.residual_norm
     return True
 
 
@@ -235,6 +242,51 @@ def test_default_design_matches_plain_bisection(plant, output_map):
                              plant.e)
 
 
+def _check_verdicts(plant, output_map):
+    # every search row against the oracle's eigvals + schur verdict there
+    args = (plant.a, plant.b, output_map.c, output_map.d, plant.e)
+    search, _ = gamma_star(*args)
+    for row in search.trace:
+        expect = _plain_solve_riccati(*args, row[0])
+        ok = isinstance(expect, RiccatiSolution)
+        assert row == (row[0], ok, "" if ok else expect.reason)
+
+
+def test_default_design_verdicts_match_plain_solve(plant, output_map):
+    _check_verdicts(plant, output_map)
+
+
+@pytest.mark.parametrize("seed", [2026, 7])
+def test_perturbed_design_verdicts_match_plain_solve(seed, output_map):
+    for params in _perturbed_params(seed):
+        _check_verdicts(linearize(params, find_trim(params)), output_map)
+
+
+def _holds_array(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return True
+    return dataclasses.is_dataclass(value) and any(
+        _holds_array(getattr(value, f.name)) for f in dataclasses.fields(value))
+
+
+def test_kept_search_is_small(plant):
+    # callers such as a design sweep keep every search of a run
+    synthesize(plant)
+    gc.collect()
+    kept = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            kept.append(synthesize(plant)[1])
+        gc.collect()
+        per_search = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_search < 1200
+    assert not _holds_array(kept[0])
+
+
 def test_default_design_solve_count(plant, monkeypatch):
     # the plain bisection makes 39 solves here: 24 of them walk down from 1e6
     calls = []
@@ -278,7 +330,7 @@ def test_per_gamma_solve_matches_plain_solve(design_game, factors):
 def test_matches_scipy_care_near_boundary(plant, factor):
     a, b, c, d, e = plant
     try:
-        boundary = gamma_star(a, b, c, d, e).gamma_star
+        boundary = gamma_star(a, b, c, d, e)[0].gamma_star
     except SynthesisError:
         reject()
     gamma = factor * boundary
@@ -312,7 +364,7 @@ def test_verdict_stays_feasible_above_boundary():
     e = 2.330751574569085 * rng.normal(size=(5, 2))
     c = np.vstack([np.zeros((1, 5)), rng.normal(size=(5, 5))])
     d = np.vstack([np.diag(rng.uniform(0.5, 2.0, 1)), np.zeros((5, 1))])
-    boundary = gamma_star(a, b, c, d, e).gamma_star
+    boundary = gamma_star(a, b, c, d, e)[0].gamma_star
     for factor in (1.0, 1.001, 1.002, 1.003, 1.005, 1.01):
         sol = solve_riccati(a, b, c, d, e, factor * boundary)
         assert isinstance(sol, RiccatiSolution), sol

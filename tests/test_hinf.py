@@ -20,6 +20,7 @@ from heli import (
     hinf_norm,
     solve_riccati,
 )
+from heli import hinf
 from heli.hinf import feedback_gain, riccati_residual
 
 SQRT2 = math.sqrt(2.0)
@@ -54,6 +55,15 @@ class TestBuildOutputMap:
                           d11=np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(SynthesisError):
             build_output_map(w)
+
+
+def _failing_dgees(info):
+    # the real decomposition, reporting LAPACK error code `info`
+    dgees = hinf.dgees
+
+    def call(*args, **kwargs):
+        return dgees(*args, **kwargs)[:-1] + (info,)
+    return call
 
 
 class TestSolveRiccati:
@@ -92,6 +102,35 @@ class TestSolveRiccati:
         a, b, c, _, e = scalar_plant
         with pytest.raises(ValueError):
             solve_riccati(a, b, c, np.zeros((2, 1)), e, 1.0)
+
+    def test_nonfinite_hamiltonian_rejected(self, scalar_plant):
+        # gamma^2 underflows to 0, so E E' / gamma^2 is inf
+        with np.errstate(divide="ignore"), pytest.raises(
+                np.linalg.LinAlgError, match="Array must not contain infs or NaNs"):
+            solve_riccati(*scalar_plant, 1e-200)
+
+    # the scalar plant's Hamiltonian has eigenvalues +-sqrt(2 - 1/gamma^2):
+    # real at gamma = 2, on the imaginary axis at gamma = 0.5
+    @pytest.mark.parametrize("info, gamma, match", [
+        (1, 2.0, "did not converge"),
+        (2, 0.5, "did not converge"),
+        (3, 2.0, "could not be separated"),
+        (4, 2.0, "do not satisfy sort condition"),
+    ])
+    def test_lapack_failure_raises(self, scalar_plant, monkeypatch, info,
+                                   gamma, match):
+        game = hinf._RiccatiGame(*scalar_plant)
+        monkeypatch.setattr(hinf, "dgees", _failing_dgees(info))
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            game.solve(gamma)
+
+    def test_reorder_failure_on_axis_is_verdict(self, scalar_plant,
+                                                monkeypatch):
+        game = hinf._RiccatiGame(*scalar_plant)
+        monkeypatch.setattr(hinf, "dgees", _failing_dgees(3))
+        verdict = game.solve(0.5)
+        assert isinstance(verdict, RiccatiInfeasible)
+        assert verdict.reason == "imaginary_axis"
 
     def test_full_plant_solution_invariants(self, plant, output_map):
         sol = solve_riccati(plant.a, plant.b, output_map.c, output_map.d,
@@ -156,14 +195,14 @@ class TestSolveRiccati:
 class TestGammaStar:
     def test_scalar_boundary(self, scalar_plant):
         a, b, c, d, e = scalar_plant
-        search = gamma_star(a, b, c, d, e, tol=1e-6)
+        search, solution = gamma_star(a, b, c, d, e, tol=1e-6)
         assert search.gamma_star == pytest.approx(1.0 / SQRT2, abs=1e-4)
-        assert isinstance(search.solution, RiccatiSolution)
+        assert isinstance(solution, RiccatiSolution)
         assert search.gamma_used > search.gamma_star
 
     def test_no_disturbance_drives_gamma_to_zero(self, scalar_plant):
         a, b, c, d, _ = scalar_plant
-        search = gamma_star(a, b, c, d, np.array([[0.0]]), tol=1e-6)
+        search, _ = gamma_star(a, b, c, d, np.array([[0.0]]), tol=1e-6)
         assert search.gamma_star < 1e-6
 
     def test_infeasible_at_upper_bound(self):
@@ -192,7 +231,7 @@ class TestGammaStar:
 
     def test_trace_records_bisection(self, scalar_plant):
         a, b, c, d, e = scalar_plant
-        search = gamma_star(a, b, c, d, e, tol=1e-4)
+        search, _ = gamma_star(a, b, c, d, e, tol=1e-4)
         assert len(search.trace) > 10
         gammas = [g for g, _, _ in search.trace]
         assert gammas[0] == 1e6

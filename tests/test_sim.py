@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import heli.sim
 from heli import (
     ConfigError,
     HelicopterParams,
+    OuterGains,
     PidGains,
     PidAttitudeController,
     ReferenceSegment,
@@ -222,6 +224,28 @@ class TestScenarioValidation:
         cfg.duration = 0.1
         with pytest.raises(ConfigError):
             run_scenario(cfg, params, SimArtifacts(trim=trim))
+
+    @pytest.mark.parametrize("scenario, controller, field, gains", [
+        # the collective would sit at -0.5 with SAT_DCOL on every step
+        ("paper-hover-climb", "hinf", "outer_gains",
+         OuterGains(col_limit=-0.5)),
+        # every PID integrator would sit at -0.35 after one step
+        ("gust-attitude-hold", "pid", "pid_gains",
+         PidGains(int_limit=-0.35)),
+    ])
+    def test_bad_artifact_gains_rejected(self, params, artifacts, scenario,
+                                         controller, field, gains):
+        cfg = builtin_scenario(scenario, seed=0)
+        cfg.controller = controller
+        cfg.duration = 0.1
+        with pytest.raises(ConfigError, match=f"artifacts.{field}"):
+            run_scenario(cfg, params, replace(artifacts, **{field: gains}))
+
+    def test_pid_gains_validate(self):
+        assert PidGains(int_limit=0.0).validate() == PidGains(int_limit=0.0)
+        for bad in (-0.35, math.nan):
+            with pytest.raises(ValueError, match="int_limit"):
+                PidGains(int_limit=bad).validate()
 
 
 class TestRunScenario:
