@@ -12,6 +12,7 @@ Hamiltonian), and so are the plant's invariant zeros (its unobservable part).
 """
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -211,7 +212,12 @@ class _RiccatiGame:
             raise ValueError("gamma must be positive")
         a, b, c, d, e = self.plant
         n = a.shape[0]
-        g_bar = self.brb - self.eet / gamma ** 2
+        gamma_sq = gamma ** 2
+        # checked before dividing: a square that underflows to 0 would
+        # divide to inf, with a numpy warning on the way
+        if not 0.0 < gamma_sq < math.inf:
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        g_bar = self.brb - self.eet / gamma_sq
         ham = self.ham
         ham[:n, n:] = -g_bar
         if not np.isfinite(ham).all():

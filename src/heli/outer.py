@@ -29,7 +29,7 @@ class OuterGains:
 
     def validate(self) -> "OuterGains":
         for name in ("kp_z", "kd_z", "kp_x", "kd_x", "kp_y", "kd_y"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"outer gain {name} must be >= 0")
         if not 0.0 < self.tilt_limit < math.pi / 2:
             raise ValueError("tilt_limit must lie in (0, pi/2)")

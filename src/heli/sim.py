@@ -19,10 +19,20 @@ each layer by its module-level name in this module at call time
 `altitude_control`), so wrapping those names from outside traces every
 call; a layer reached through any other reference, such as an alias or a
 closure over the physics, would not be seen.
+
+`compare_controllers` runs its first controller in a child made by
+`os.fork()` and its second in the calling process, so the calling process
+makes the second run's calls and sees none of the first's.  The child sends
+its log's arrays back as raw bytes through a pipe, not pickled, so no
+second copy of the log is held.  When the child fails or the second run
+raises, both runs are finished in the calling process in order, and the
+error is the one two sequential `run_scenario` calls raise.
 """
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,6 +78,9 @@ CSV_BLOCK_ROWS = 1024  # log rows formatted per block by ScenarioLog.to_csv
 LOG_COLUMNS = ("t," + ",".join(STATE_LABELS)
                + ",dlat,dlon,dped,dcol,wind_u,wind_v,wind_w"
                + ",phi_ref,theta_ref,psi_ref,est_a_s,est_b_s,est_dped,sat_flags")
+# the array fields of ScenarioLog, in the order a forked run sends them
+LOG_ARRAYS = ("t", "states", "inputs", "wind", "att_ref", "estimates",
+              "sat_flags")
 
 
 def rk4_step(derivative, state, inputs, wind, dt: float) -> list:
@@ -587,15 +600,81 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
+def _run_first_in_child(cfg_a: ScenarioConfig, cfg_b: ScenarioConfig,
+                        params: HelicopterParams, artifacts: SimArtifacts):
+    """Run `cfg_a` in a forked child while this process runs `cfg_b`.
+
+    The child writes the raw bytes of its log's `LOG_ARRAYS` into a pipe and
+    leaves by `os._exit`, whatever happens; this process reads them into
+    arrays shaped like its own log's.  Returns those arrays, or None when
+    the child exited non-zero or sent too few bytes, with `cfg_b`'s
+    `(log, metrics)`.  An exception from `cfg_b`'s run propagates; the
+    child is killed first.  The child is reaped on every path.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            log, _ = run_scenario(cfg_a, params, artifacts)
+            with open(write_fd, "wb") as pipe:
+                for name in LOG_ARRAYS:
+                    pipe.write(getattr(log, name))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            log_b, met_b = run_scenario(cfg_b, params, artifacts)
+            arrays = [np.empty_like(getattr(log_b, name))
+                      for name in LOG_ARRAYS]
+            received = all(pipe.readinto(a) == a.nbytes for a in arrays)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return (arrays if received and status == 0 else None), (log_b, met_b)
+
+
 def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
                         artifacts: SimArtifacts,
                         controllers=("hinf", "pid")
                         ) -> tuple[ComparisonReport, ScenarioLog, ScenarioLog]:
-    """Run the same scenario (same wind, seed, references) under two controllers."""
+    """Run the same scenario (same wind, seed, references) under two controllers.
+
+    The two runs share only their inputs, so they run in parallel: a forked
+    child runs `controllers[0]` while this process runs `controllers[1]`,
+    then reads the child's log, sent as raw array bytes, into arrays it
+    allocates, and recomputes that run's metrics from it.  Raw bytes rather
+    than pickle keep a second copy of the log out of memory, and the logs
+    and metrics are bit for bit those of two `run_scenario` calls.  If the
+    child fails, sends too few bytes, or the second run raises, the runs are
+    finished here in order, first then second, so the error raised is the
+    one sequential runs raise.  A fork copies only the calling thread, so
+    call this from a process that runs no other Python threads.
+    """
     cfg_a = replace(config, controller=controllers[0])
     cfg_b = replace(config, controller=controllers[1])
-    log_a, met_a = run_scenario(cfg_a, params, artifacts)
-    log_b, met_b = run_scenario(cfg_b, params, artifacts)
+    try:
+        arrays, run_b = _run_first_in_child(cfg_a, cfg_b, params, artifacts)
+    except Exception:  # redone below, in order, to raise the sequential error
+        arrays = run_b = None
+    if arrays is None:
+        log_a, met_a = run_scenario(cfg_a, params, artifacts)
+    else:
+        log_a = ScenarioLog(**dict(zip(LOG_ARRAYS, arrays)), config=cfg_a)
+        met_a = compute_metrics(log_a.t, log_a.states, log_a.att_ref, cfg_a)
+    if run_b is None:
+        run_b = run_scenario(cfg_b, params, artifacts)
+    log_b, met_b = run_b
     report = ComparisonReport(metrics_a=met_a, metrics_b=met_b,
                               label_a=controllers[0], label_b=controllers[1])
     return report, log_a, log_b

@@ -129,15 +129,14 @@ def find_trim(params: HelicopterParams, max_iter: int = 100,
 
 
 def _fd_jacobian(fun, z: np.ndarray, step: float = 1e-7) -> np.ndarray:
-    base = fun(z)
-    jac = np.zeros((base.size, z.size))
+    columns = []
     for j in range(z.size):
         h = step * max(1.0, abs(z[j]))
         zp, zm = z.copy(), z.copy()
         zp[j] += h
         zm[j] -= h
-        jac[:, j] = (fun(zp) - fun(zm)) / (2.0 * h)
-    return jac
+        columns.append((fun(zp) - fun(zm)) / (2.0 * h))
+    return np.column_stack(columns)
 
 
 def _model_derivative(w: np.ndarray, u3: np.ndarray, wind: np.ndarray,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,9 +105,11 @@ class TestSolveRiccati:
             solve_riccati(a, b, c, np.zeros((2, 1)), e, 1.0)
 
     def test_nonfinite_hamiltonian_rejected(self, scalar_plant):
-        # gamma^2 underflows to 0, so E E' / gamma^2 is inf
-        with np.errstate(divide="ignore"), pytest.raises(
+        # gamma^2 underflows to 0, so E E' / gamma^2 would be inf; the
+        # square is checked before the division, so no warning comes first
+        with warnings.catch_warnings(), pytest.raises(
                 np.linalg.LinAlgError, match="Array must not contain infs or NaNs"):
+            warnings.simplefilter("error")
             solve_riccati(*scalar_plant, 1e-200)
 
     # the scalar plant's Hamiltonian has eigenvalues +-sqrt(2 - 1/gamma^2):

@@ -13,15 +13,27 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_loads_only_scipy_linalg():
-    code = ("import sys, heli\n"
-            "print(' '.join(sorted(name for name, mod in sys.modules.items()\n"
-            "    if name.startswith('scipy.') and name.count('.') == 1\n"
-            "    and not name.split('.')[1].startswith('_')\n"
-            "    and hasattr(mod, '__path__'))))\n")
+def _after_fresh_import(code: str) -> str:
+    """Stdout of `code` run in a new interpreter right after `import heli`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", "import sys, heli\n" + code],
+                          env=env, check=True, capture_output=True,
+                          text=True).stdout
+
+
+def test_import_loads_only_scipy_linalg():
+    out = _after_fresh_import(
+        "print(' '.join(sorted(name for name, mod in sys.modules.items()\n"
+        "    if name.startswith('scipy.') and name.count('.') == 1\n"
+        "    and not name.split('.')[1].startswith('_')\n"
+        "    and hasattr(mod, '__path__'))))\n")
     assert out.split() == ["scipy.linalg"]
+
+
+def test_import_does_not_load_multiprocessing():
+    # `compare_controllers` forks with `os.fork`; a process pool would add
+    # `multiprocessing` and its imports to every command's start-up
+    out = _after_fresh_import("print('multiprocessing' in sys.modules)\n")
+    assert out.split() == ["False"]

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -30,8 +31,10 @@ from heli.dynamics import (
     plant_constants,
     state_derivative,
 )
+from heli.errors import HeliError
 from heli.sim import (
     CSV_BLOCK_ROWS,
+    LOG_ARRAYS,
     LOG_COLUMNS,
     ScenarioConfig,
     ScenarioLog,
@@ -240,6 +243,15 @@ class TestScenarioValidation:
         cfg.duration = 0.1
         with pytest.raises(ConfigError, match=f"artifacts.{field}"):
             run_scenario(cfg, params, replace(artifacts, **{field: gains}))
+
+    def test_nan_outer_gain_rejected_before_run(self, params, artifacts):
+        # a NaN gain would pass a `< 0.0` test and stop the run as a
+        # SimulationAbort on the first non-finite state
+        cfg = builtin_scenario("paper-hover-climb", seed=0)
+        cfg.duration = 0.1
+        with pytest.raises(ConfigError, match="artifacts.outer_gains"):
+            run_scenario(cfg, params,
+                         replace(artifacts, outer_gains=OuterGains(kp_z=math.nan)))
 
     def test_pid_gains_validate(self):
         assert PidGains(int_limit=0.0).validate() == PidGains(int_limit=0.0)
@@ -481,6 +493,164 @@ class TestCompare:
         cfg.duration = 2.0
         _, log_a, log_b = compare_controllers(cfg, params, artifacts)
         assert np.array_equal(log_a.wind, log_b.wind)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_log(log, expected):
+    for name in LOG_ARRAYS:
+        got, want = getattr(log, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert log.config == expected.config
+
+
+def _assert_same_metrics(metrics, expected):
+    assert metrics.as_dict() == expected.as_dict()
+    assert metrics.rms_vel_err.tobytes() == expected.rms_vel_err.tobytes()
+    assert metrics.max_vel_err.tobytes() == expected.max_vel_err.tobytes()
+
+
+def _error_signature(exc):
+    cause = exc.__cause__
+    return (type(exc), str(exc), getattr(exc, "step", None),
+            getattr(exc, "time", None), getattr(exc, "stage", None),
+            type(cause), str(cause))
+
+
+def _sequential_error(cfg, params, artifacts, controllers):
+    try:
+        for controller in controllers:
+            run_scenario(replace(cfg, controller=controller), params,
+                         artifacts)
+    except HeliError as exc:
+        return exc
+    raise AssertionError("the sequential runs did not fail")
+
+
+@pytest.fixture
+def pid_fails_at_step_5(monkeypatch):
+    """Every PID run raises a HeliError at loop step 5; a forked run
+    inherits the patch."""
+    step = PidAttitudeController.step
+
+    def failing_step(self, x, att_ref, dt):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls > 5:
+            raise HeliError("injected PID failure")
+        return step(self, x, att_ref, dt)
+
+    monkeypatch.setattr(PidAttitudeController, "step", failing_step)
+
+
+class TestParallelCompare:
+    """`compare_controllers` runs its first controller in a forked child."""
+
+    @pytest.mark.parametrize("scenario, controllers", [
+        ("gust-attitude-hold", ("hinf", "pid")),
+        ("gust-attitude-hold", ("hinf", "hinf")),
+        ("hover-hold", ("open_loop", "open_loop")),
+    ])
+    def test_equals_two_direct_runs(self, params, artifacts, scenario,
+                                    controllers):
+        cfg = builtin_scenario(scenario, seed=2026)
+        cfg.duration = 2.0
+        report, log_a, log_b = compare_controllers(cfg, params, artifacts,
+                                                   controllers=controllers)
+        _assert_no_child_left()
+        for log, metrics, controller in (
+                (log_a, report.metrics_a, controllers[0]),
+                (log_b, report.metrics_b, controllers[1])):
+            want_log, want_metrics = run_scenario(
+                replace(cfg, controller=controller), params, artifacts)
+            _assert_same_log(log, want_log)
+            _assert_same_metrics(metrics, want_metrics)
+
+    def test_first_run_leaves_the_calling_process(self, params, artifacts,
+                                                  monkeypatch):
+        # the child inherits the counting wrapper but not this list
+        controllers = []
+        run = heli.sim.run_scenario
+
+        def counted(config, *args):
+            controllers.append(config.controller)
+            return run(config, *args)
+
+        monkeypatch.setattr(heli.sim, "run_scenario", counted)
+        cfg = builtin_scenario("gust-attitude-hold", seed=5)
+        cfg.duration = 0.5
+        compare_controllers(cfg, params, artifacts)
+        _assert_no_child_left()
+        assert controllers == ["pid"]
+
+    def test_child_that_sends_nothing_is_rerun_here(self, params, artifacts,
+                                                    monkeypatch):
+        parent = os.getpid()
+        run = heli.sim.run_scenario
+
+        def quitting_child(*args):
+            if os.getpid() != parent:
+                os._exit(0)
+            return run(*args)
+
+        monkeypatch.setattr(heli.sim, "run_scenario", quitting_child)
+        cfg = builtin_scenario("gust-attitude-hold", seed=5)
+        cfg.duration = 0.5
+        report, log_a, _ = compare_controllers(cfg, params, artifacts)
+        _assert_no_child_left()
+        want_log, want_metrics = run(replace(cfg, controller="hinf"), params,
+                                     artifacts)
+        _assert_same_log(log_a, want_log)
+        _assert_same_metrics(report.metrics_a, want_metrics)
+
+    def test_interrupt_kills_and_reaps_child(self, params, artifacts,
+                                             monkeypatch):
+        parent = os.getpid()
+        run = heli.sim.run_scenario
+
+        def interrupted_here(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return run(*args)
+
+        monkeypatch.setattr(heli.sim, "run_scenario", interrupted_here)
+        cfg = builtin_scenario("gust-attitude-hold", seed=5)
+        with pytest.raises(KeyboardInterrupt):
+            compare_controllers(cfg, params, artifacts)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("controllers", [
+        ("pid", "hinf"), ("hinf", "pid"), ("pid", "pid")])
+    def test_error_is_the_sequential_one(self, params, artifacts,
+                                         pid_fails_at_step_5, controllers):
+        cfg = builtin_scenario("gust-attitude-hold", seed=5)
+        cfg.duration = 0.5
+        want = _sequential_error(cfg, params, artifacts, controllers)
+        with pytest.raises(SimulationAbort) as got:
+            compare_controllers(cfg, params, artifacts,
+                                controllers=controllers)
+        _assert_no_child_left()
+        assert _error_signature(got.value) == _error_signature(want)
+        assert (want.step, want.stage) == (5, "inner loop")
+
+    def test_first_runs_error_wins(self, params, artifacts,
+                                   pid_fails_at_step_5):
+        # the forked hinf run goes non-finite at step 1 while the PID run
+        # here fails at step 5; sequential runs raise the hinf error
+        nan_gains = replace(artifacts.synthesis,
+                            g=artifacts.synthesis.g * math.nan)
+        broken = replace(artifacts, synthesis=nan_gains)
+        cfg = builtin_scenario("gust-attitude-hold", seed=5)
+        cfg.duration = 0.5
+        want = _sequential_error(cfg, params, broken, ("hinf", "pid"))
+        with pytest.raises(SimulationAbort) as got:
+            compare_controllers(cfg, params, broken)
+        _assert_no_child_left()
+        assert _error_signature(got.value) == _error_signature(want)
+        assert want.stage == "state check"
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from heli import (
     state_derivative,
     verify_linearization,
 )
+import heli.trim
 from heli.trim import MODEL_STATE_LABELS
 
 IDX = {name: k for k, name in enumerate(MODEL_STATE_LABELS)}
@@ -160,3 +163,53 @@ class TestGradientConsistency:
                             (plant.e, coarse.e)):
             scale = np.maximum(np.abs(fine), 1e-3)
             assert np.max(np.abs(fine - rough) / scale) < 1e-5
+
+
+# perturbed parameter sets for the bit pins below: (m, jx, jy, jz) factors
+_PINNED_SETS = ((1.0, 1.0, 1.0, 1.0), (1.07, 0.93, 1.0, 1.0),
+                (1.0, 1.0, 1.1, 0.9), (0.92, 1.05, 0.96, 1.08))
+
+
+def _pinned_params(factors):
+    base = HelicopterParams()
+    fm, fx, fy, fz = factors
+    return base.replace(m=base.m * fm, jx=base.jx * fx, jy=base.jy * fy,
+                        jz=base.jz * fz)
+
+
+class TestTrimBits:
+    # sha256 of the trim state, inputs, residual and steady tail command,
+    # then A, B and E, as float64 bytes; computed before `_fd_jacobian`
+    # stopped evaluating the residual at the base point for its size
+    DIGESTS = (
+        "ca22036920c66f8239de0184a80960d321a841a98138cb286d2ab88928915621",
+        "914cfba09d0fd21ff631274fa75572b549af4972080ffa0a98c1880cad739cd2",
+        "f6a54a7cba6eb9ec1bdc4d95190f56d40782111299236fdd61dd8b50ba4b146a",
+        "232b4b8746de5e04d2ad66b85e30b07d0544f74d1d04b4d2f61c399d7ac336fc",
+    )
+
+    @pytest.mark.parametrize("case", range(len(_PINNED_SETS)))
+    def test_trim_and_linearization_bits_pinned(self, case):
+        params = _pinned_params(_PINNED_SETS[case])
+        trim = find_trim(params)
+        plant = linearize(params, trim)
+        digest = hashlib.sha256()
+        for a in (trim.state.as_vector(), trim.inputs.as_vector(),
+                  [trim.residual, trim.dped_prime], plant.a, plant.b, plant.e):
+            digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        assert digest.hexdigest() == self.DIGESTS[case]
+
+    def test_derivative_calls_per_trim(self, monkeypatch):
+        # 3 Newton iterations, each 16 calls for the 8 central-difference
+        # columns plus one line-search trial, after the initial residual
+        # and before the final residual in `TrimPoint.from_vectors`
+        calls = []
+        derivative = heli.trim._state_derivative_flat
+
+        def counted(*args):
+            calls.append(None)
+            return derivative(*args)
+
+        monkeypatch.setattr(heli.trim, "_state_derivative_flat", counted)
+        find_trim(HelicopterParams())
+        assert len(calls) == 1 + 3 * (16 + 1) + 1
