@@ -160,11 +160,28 @@ def _check_dims(a, b, c, d, e):
         raise ValueError("E row count must match A")
 
 
+def _square(gamma) -> float:
+    """gamma ** 2 as a Python float, and inf, with no warning, where it
+    overflows: the E E'/gamma^2 = 0 limit.
+
+    Each type keeps its own rounding (a Python float squares by `pow`, a
+    numpy float by `x * x`; they differ in the last bit on ~0.1 % of
+    values, and on one perturbed design that bit moves a search verdict).
+    """
+    if isinstance(gamma, np.generic):
+        with np.errstate(over="ignore"):
+            return float(gamma ** 2)
+    try:
+        return float(gamma ** 2)
+    except OverflowError:
+        return math.inf
+
+
 def riccati_residual(p, a, b, c, d, e, gamma) -> float:
     """Max-norm of the game Riccati equation left-hand side at P."""
     rtr = d.T @ d
     s = c.T @ d
-    lhs = p @ a + a.T @ p + c.T @ c + p @ e @ e.T @ p / gamma ** 2 \
+    lhs = p @ a + a.T @ p + c.T @ c + p @ e @ e.T @ p / _square(gamma) \
         - (p @ b + s) @ np.linalg.solve(rtr, (s.T + b.T @ p))
     return float(np.max(np.abs(lhs)))
 
@@ -212,10 +229,11 @@ class _RiccatiGame:
             raise ValueError("gamma must be positive")
         a, b, c, d, e = self.plant
         n = a.shape[0]
-        gamma_sq = gamma ** 2
+        gamma_sq = _square(gamma)
         # checked before dividing: a square that underflows to 0 would
-        # divide to inf, with a numpy warning on the way
-        if not 0.0 < gamma_sq < math.inf:
+        # divide to inf, with a numpy warning on the way; one that overflows
+        # divides E E' to 0, the limit of no disturbance
+        if not gamma_sq > 0.0:
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
         g_bar = self.brb - self.eet / gamma_sq
         ham = self.ham

@@ -20,13 +20,19 @@ each layer by its module-level name in this module at call time
 call; a layer reached through any other reference, such as an alias or a
 closure over the physics, would not be seen.
 
-`compare_controllers` runs its first controller in a child made by
-`os.fork()` and its second in the calling process, so the calling process
-makes the second run's calls and sees none of the first's.  The child sends
-its log's arrays back as raw bytes through a pipe, not pickled, so no
-second copy of the log is held.  When the child fails or the second run
-raises, both runs are finished in the calling process in order, and the
-error is the one two sequential `run_scenario` calls raise.
+Two calls split their work with one child made by `os.fork()`, through
+one helper, `_in_forked_child`: it hands the child the write end of a pipe
+and the calling process the read end, kills the child if the calling
+process's share raises, and reaps it on every path.  `compare_controllers`
+runs its first controller in the child and its second in the calling
+process, so the calling process makes the second run's calls and sees none
+of the first's.  The child sends its log's arrays back as raw bytes, not
+pickled, so no second copy of the log is held.  When the child fails or
+the second run raises, both runs are finished in the calling process in
+order, and the error is the one two sequential `run_scenario` calls raise.
+`ScenarioLog.to_csv` has the child format the second half of the rows
+while the calling process writes the first; when the child fails, the
+calling process formats the rest itself and the file's bytes are the same.
 """
 from __future__ import annotations
 
@@ -74,10 +80,12 @@ from .wind import WindModel
 
 SETTLE_WINDOW = 2.0  # seconds excluded after each reference or wind event
 CSV_BLOCK_ROWS = 1024  # log rows formatted per block by ScenarioLog.to_csv
+CSV_COPY_BYTES = 1 << 20  # largest chunk to_csv copies from its child at once
 
 LOG_COLUMNS = ("t," + ",".join(STATE_LABELS)
                + ",dlat,dlon,dped,dcol,wind_u,wind_v,wind_w"
                + ",phi_ref,theta_ref,psi_ref,est_a_s,est_b_s,est_dped,sat_flags")
+CSV_HEADER = (LOG_COLUMNS + "\n").encode("utf-8")
 # the array fields of ScenarioLog, in the order a forked run sends them
 LOG_ARRAYS = ("t", "states", "inputs", "wind", "att_ref", "estimates",
               "sat_flags")
@@ -292,19 +300,65 @@ class ScenarioLog:
 
     def to_csv(self, path):
         """Write one row per step: every float as its shortest round-trip
-        `repr`, then the flag bits as an integer."""
+        `repr`, then the flag bits as an integer.
+
+        The rows are formatted in two processes.  Rows `[mid, n)`, where
+        `mid` is the `CSV_BLOCK_ROWS` block boundary nearest n/2, go to a
+        child made by `os.fork()` before the file is opened; it sends them,
+        encoded, through a pipe while this process writes the header and
+        rows `[0, mid)`, then copies the pipe into the file in chunks of at
+        most `CSV_COPY_BYTES`.  A log of one block is written here alone.
+        If the fork fails, the child exits non-zero or it sends fewer rows
+        than `n - mid`, the file is cut back to the end of this process's
+        rows and the rest is formatted here, so the bytes are the same
+        either way.  A fork copies only the calling thread, so call this
+        from a process that runs no other Python threads.
+        """
+        n = self.t.size
+        mid = CSV_BLOCK_ROWS * round(n / (2 * CSV_BLOCK_ROWS))
+        if mid == 0:
+            with open(path, "wb") as fh:
+                fh.write(CSV_HEADER)
+                fh.writelines(self._csv_blocks(0, n))
+            return
+
+        def send_second_half(pipe):
+            # formatted in full first: a pipe holds only ~64 KB, so writing
+            # block by block would wait on this process's rows
+            pipe.writelines(list(self._csv_blocks(mid, n)))
+
+        def write_first_half_then_copy(pipe):
+            with open(path, "wb") as fh:
+                fh.write(CSV_HEADER)
+                fh.writelines(self._csv_blocks(0, mid))
+                end = fh.tell()
+                rows = 0
+                while chunk := pipe.read(CSV_COPY_BYTES):
+                    fh.write(chunk)
+                    rows += chunk.count(b"\n")
+            return end, rows
+
+        (end, rows), sent = _in_forked_child(send_second_half,
+                                             write_first_half_then_copy)
+        if not (sent and rows == n - mid):
+            with open(path, "r+b") as fh:
+                fh.seek(end)
+                fh.truncate()
+                fh.writelines(self._csv_blocks(mid, n))
+
+    def _csv_blocks(self, start, stop):
+        """Rows `[start, stop)` as UTF-8 bytes, one block of
+        `CSV_BLOCK_ROWS` rows at a time from `start`: Python floats for
+        every row at once would take several times the memory of the log
+        itself."""
         columns = (self.t, self.states, self.inputs, self.wind, self.att_ref,
                    self.estimates)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(LOG_COLUMNS + "\n")
-            # a block at a time: Python floats for every row at once would
-            # take several times the memory of the log itself
-            for start in range(0, self.t.size, CSV_BLOCK_ROWS):
-                block = slice(start, start + CSV_BLOCK_ROWS)
-                rows = np.column_stack([c[block] for c in columns]).tolist()
-                flags = self.sat_flags[block].astype(int).tolist()
-                fh.writelines(f"{','.join(map(repr, row))},{bits}\n"
-                              for row, bits in zip(rows, flags))
+        for first in range(start, stop, CSV_BLOCK_ROWS):
+            block = slice(first, min(first + CSV_BLOCK_ROWS, stop))
+            rows = np.column_stack([c[block] for c in columns]).tolist()
+            flags = self.sat_flags[block].astype(int).tolist()
+            yield "".join(f"{','.join(map(repr, row))},{bits}\n"
+                          for row, bits in zip(rows, flags)).encode("utf-8")
 
 
 def read_log_csv(path) -> dict:
@@ -600,20 +654,22 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _run_first_in_child(cfg_a: ScenarioConfig, cfg_b: ScenarioConfig,
-                        params: HelicopterParams, artifacts: SimArtifacts):
-    """Run `cfg_a` in a forked child while this process runs `cfg_b`.
+def _in_forked_child(child, parent):
+    """Call `child(pipe)` in a child made by `os.fork()` while this process
+    calls `parent(pipe)`, the two ends of one pipe as binary files.
 
-    The child writes the raw bytes of its log's `LOG_ARRAYS` into a pipe and
-    leaves by `os._exit`, whatever happens; this process reads them into
-    arrays shaped like its own log's.  Returns those arrays, or None when
-    the child exited non-zero or sent too few bytes, with `cfg_b`'s
-    `(log, metrics)`.  An exception from `cfg_b`'s run propagates; the
-    child is killed first.  The child is reaped on every path.
+    The child leaves by `os._exit`, whatever happens: status 0 when `child`
+    returned, 1 when it raised.  Returns `parent`'s result and whether the
+    child exited with status 0.  If the fork fails, `parent` gets a pipe
+    with no writer, which is at its end at once, and the child counts as
+    failed.  An exception from `parent` propagates; the child is killed
+    first.  The child is reaped on every path.
     """
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
+    except OSError:
+        pid = None
     except BaseException:
         os.close(read_fd)
         os.close(write_fd)
@@ -622,26 +678,24 @@ def _run_first_in_child(cfg_a: ScenarioConfig, cfg_b: ScenarioConfig,
         status = 1
         try:
             os.close(read_fd)
-            log, _ = run_scenario(cfg_a, params, artifacts)
             with open(write_fd, "wb") as pipe:
-                for name in LOG_ARRAYS:
-                    pipe.write(getattr(log, name))
+                child(pipe)
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
+    status = 1
     try:
         with open(read_fd, "rb") as pipe:
-            log_b, met_b = run_scenario(cfg_b, params, artifacts)
-            arrays = [np.empty_like(getattr(log_b, name))
-                      for name in LOG_ARRAYS]
-            received = all(pipe.readinto(a) == a.nbytes for a in arrays)
+            result = parent(pipe)
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        _, status = os.waitpid(pid, 0)
-    return (arrays if received and status == 0 else None), (log_b, met_b)
+        if pid is not None:
+            _, status = os.waitpid(pid, 0)
+    return result, status == 0
 
 
 def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
@@ -656,17 +710,33 @@ def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
     allocates, and recomputes that run's metrics from it.  Raw bytes rather
     than pickle keep a second copy of the log out of memory, and the logs
     and metrics are bit for bit those of two `run_scenario` calls.  If the
-    child fails, sends too few bytes, or the second run raises, the runs are
-    finished here in order, first then second, so the error raised is the
-    one sequential runs raise.  A fork copies only the calling thread, so
+    fork fails, the child fails or sends too few bytes, or the second run
+    raises, the runs are finished here in order, first then second, so the
+    error raised is the one sequential runs raise.  A fork copies only the calling thread, so
     call this from a process that runs no other Python threads.
     """
     cfg_a = replace(config, controller=controllers[0])
     cfg_b = replace(config, controller=controllers[1])
+
+    def send_first(pipe):
+        log, _ = run_scenario(cfg_a, params, artifacts)
+        for name in LOG_ARRAYS:
+            pipe.write(getattr(log, name))
+
+    def run_second_then_receive(pipe):
+        run_b = run_scenario(cfg_b, params, artifacts)
+        arrays = [np.empty_like(getattr(run_b[0], name)) for name in LOG_ARRAYS]
+        received = all(pipe.readinto(a) == a.nbytes for a in arrays)
+        return (arrays if received else None), run_b
+
     try:
-        arrays, run_b = _run_first_in_child(cfg_a, cfg_b, params, artifacts)
+        (arrays, run_b), sent = _in_forked_child(send_first,
+                                                 run_second_then_receive)
     except Exception:  # redone below, in order, to raise the sequential error
         arrays = run_b = None
+    else:
+        if not sent:
+            arrays = None
     if arrays is None:
         log_a, met_a = run_scenario(cfg_a, params, artifacts)
     else:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,18 @@ from heli import (
     linearize,
     synthesize,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test after which this process still has a child, running or
+    unreaped: the library's forks must reap their child on every path."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (waitpid gave pid {pid})")
 
 
 @pytest.fixture(scope="session")

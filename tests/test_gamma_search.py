@@ -10,7 +10,7 @@ the oracle reads from `eigvals` and `scipy.linalg.schur`.
 """
 import dataclasses
 import gc
-import tracemalloc
+import sys
 
 import numpy as np
 import pytest
@@ -269,22 +269,30 @@ def _holds_array(value) -> bool:
         _holds_array(getattr(value, f.name)) for f in dataclasses.fields(value))
 
 
+def _kept_bytes(obj) -> int:
+    """`sys.getsizeof` summed over `obj` and every object reachable from it
+    except classes, an instance's attributes counted as a dict: the bytes
+    that keeping `obj` keeps."""
+    seen, stack, total = set(), [obj], 0
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, type):
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        stack.extend(gc.get_referents(item))
+        if hasattr(item, "__dict__"):
+            stack.append(item.__dict__)
+    return total
+
+
 def test_kept_search_is_small(plant):
-    # callers such as a design sweep keep every search of a run
-    synthesize(plant)
-    gc.collect()
-    kept = []
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(100):
-            kept.append(synthesize(plant)[1])
-        gc.collect()
-        per_search = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
-    finally:
-        tracemalloc.stop()
-    assert per_search < 1200
-    assert not _holds_array(kept[0])
+    # callers such as a design sweep keep every search of a run; counted
+    # object by object, since tracemalloc over 100 searches read 540-1130 B
+    # per search from run to run
+    search = synthesize(plant)[1]
+    assert _kept_bytes(search) < 1200
+    assert not _holds_array(search)
 
 
 def test_default_design_solve_count(plant, monkeypatch):

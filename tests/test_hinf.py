@@ -112,6 +112,28 @@ class TestSolveRiccati:
             warnings.simplefilter("error")
             solve_riccati(*scalar_plant, 1e-200)
 
+    @pytest.mark.parametrize("gamma", [np.float64(1e-200), math.nan])
+    def test_underflowed_or_nan_square_rejected(self, scalar_plant, gamma):
+        with warnings.catch_warnings(), pytest.raises(
+                np.linalg.LinAlgError, match="Array must not contain infs or NaNs"):
+            warnings.simplefilter("error")
+            solve_riccati(*scalar_plant, gamma)
+
+    @pytest.mark.parametrize("gamma", [1e200, np.float64(1e200)])
+    def test_overflowing_square_is_the_no_disturbance_limit(self, scalar_plant,
+                                                            gamma):
+        # gamma^2 overflows to inf, so E E' / gamma^2 is 0: the plant's
+        # solution with E = 0, P = sqrt(2) - 1
+        a, b, c, d, e = scalar_plant
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_riccati(a, b, c, d, e, gamma)
+            want = solve_riccati(a, b, c, d, np.zeros_like(e), 1.0)
+        assert isinstance(sol, RiccatiSolution)
+        assert sol.p.tobytes() == want.p.tobytes()
+        assert sol.residual_norm == want.residual_norm
+        assert sol.p[0, 0] == pytest.approx(SQRT2 - 1.0, rel=1e-12)
+
     # the scalar plant's Hamiltonian has eigenvalues +-sqrt(2 - 1/gamma^2):
     # real at gamma = 2, on the imaginary axis at gamma = 0.5
     @pytest.mark.parametrize("info, gamma, match", [

@@ -606,6 +606,22 @@ class TestParallelCompare:
         _assert_same_log(log_a, want_log)
         _assert_same_metrics(report.metrics_a, want_metrics)
 
+    def test_fork_failure_runs_both_here(self, params, artifacts,
+                                         monkeypatch):
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = builtin_scenario("gust-attitude-hold", seed=5)
+        cfg.duration = 0.5
+        report, log_a, log_b = compare_controllers(cfg, params, artifacts)
+        for log, metrics, controller in ((log_a, report.metrics_a, "hinf"),
+                                         (log_b, report.metrics_b, "pid")):
+            want_log, want_metrics = run_scenario(
+                replace(cfg, controller=controller), params, artifacts)
+            _assert_same_log(log, want_log)
+            _assert_same_metrics(metrics, want_metrics)
+
     def test_interrupt_kills_and_reaps_child(self, params, artifacts,
                                              monkeypatch):
         parent = os.getpid()
@@ -651,6 +667,163 @@ class TestParallelCompare:
         _assert_no_child_left()
         assert _error_signature(got.value) == _error_signature(want)
         assert want.stage == "state check"
+
+
+def _single_process_csv(log, path):
+    """The one-process writer `ScenarioLog.to_csv` replaced: the oracle."""
+    columns = (log.t, log.states, log.inputs, log.wind, log.att_ref,
+               log.estimates)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(LOG_COLUMNS + "\n")
+        for start in range(0, log.t.size, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            rows = np.column_stack([c[block] for c in columns]).tolist()
+            flags = log.sat_flags[block].astype(int).tolist()
+            fh.writelines(f"{','.join(map(repr, row))},{bits}\n"
+                          for row, bits in zip(rows, flags))
+
+
+def _random_log(n, seed=3):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, 29)) * 10.0 ** rng.integers(-20, 20,
+                                                              (n, 29))
+    special = np.array([-0.0, 5e-324, 1e16, 1e-5, 3.0, 0.1, math.inf,
+                        math.nan])
+    pick = rng.random((n, 29)) < 0.2
+    vals[pick] = rng.choice(special, size=int(pick.sum()))
+    return ScenarioLog(t=vals[:, 0], states=vals[:, 1:16],
+                       inputs=vals[:, 16:20], wind=vals[:, 20:23],
+                       att_ref=vals[:, 23:26], estimates=vals[:, 26:29],
+                       sat_flags=rng.integers(0, 128, n), config=ScenarioConfig())
+
+
+def _assert_csv_is_the_oracles(log, tmp_path):
+    log.to_csv(tmp_path / "log.csv")
+    _single_process_csv(log, tmp_path / "oracle.csv")
+    _assert_no_child_left()
+    assert ((tmp_path / "log.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.fixture
+def csv_ranges(monkeypatch):
+    """The `(start, stop)` of every `ScenarioLog._csv_blocks` call made in
+    this process; a forked child appends to its own copy of the list."""
+    ranges = []
+    blocks = ScenarioLog._csv_blocks
+
+    def recorded(self, start, stop):
+        ranges.append((start, stop))
+        return blocks(self, start, stop)
+
+    monkeypatch.setattr(ScenarioLog, "_csv_blocks", recorded)
+    return ranges
+
+
+@pytest.fixture
+def child_csv_blocks(monkeypatch):
+    """Replaces `ScenarioLog._csv_blocks` in a forked child only, by the
+    generator `replace(blocks)` makes from the child's own blocks."""
+    parent = os.getpid()
+    blocks = ScenarioLog._csv_blocks
+
+    def install(replace_blocks):
+        def patched(self, start, stop):
+            if os.getpid() == parent:
+                return blocks(self, start, stop)
+            return replace_blocks(blocks(self, start, stop))
+        monkeypatch.setattr(ScenarioLog, "_csv_blocks", patched)
+    return install
+
+
+class TestParallelCsv:
+    """`ScenarioLog.to_csv` formats the second half of the rows in a forked
+    child; the file is the one-process writer's, byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2048, 2049])
+    def test_bytes_equal_single_process(self, tmp_path, n):
+        _assert_csv_is_the_oracles(_random_log(n), tmp_path)
+
+    def test_full_hover_climb_log(self, params, artifacts, tmp_path):
+        log, _ = run_scenario(builtin_scenario("paper-hover-climb", seed=2026),
+                              params, artifacts)
+        assert log.t.size == 30001
+        _assert_csv_is_the_oracles(log, tmp_path)
+
+    @pytest.mark.parametrize("n, mid", [
+        (1, None), (1024, None), (1025, 1024), (2049, 1024), (3073, 2048),
+        (30001, 15360)])
+    def test_split_at_block_boundary_nearest_half(self, tmp_path, csv_ranges,
+                                                  fork_calls, n, mid):
+        _random_log(n).to_csv(tmp_path / "log.csv")
+        _assert_no_child_left()
+        assert csv_ranges == [(0, n if mid is None else mid)]
+        assert len(fork_calls) == (0 if mid is None else 1)
+
+    def test_fork_failure_writes_here(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _assert_csv_is_the_oracles(_random_log(2049), tmp_path)
+
+    def test_failing_child_is_redone_here(self, tmp_path, child_csv_blocks):
+        def failing(blocks):
+            yield next(blocks)
+            raise RuntimeError("injected child failure")
+
+        child_csv_blocks(failing)
+        _assert_csv_is_the_oracles(_random_log(4100), tmp_path)
+
+    def test_short_child_output_is_cut_and_redone(self, tmp_path,
+                                                  child_csv_blocks):
+        # the child sends one block of its two, then exits with status 0;
+        # those rows are copied into the file, then cut off again
+        child_csv_blocks(lambda blocks: [next(blocks)])
+        _assert_csv_is_the_oracles(_random_log(4100), tmp_path)
+
+    def test_long_child_output_is_cut_and_redone(self, tmp_path,
+                                                 child_csv_blocks):
+        child_csv_blocks(lambda blocks: [*blocks, b"1.0,2\n" * 3])
+        _assert_csv_is_the_oracles(_random_log(4100), tmp_path)
+
+    def test_child_exiting_non_zero_is_redone_here(self, tmp_path,
+                                                   monkeypatch, csv_ranges):
+        # the child sends every row, then leaves with status 3
+        parent = os.getpid()
+        leave = os._exit
+        monkeypatch.setattr(
+            os, "_exit", lambda status: leave(3 if os.getpid() != parent
+                                              else status))
+        _assert_csv_is_the_oracles(_random_log(2049), tmp_path)
+        assert csv_ranges == [(0, 1024), (1024, 2049)]
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_path_raises_as_before(self, tmp_path, fork_calls,
+                                              where):
+        path = tmp_path if where == "directory" else tmp_path / "no" / "x.csv"
+        log = _random_log(2049)
+        with pytest.raises(OSError) as want:
+            _single_process_csv(log, path)
+        with pytest.raises(OSError) as got:
+            log.to_csv(path)
+        _assert_no_child_left()
+        assert len(fork_calls) == 1
+        assert type(got.value) is type(want.value)
+        assert got.value.errno == want.value.errno
 
 
 @st.composite
