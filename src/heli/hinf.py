@@ -458,7 +458,10 @@ def hinf_norm(a_cl, e, c_cl) -> float:
     it is at most a relative 2 * _NORM_TOL below it while eigvals resolves
     the crossings (on stiff, strongly non-normal systems with a very sharp
     peak, round-off in the crossings can leave it ~1e-6 low).  A transfer
-    that is zero at all the starting frequencies gives 0.0.
+    that is zero at all the starting frequencies gives 0.0.  Where gamma^2
+    overflows (a norm above ~1e154), E E'/gamma^2 is its 0 limit: no
+    crossing is found and the bound from the starting frequencies stands,
+    which is low for a peak between them.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     e = np.atleast_2d(np.asarray(e, dtype=float))
@@ -480,7 +483,7 @@ def hinf_norm(a_cl, e, c_cl) -> float:
     eet, ctc = e @ e.T, c_cl.T @ c_cl
     while bound > 0.0:
         gamma = (1.0 + 2.0 * _NORM_TOL) * bound
-        lam = np.linalg.eigvals(np.block([[a_cl, eet / gamma ** 2],
+        lam = np.linalg.eigvals(np.block([[a_cl, eet / _square(gamma)],
                                           [-ctc, -a_cl.T]]))
         # round-off moves eigenvalues off the axis in proportion to the
         # largest one; a spurious crossing only adds a midpoint to evaluate

@@ -8,8 +8,11 @@ configuration and seed.
 
 Everything a step reads is bound once per run: the plant constants, the
 gain rows of the controller and the observer, the measured-state indices,
-and the wind and reference tables.  The arithmetic of a step then runs on
-Python floats alone, written out over the model's fixed sizes: `rk4_step`
+and the wind and reference tables as arrays.  A step's wind and reference
+rows come as Python floats from `_step_rows`, which converts the tables one
+block of `CSV_BLOCK_ROWS` steps at a time, so a run never holds its whole
+tables as Python floats.  The arithmetic of a step then runs on Python
+floats alone, written out over the model's fixed sizes: `rk4_step`
 integrates the 15-vector plant state element by element, and the control
 law, the observer and the measurement deviations name every term, with each
 matrix-vector product an explicit left-to-right sum.  The loop reaches
@@ -40,6 +43,7 @@ import math
 import os
 import signal
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -79,7 +83,7 @@ from .trim import TrimPoint
 from .wind import WindModel
 
 SETTLE_WINDOW = 2.0  # seconds excluded after each reference or wind event
-CSV_BLOCK_ROWS = 1024  # log rows formatted per block by ScenarioLog.to_csv
+CSV_BLOCK_ROWS = 1024  # rows per block in ScenarioLog.to_csv and _step_rows
 CSV_COPY_BYTES = 1 << 20  # largest chunk to_csv copies from its child at once
 
 LOG_COLUMNS = ("t," + ",".join(STATE_LABELS)
@@ -243,6 +247,27 @@ def reference_table(segments, t: np.ndarray
     psi = np.array([seg.psi for seg in segments], dtype=float)
     dt = t - t_start[active]
     return p0[active] + v[active] * dt[:, None], v[active], psi[active]
+
+
+def _step_rows(*tables):
+    """Step k's row of every table as Python floats, for k = 0, 1, ...
+
+    A table is an array with one row per step: a 1-D table gives a float per
+    step, a 2-D one a tuple, and None gives None on every step.  The tables
+    are converted with `.tolist()` one block of `CSV_BLOCK_ROWS` steps at a
+    time, so a whole run's floats never exist at once.  A block's 2-D rows
+    are zipped from its columns, so the cyclic collector tracks a dozen
+    lists per block and not one per row: per-row lists set off a full
+    collection during the loop.  Each step is drawn by C-level iterators,
+    `itertools.chain` over one `zip` per block, and resumes no Python frame.
+    """
+    def blocks():
+        for first in range(0, len(tables[0]), CSV_BLOCK_ROWS):
+            block = slice(first, first + CSV_BLOCK_ROWS)
+            yield zip(*(repeat(None) if a is None
+                        else a[block].tolist() if a.ndim == 1
+                        else zip(*a[block].T.tolist()) for a in tables))
+    return chain.from_iterable(blocks())
 
 
 @dataclass
@@ -473,12 +498,15 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                  artifacts: SimArtifacts) -> tuple[ScenarioLog, MetricsReport]:
     """Execute one closed-loop scenario.
 
-    Wind and references are tabulated for every step time before the loop,
-    which keeps the flat state and the inputs as lists of Python floats
-    between steps and reads one wind row per step.  Loop order per step:
-    evaluate the outer loop, form the inner-loop command from measurements
-    plus observer estimates, log, integrate the plant one RK4 step with
-    everything held, then step the observer on the same held measurements.
+    Wind and references are tabulated as arrays for every step time before
+    the loop, and each step reads its wind row, and with the outer loop its
+    p_ref, v_ref and psi_ref, as Python floats from `_step_rows`, which
+    converts the tables one block of `CSV_BLOCK_ROWS` steps at a time.  The
+    flat state and the inputs stay lists of Python floats between steps.
+    Loop order per step: evaluate the outer loop, form the inner-loop
+    command from measurements plus observer estimates, log, integrate the
+    plant one RK4 step with everything held, then step the observer on the
+    same held measurements.
     A toolkit error raised by any of these stages stops the run as a
     SimulationAbort that names the stage, the step and the simulated time.
     """
@@ -501,9 +529,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     times = np.arange(n_steps + 1) * dt
 
     winds = config.wind.realize(config.duration, config.seed).table(times)
-    if config.use_outer:
-        p_refs, v_refs, psi_refs = (
-            a.tolist() for a in reference_table(config.references, times))
+    refs = (reference_table(config.references, times) if config.use_outer
+            else (None, None, None))
 
     x = trim.state.as_vector()
     x[0:3] += config.initial_offset
@@ -544,7 +571,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
     carry_flags = 0
     try:
-        for k in range(n_steps + 1):
+        for k, (wind, p_ref, v_ref, psi_ref) in enumerate(
+                _step_rows(winds, *refs)):
             # the sum is finite unless an element is not or the sum overflows
             if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
                 raise SimulationAbort(k, times[k])
@@ -554,7 +582,6 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             # outer loop; tilt commands are deviations about the trim attitude
             stage = "outer loop"
             if config.use_outer:
-                p_ref, v_ref = p_refs[k], v_refs[k]
                 v_ned = ned_velocity(x)
                 theta_dev, phi_dev, tilt_sat = horizontal_control(
                     p_ref, v_ref, x, v_ned, gains)
@@ -565,7 +592,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 if col_sat:
                     step_flags |= SAT_DCOL
                 att_ref = [h_trim[0] + phi_dev, h_trim[1] + theta_dev,
-                           psi_refs[k]]
+                           psi_ref]
             else:
                 att_ref = att_ref_fixed
                 delta_col = col_trim
@@ -602,7 +629,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 break
 
             stage = "plant RK4"
-            x = rk4_step(deriv, x, u, winds[k].tolist(), dt)
+            x = rk4_step(deriv, x, u, wind, dt)
             for idx in (12, 13):  # mechanical flapping stops
                 if abs(x[idx]) > flap_limit:
                     x[idx] = math.copysign(flap_limit, x[idx])

@@ -345,6 +345,15 @@ class TestHinfNorm:
         n = hinf_norm(np.array([[-1.0]]), np.array([[1.0]]), np.array([[3.0]]))
         assert n == pytest.approx(3.0, rel=2e-4)
 
+    def test_norm_whose_square_overflows(self):
+        # the norm is 1e160, so gamma^2 overflows to inf and E E' / gamma^2
+        # is the 0 limit: no axis crossing, and the bound from w = 0 stands
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n = hinf_norm(np.array([[-1.0]]), np.array([[1e80]]),
+                          np.array([[1e80]]))
+        assert n == pytest.approx(1e160, rel=1e-12)
+
     @pytest.mark.parametrize("wn, zeta", [
         (3.7, 0.05),
         (5e4, 0.01),

