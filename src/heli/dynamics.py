@@ -3,20 +3,20 @@
 Four coupled pieces make up the state derivative: rigid-body kinematics and
 dynamics, first-order main-rotor flapping, and the onboard yaw-rate PI loop.
 The model is written once, in `_state_derivative_flat`, over the flat
-15-vector; trim, linearization and the scenario loop all call it.  It takes
-the state, input and wind as flat sequences of Python floats and returns the
-derivative as a list, so the plant path of a scenario step stays in scalar
-arithmetic.  It reads the parameters from `plant_constants(params)`, one
-tuple of the fields and derived products it uses, which each caller builds
-once: per scenario run, per trim solve, per linearization, and per call of
-`state_derivative`, the array edge that takes any flat sequences (the named
-views of `heli.state` among them), checks their shapes and returns an
-ndarray.  Two helpers are shared with other modules: the body-to-NED
-rotation rows (`dcm_rows`), used by the outer loop on floats and by the
-scenario metrics on arrays, and the yaw-gyro law that the derivative,
-`yaw_gyro_output` (trim) and the scenario's saturation flag all call.  All
-functions are pure; repeated evaluation with identical arguments is
-bit-identical.
+15-vector, and reaches sine, cosine, the pitch singularity check and the gyro
+clamp through arguments.  With the defaults it runs on Python floats and
+returns a list, the scenario loop's path.  With `*LANE_OPS` the same text
+runs on lanes, one `(N,)` array per element, each lane bit for bit the float
+result while numpy's sine and cosine match `math`'s; trim and linearization
+take all the points of a Jacobian in one such call.  It reads the parameters
+from `plant_constants(params)`, one tuple built once per scenario run, trim
+solve, linearization, or call of `state_derivative`, the array edge that
+checks shapes and returns an ndarray.  Two helpers are shared with other
+modules: the body-to-NED rotation rows (`dcm_rows`), used by the outer loop
+on floats and by the scenario metrics on arrays, and the yaw-gyro law, which
+the derivative, `yaw_gyro_output` (trim) and the scenario's saturation flag
+(on the logged columns, after the run) call.  All functions are pure;
+repeated evaluation with identical arguments is bit-identical.
 """
 from __future__ import annotations
 
@@ -34,6 +34,15 @@ THETA_LIMIT = math.pi / 2.0
 def _check_theta(theta: float):
     if abs(theta) >= THETA_LIMIT:
         raise SingularAttitudeError(f"|theta| = {abs(theta):.4f} rad >= pi/2")
+
+
+def _check_theta_lanes(theta: np.ndarray):
+    if np.any(np.abs(theta) >= THETA_LIMIT):
+        raise SingularAttitudeError("|theta| >= pi/2 on a lane")
+
+
+# sin, cos, theta check, clamp minimum and maximum of the lane derivative
+LANE_OPS = (np.sin, np.cos, _check_theta_lanes, np.minimum, np.maximum)
 
 
 def dcm_rows(sphi, cphi, sth, cth, spsi, cpsi) -> tuple:
@@ -66,18 +75,19 @@ def flap_coupling(params: HelicopterParams) -> float:
     return 8.0 * params.k_beta / (params.gamma_mr * params.omega_mr ** 2 * params.i_beta)
 
 
-def yaw_gyro_law(xi: float, delta_ped: float, r: float, ka_g: float,
-                 kp_g: float, ki_g: float) -> tuple[float, float, bool]:
+def yaw_gyro_law(xi, delta_ped, r, ka_g: float, kp_g: float, ki_g: float,
+                 minimum=min, maximum=max) -> tuple:
     """Tail servo command and integrator rate of the onboard yaw-rate PI loop.
 
     Returns (delta_ped_prime, xi_dot, saturated): the servo command is
     clamped to the actuator range before it reaches the tail rotor, and
-    `saturated` tells whether the clamp was active.
+    `saturated` tells whether the clamp was active.  On arrays of points
+    pass `np.minimum` and `np.maximum`.
     """
     err = ka_g * delta_ped - r
     out = kp_g * err + xi
     saturated = abs(out) > 1.0
-    out = min(max(out, -1.0), 1.0)
+    out = minimum(maximum(out, -1.0), 1.0)
     return out, ki_g * err, saturated
 
 
@@ -114,10 +124,12 @@ def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarra
     return np.array(_state_derivative_flat(x, u, w, plant_constants(params)))
 
 
-def _state_derivative_flat(x, u, w, consts: tuple) -> list:
-    # x, u and w hold Python floats: scalar arithmetic on numpy scalars costs
-    # several times more, so callers unpack arrays with `.tolist()` first;
-    # `consts` is `plant_constants(params)`, bound once by the caller
+def _state_derivative_flat(x, u, w, consts: tuple, sin=math.sin, cos=math.cos,
+                           check_theta=_check_theta, minimum=min,
+                           maximum=max) -> list:
+    # x, u and w hold Python floats (numpy scalars cost several times more,
+    # so callers unpack arrays with `.tolist()`), or one array per element
+    # with `*LANE_OPS`; `consts` is `plant_constants(params)`
     _, _, _, vx, vy, vz, phi, theta, psi, p, q, r, a_s, b_s, xi = x
     dlat, dlon, dped, dcol = u
     w_u, w_v, w_w = w
@@ -125,10 +137,10 @@ def _state_derivative_flat(x, u, w, consts: tuple) -> list:
      mq, torque_scale, l_tr_k_ped, nr, inv_m, jx, jy, jz, jz_jy, jx_jz, jy_jx,
      a_bs, inv_tau, inv_tau_k_lon, inv_tau_k_lat, ka_g, kp_g, ki_g) = consts
 
-    _check_theta(theta)
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    sth, cth = math.sin(theta), math.cos(theta)
-    spsi, cpsi = math.sin(psi), math.cos(psi)
+    check_theta(theta)
+    sphi, cphi = sin(phi), cos(phi)
+    sth, cth = sin(theta), cos(theta)
+    spsi, cpsi = sin(psi), cos(psi)
     tth = sth / cth
 
     # kinematics: NED position rate and Euler angle rates
@@ -147,10 +159,11 @@ def _state_derivative_flat(x, u, w, consts: tuple) -> list:
     # at a centre of pressure above the CG, gravity, rotor reaction torque and
     # linear rate damping.  Wind enters only through the relative airspeed.
     thrust = thrust_trim + k_col * dcol
-    sa, ca = math.sin(a_s), math.cos(a_s)
-    sb, cb = math.sin(b_s), math.cos(b_s)
+    sa, ca = sin(a_s), cos(a_s)
+    sb, cb = sin(b_s), cos(b_s)
 
-    dped_prime, xi_dot, _ = yaw_gyro_law(xi, dped, r, ka_g, kp_g, ki_g)
+    dped_prime, xi_dot, _ = yaw_gyro_law(xi, dped, r, ka_g, kp_g, ki_g,
+                                         minimum, maximum)
     tail_y = -k_ped * dped_prime
 
     drag_x = -dx * (vx - w_u)

@@ -15,27 +15,21 @@ tables as Python floats.  The arithmetic of a step then runs on Python
 floats alone, written out over the model's fixed sizes: `rk4_step`
 integrates the 15-vector plant state element by element, and the control
 law, the observer and the measurement deviations name every term, with each
-matrix-vector product an explicit left-to-right sum.  The loop reaches
-each layer by its module-level name in this module at call time
-(`_state_derivative_flat` through `rk4_step`, `control_law`,
-`assemble_state_estimate`, `observer_step`, `horizontal_control`,
-`altitude_control`), so wrapping those names from outside traces every
-call; a layer reached through any other reference, such as an alias or a
-closure over the physics, would not be seen.
+matrix-vector product an explicit left-to-right sum.  What a step need not
+know is found after the run from the log: the yaw-gyro clamp flag, by the
+same law on the logged columns, and the metrics, from the reference tables
+the loop read.  The loop reaches each layer by its module-level name in
+this module at call time (`_state_derivative_flat` through `rk4_step`,
+`control_law`, `assemble_state_estimate`, `observer_step`,
+`horizontal_control`, `altitude_control`), so wrapping those names from
+outside traces every call; a layer reached through any other reference,
+such as an alias or a closure over the physics, would not be seen.
 
 Two calls split their work with one child made by `os.fork()`, through
-one helper, `_in_forked_child`: it hands the child the write end of a pipe
-and the calling process the read end, kills the child if the calling
-process's share raises, and reaps it on every path.  `compare_controllers`
-runs its first controller in the child and its second in the calling
-process, so the calling process makes the second run's calls and sees none
-of the first's.  The child sends its log's arrays back as raw bytes, not
-pickled, so no second copy of the log is held.  When the child fails or
-the second run raises, both runs are finished in the calling process in
-order, and the error is the one two sequential `run_scenario` calls raise.
-`ScenarioLog.to_csv` has the child format the second half of the rows
-while the calling process writes the first; when the child fails, the
-calling process formats the rest itself and the file's bytes are the same.
+`_in_forked_child`: `compare_controllers` runs its first controller in the
+child, and `ScenarioLog.to_csv` has the child format the second half of the
+rows.  When the child fails, the calling process does its share itself, so
+the logs, files and errors are those of one process.
 """
 from __future__ import annotations
 
@@ -253,13 +247,11 @@ def _step_rows(*tables):
     """Step k's row of every table as Python floats, for k = 0, 1, ...
 
     A table is an array with one row per step: a 1-D table gives a float per
-    step, a 2-D one a tuple, and None gives None on every step.  The tables
-    are converted with `.tolist()` one block of `CSV_BLOCK_ROWS` steps at a
-    time, so a whole run's floats never exist at once.  A block's 2-D rows
-    are zipped from its columns, so the cyclic collector tracks a dozen
-    lists per block and not one per row: per-row lists set off a full
-    collection during the loop.  Each step is drawn by C-level iterators,
-    `itertools.chain` over one `zip` per block, and resumes no Python frame.
+    step, a 2-D one a tuple, and None gives None on every step.  Tables are
+    converted one block of `CSV_BLOCK_ROWS` steps at a time, and a block's
+    2-D rows are zipped from its column lists: per-row lists set off a full
+    collection during the loop.  Steps are drawn by `itertools.chain` over
+    one `zip` per block, so no Python frame is resumed per step.
     """
     def blocks():
         for first in range(0, len(tables[0]), CSV_BLOCK_ROWS):
@@ -454,16 +446,21 @@ def compute_metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport
     gust edge).
     """
     t = np.asarray(t)
-    states = np.asarray(states)
-    att_ref = np.asarray(att_ref)
+    refs = (reference_table(config.references, t)
+            if config.use_outer and config.references else (None, None, None))
+    return _metrics(t, np.asarray(states), np.asarray(att_ref), config, *refs[:2])
 
+
+def _metrics(t, states, att_ref, config: ScenarioConfig, p_ref, v_ref
+             ) -> MetricsReport:
+    """`compute_metrics` on arrays, with the p_ref and v_ref tables at `t`
+    given (None without the outer loop)."""
     phi_err = states[:, 6] - att_ref[:, 0]
     theta_err = states[:, 7] - att_ref[:, 1]
     max_phi = float(np.max(np.abs(phi_err))) * 180.0 / math.pi
     max_theta = float(np.max(np.abs(theta_err))) * 180.0 / math.pi
 
-    if config.use_outer and config.references:
-        p_ref, v_ref, _ = reference_table(config.references, t)
+    if p_ref is not None:
         rot = _rotation_rows(states[:, 6], states[:, 7], states[:, 8])
         v_ned = np.einsum("nij,nj->ni", rot, states[:, 3:6])
         vel_err = v_ned - v_ref
@@ -498,17 +495,14 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                  artifacts: SimArtifacts) -> tuple[ScenarioLog, MetricsReport]:
     """Execute one closed-loop scenario.
 
-    Wind and references are tabulated as arrays for every step time before
-    the loop, and each step reads its wind row, and with the outer loop its
-    p_ref, v_ref and psi_ref, as Python floats from `_step_rows`, which
-    converts the tables one block of `CSV_BLOCK_ROWS` steps at a time.  The
-    flat state and the inputs stay lists of Python floats between steps.
-    Loop order per step: evaluate the outer loop, form the inner-loop
-    command from measurements plus observer estimates, log, integrate the
-    plant one RK4 step with everything held, then step the observer on the
-    same held measurements.
-    A toolkit error raised by any of these stages stops the run as a
-    SimulationAbort that names the stage, the step and the simulated time.
+    Loop order per step, on Python floats: evaluate the outer loop, form the
+    inner-loop command from measurements plus observer estimates, log,
+    integrate the plant one RK4 step with everything held, then step the
+    observer on the same held measurements.  After the loop, the yaw-gyro
+    clamp flag is set from the logged columns, and the metrics are taken
+    with the reference tables the loop read.  A toolkit error raised by any
+    stage stops the run as a SimulationAbort that names the stage, the step
+    and the simulated time.
     """
     config.validate()
     for name in ("outer_gains", "pid_gains"):
@@ -563,7 +557,6 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     flags = np.zeros(n_steps + 1, dtype=int)
 
     consts = plant_constants(par)
-    ka_g, kp_g, ki_g = par.ka_g, par.kp_g, par.ki_g
     flap_limit = par.flap_limit
 
     def deriv(xv, uv, wv):
@@ -614,10 +607,6 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             else:  # open loop at trim
                 u = u_open
 
-            _, _, gyro_sat = yaw_gyro_law(x[14], u[2], x[11], ka_g, kp_g, ki_g)
-            if gyro_sat:
-                step_flags |= SAT_GYRO
-
             states[k] = x
             inputs[k] = u
             att_refs[k] = att_ref
@@ -646,10 +635,15 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
     if obs_state is not None:
         estimates += z_trim
+    # the tail servo clamp, from the logged states and pedal commands
+    _, _, gyro_sat = yaw_gyro_law(states[:, 14], inputs[:, 2], states[:, 11],
+                                  par.ka_g, par.kp_g, par.ki_g,
+                                  np.minimum, np.maximum)
+    flags[gyro_sat] |= SAT_GYRO
     log = ScenarioLog(t=times, states=states, inputs=inputs, wind=winds,
                       att_ref=att_refs, estimates=estimates, sat_flags=flags,
                       config=config)
-    metrics = compute_metrics(times, states, att_refs, config)
+    metrics = _metrics(times, states, att_refs, config, *refs[:2])
     return log, metrics
 
 

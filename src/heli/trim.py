@@ -7,6 +7,8 @@ The linear design model has nine states in the fixed order
 where `dped` is the tail servo command produced by the yaw-rate PI loop.
 The nonlinear plant stores the loop's integrator instead, so the model is
 obtained by an affine change of coordinates after numerical differentiation.
+Each Jacobian, per Newton iteration or of the design model, is one call of
+the plant derivative on lanes that hold all its central-difference points.
 """
 from __future__ import annotations
 
@@ -14,14 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _state_derivative_flat, plant_constants, yaw_gyro_output
+from .dynamics import (
+    LANE_OPS,
+    _state_derivative_flat,
+    plant_constants,
+    yaw_gyro_output,
+)
 from .errors import TrimConvergenceError
 from .params import HelicopterParams
 from .state import MEASURED_STATES, ControlInputs, FullState, N_STATES
 
-# indices of the flat state vector
-_POS = (0, 1, 2)
-_NONPOS = tuple(i for i in range(N_STATES) if i not in _POS)
+_NONPOS = tuple(range(3, N_STATES))   # flat-state indices past position
 
 # the nine model states, as indices into the flat vector
 MODEL_STATE_LABELS = ("phi", "theta", "p", "q", "a_s", "b_s", "r", "dped", "psi")
@@ -70,11 +75,14 @@ class LinearPlant:
 
 
 def _hover_residual(x: np.ndarray, u: np.ndarray, consts: tuple) -> np.ndarray:
-    """Still-air derivative of every state except position (`consts` is
-    `plant_constants(params)`)."""
-    xdot = np.array(_state_derivative_flat(x.tolist(), u.tolist(),
-                                           [0.0, 0.0, 0.0], consts))
-    return xdot[list(_NONPOS)]
+    """Still-air derivative of every state except position, at one point
+    (1-D `x` and `u`) or on lanes (one column per point)."""
+    if x.ndim == 1:
+        xdot = _state_derivative_flat(x.tolist(), u.tolist(), (0.0, 0.0, 0.0),
+                                      consts)
+    else:
+        xdot = _state_derivative_flat(x, u, (0.0, 0.0, 0.0), consts, *LANE_OPS)
+    return np.array(xdot)[list(_NONPOS)]
 
 
 def _residual(unknowns: np.ndarray, consts: tuple) -> np.ndarray:
@@ -83,10 +91,12 @@ def _residual(unknowns: np.ndarray, consts: tuple) -> np.ndarray:
 
 def _assemble(unknowns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dcol, dlat, dlon, xi, phi, theta, a_s, b_s = unknowns
-    x = np.zeros(N_STATES)
+    lanes = unknowns.shape[1:]
+    x = np.zeros((N_STATES, *lanes))
     x[6], x[7] = phi, theta
     x[12], x[13], x[14] = a_s, b_s, xi
-    u = np.array([dlat, dlon, 0.0, dcol])
+    u = np.zeros((4, *lanes))
+    u[0], u[1], u[3] = dlat, dlon, dcol
     return x, u
 
 
@@ -109,7 +119,7 @@ def find_trim(params: HelicopterParams, max_iter: int = 100,
     for _ in range(max_iter):
         if norm < tol:
             break
-        jac = _fd_jacobian(lambda v: _residual(v, consts), z)
+        jac = _fd_jacobian(lambda v: _residual(v, consts), z, 1e-7)
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         alpha = 1.0
         while alpha > 1e-8:
@@ -128,33 +138,36 @@ def find_trim(params: HelicopterParams, max_iter: int = 100,
     return TrimPoint.from_vectors(*_assemble(z), params)
 
 
-def _fd_jacobian(fun, z: np.ndarray, step: float = 1e-7) -> np.ndarray:
-    columns = []
-    for j in range(z.size):
-        h = step * max(1.0, abs(z[j]))
-        zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        columns.append((fun(zp) - fun(zm)) / (2.0 * h))
-    return np.column_stack(columns)
+def _fd_jacobian(fun, z: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference Jacobian of `fun` at `z`, from one call of `fun` on
+    2n lanes: column j is z + h_j e_j and column n + j is z - h_j e_j, with
+    h_j = step * max(1, |z_j|).  `fun` maps an (n, 2n) array of points, one
+    per column, to their (m, 2n) values."""
+    n = z.size
+    h = step * np.maximum(1.0, np.abs(z))
+    lanes = np.repeat(z[:, None], 2 * n, axis=1)
+    j = np.arange(n)
+    lanes[j, j] += h
+    lanes[j, n + j] -= h
+    f = fun(lanes)
+    return (f[:, :n] - f[:, n:]) / (2.0 * h)
 
 
-def _model_derivative(w: np.ndarray, u3: np.ndarray, wind: np.ndarray,
-                      trim: TrimPoint, consts: tuple) -> np.ndarray:
-    """Derivative of the nine model states (gyro slot holds the integrator);
-    `consts` is `plant_constants(params)`.
+def _model_lanes(z: np.ndarray, trim: TrimPoint, consts: tuple) -> np.ndarray:
+    """Derivative of the nine model states (gyro slot holds the integrator)
+    on lanes, one column of `z` per point: the model states, then the three
+    servo inputs and the body-axis wind.
 
     Velocities and position are frozen at their trim values, which truncates
     the slow translational modes out of the attitude model.
     """
-    x = trim.state.as_vector()
-    for k, idx in enumerate(_MODEL_IDX):
-        x[idx] = w[k]
-    u = trim.inputs.as_vector()
-    u[0:3] = u3
-    xdot = np.array(_state_derivative_flat(x.tolist(), u.tolist(),
-                                           wind.tolist(), consts))
-    return xdot[list(_MODEL_IDX)]
+    n = len(_MODEL_IDX)
+    x = np.repeat(trim.state.as_vector()[:, None], z.shape[1], axis=1)
+    x[list(_MODEL_IDX)] = z[:n]
+    u = np.repeat(trim.inputs.as_vector()[:, None], z.shape[1], axis=1)
+    u[0:3] = z[n:n + 3]
+    xdot = _state_derivative_flat(x, u, z[n + 3:], consts, *LANE_OPS)
+    return np.array(xdot)[list(_MODEL_IDX)]
 
 
 def _gyro_coordinate_change(params: HelicopterParams
@@ -185,35 +198,11 @@ def linearize(params: HelicopterParams, trim: TrimPoint,
     matches the design model.
     """
     consts = plant_constants(params)
-    w0 = trim.state.as_vector()[list(_MODEL_IDX)]
-    u0 = trim.inputs.as_vector()[0:3]
-
     n = len(_MODEL_IDX)
-    a_w = np.zeros((n, n))
-    b_w = np.zeros((n, 3))
-    e_w = np.zeros((n, 3))
-
-    for j in range(n):
-        h = step * max(1.0, abs(w0[j]))
-        wp, wm = w0.copy(), w0.copy()
-        wp[j] += h
-        wm[j] -= h
-        a_w[:, j] = (_model_derivative(wp, u0, np.zeros(3), trim, consts)
-                     - _model_derivative(wm, u0, np.zeros(3), trim, consts)) / (2 * h)
-    for j in range(3):
-        h = step * max(1.0, abs(u0[j]))
-        up, um = u0.copy(), u0.copy()
-        up[j] += h
-        um[j] -= h
-        b_w[:, j] = (_model_derivative(w0, up, np.zeros(3), trim, consts)
-                     - _model_derivative(w0, um, np.zeros(3), trim, consts)) / (2 * h)
-    for j in range(3):
-        h = step
-        vp, vm = np.zeros(3), np.zeros(3)
-        vp[j] += h
-        vm[j] -= h
-        e_w[:, j] = (_model_derivative(w0, u0, vp, trim, consts)
-                     - _model_derivative(w0, u0, vm, trim, consts)) / (2 * h)
+    z0 = np.concatenate([trim.state.as_vector()[list(_MODEL_IDX)],
+                         trim.inputs.as_vector()[0:3], np.zeros(3)])
+    jac = _fd_jacobian(lambda z: _model_lanes(z, trim, consts), z0, step)
+    a_w, b_w, e_w = jac[:, :n], jac[:, n:n + 3], jac[:, n + 3:]
 
     m_t, m_inv, n_t = _gyro_coordinate_change(params)
     a = m_t @ a_w @ m_inv
@@ -241,14 +230,17 @@ def verify_linearization(params: HelicopterParams, plant: LinearPlant,
 
     w0 = trim.state.as_vector()[list(_MODEL_IDX)]
     u0 = trim.inputs.as_vector()[0:3]
-    worst = 0.0
+    samples = []
     for _ in range(n_samples):
         dz = perturbation_scale * rng.standard_normal(n)
         du = perturbation_scale * rng.standard_normal(3)
         dv = perturbation_scale * rng.standard_normal(3)
         # map the model-state perturbation back to integrator coordinates
         dw = m_inv @ (dz - n_t @ du)
-        wdot = _model_derivative(w0 + dw, u0 + du, dv, trim, consts)
+        samples.append((dz, du, dv, np.concatenate([w0 + dw, u0 + du, dv])))
+    wdots = _model_lanes(np.column_stack([s[3] for s in samples]), trim, consts)
+    worst = 0.0
+    for (dz, du, dv, _), wdot in zip(samples, np.ascontiguousarray(wdots.T)):
         zdot_nl = m_t @ wdot
         zdot_lin = plant.a @ dz + plant.b @ du + plant.e @ dv
         denom = max(np.linalg.norm(zdot_nl), 1e-12)

@@ -8,9 +8,11 @@ from heli import (
     OutputWeights,
     SimArtifacts,
     build_output_map,
+    builtin_scenario,
     design_reduced_observer,
     find_trim,
     linearize,
+    run_scenario,
     synthesize,
 )
 
@@ -62,6 +64,15 @@ def observer_design(plant):
 def artifacts(trim, synthesis, observer_design):
     result, _, _ = synthesis
     return SimArtifacts(trim=trim, synthesis=result, observer=observer_design)
+
+
+@pytest.fixture(scope="session")
+def hover_climb(params, artifacts):
+    """Shared paper-hover-climb run under hinf, seed 2026 (A4, A5, A6, A9,
+    and the angles of the sine and cosine guard)."""
+    cfg = builtin_scenario("paper-hover-climb", seed=2026)
+    log, metrics = run_scenario(cfg, params, artifacts)
+    return cfg, log, metrics
 
 
 # scalar synthesis fixture used by several oracle tests: one state, one

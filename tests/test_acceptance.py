@@ -49,14 +49,6 @@ def attitude_pair(params, artifacts):
     return logs, elapsed
 
 
-@pytest.fixture(scope="module")
-def hover_climb(params, artifacts):
-    """Shared hover/climb run (A4, A5, A6, A9)."""
-    cfg = builtin_scenario("paper-hover-climb", seed=2026)
-    log, metrics = run_scenario(cfg, params, artifacts)
-    return cfg, log, metrics
-
-
 def _ned_velocity_error(cfg, log):
     rot = _rotation_rows(log.states[:, 6], log.states[:, 7], log.states[:, 8])
     v_ned = np.einsum("nij,nj->ni", rot, log.states[:, 3:6])

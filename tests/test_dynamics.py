@@ -16,7 +16,12 @@ from heli import (
     yaw_gyro_output,
 )
 from heli.sim import LOG_COLUMNS, _rotation_rows, rk4_step
-from heli.dynamics import _state_derivative_flat, plant_constants
+from heli.dynamics import (
+    LANE_OPS,
+    _state_derivative_flat,
+    plant_constants,
+    yaw_gyro_law,
+)
 from heli.outer import ned_velocity
 from heli.state import STATE_LABELS, clamp_servos
 
@@ -184,6 +189,18 @@ class TestYawGyro:
             assert xdot[14] == xi_dot
             assert params.m * (xdot[4] - base[4]) == pytest.approx(
                 tail_y, rel=1e-9, abs=1e-12)
+
+
+    def test_lane_law_equals_float_law(self):
+        # both sides of the clamp, at kp_g where it fires
+        rng = np.random.default_rng(17)
+        xi, dped, r = rng.uniform(-1.5, 1.5, (3, 200))
+        lanes = yaw_gyro_law(xi, dped, r, 1.0, 3.0, 2.5, np.minimum, np.maximum)
+        points = [yaw_gyro_law(*v, 1.0, 3.0, 2.5)
+                  for v in zip(xi.tolist(), dped.tolist(), r.tolist())]
+        assert 0 < np.count_nonzero(lanes[2]) < 200
+        for lane, column in zip(lanes, zip(*points)):
+            assert lane.tolist() == list(column)
 
 
 class TestForcesAndMoments:
@@ -461,3 +478,44 @@ def test_clamp_servos_matches_oracle(u):
     flags = clamp_servos(got)
     assert flags == want_flags
     assert list(map(repr, got)) == list(map(repr, want))  # keeps -0.0
+
+
+class TestLanes:
+    """The derivative's one source text on struct-of-arrays lanes."""
+
+    @pytest.mark.parametrize("n", [1, 30, 64, 1024])
+    def test_every_lane_bit_equal_to_the_float_call(self, params, trim, n):
+        # random states, inputs and winds near trim
+        rng = np.random.default_rng(n)
+        x = trim.state.as_vector()[:, None] + rng.normal(0.0, 0.05, (15, n))
+        x[12:14] *= 0.1   # flap angles stay small
+        u = trim.inputs.as_vector()[:, None] + rng.normal(0.0, 0.1, (4, n))
+        w = rng.normal(0.0, 3.0, (3, n))
+        consts = plant_constants(params)
+        lanes = np.array(_state_derivative_flat(x, u, w, consts, *LANE_OPS))
+        points = np.array([_state_derivative_flat(xk, uk, wk, consts)
+                           for xk, uk, wk in zip(x.T.tolist(), u.T.tolist(),
+                                                 w.T.tolist())]).T
+        assert lanes.shape == (15, n)
+        assert lanes.tobytes() == points.tobytes()
+
+    def test_singular_lane_raises(self, params, trim):
+        x = np.repeat(trim.state.as_vector()[:, None], 4, axis=1)
+        u = np.repeat(trim.inputs.as_vector()[:, None], 4, axis=1)
+        x[7, 2] = -math.pi / 2
+        with pytest.raises(SingularAttitudeError):
+            _state_derivative_flat(x, u, np.zeros((3, 4)),
+                                   plant_constants(params), *LANE_OPS)
+
+
+def test_numpy_sin_cos_bit_equal_math_on_logged_angles(hover_climb):
+    # the lane derivative is bit-equal to the float one only while numpy's
+    # sine and cosine are; their SIMD kernels can differ between CPUs
+    _, log, _ = hover_climb
+    for column in (6, 7, 8, 12, 13):   # phi, theta, psi, a_s, b_s
+        angles = log.states[:, column]
+        values = angles.tolist()
+        assert np.sin(angles).tobytes() == np.array(
+            [math.sin(v) for v in values]).tobytes()
+        assert np.cos(angles).tobytes() == np.array(
+            [math.cos(v) for v in values]).tobytes()

@@ -21,6 +21,7 @@ from heli import (
     TrimPoint,
     WindModel,
     builtin_names,
+    find_trim,
     builtin_scenario,
     compare_controllers,
     compute_metrics,
@@ -31,6 +32,7 @@ from heli.dynamics import (
     _state_derivative_flat,
     plant_constants,
     state_derivative,
+    yaw_gyro_law,
 )
 from heli.errors import HeliError
 from heli.sim import (
@@ -45,7 +47,7 @@ from heli.sim import (
     reference_table,
     settled_mask,
 )
-from heli.state import MEASURED_STATES
+from heli.state import MEASURED_STATES, SAT_GYRO
 
 from rk4_reference import rk4_reference
 
@@ -517,6 +519,40 @@ class TestRunScenario:
         tail = np.linalg.norm(log.states[log.t > 10.0][:, 0:3] - target,
                               axis=1)
         assert np.max(tail) < 2.0
+
+
+    @pytest.mark.parametrize("kp_g, fired", [(1.0, 10), (3.0, 33)])
+    def test_gyro_flag_is_the_law_on_each_logged_row(self, kp_g, fired):
+        # PID toward a 1.5 rad heading: the pedal drives the tail servo
+        # command into its clamp on a few steps
+        par = HelicopterParams().replace(kp_g=kp_g)
+        trim = find_trim(par)
+        cfg = replace(builtin_scenario("gust-attitude-hold", seed=2026),
+                      controller="pid", duration=5.0,
+                      att_ref=np.array([*trim.h_out_trim[0:2], 1.5]))
+        log, _ = run_scenario(cfg, par, SimArtifacts(trim=trim))
+        logged = (log.sat_flags & SAT_GYRO) != 0
+        law = [yaw_gyro_law(x[14], u[2], x[11], par.ka_g, par.kp_g,
+                            par.ki_g)[2]
+               for x, u in zip(log.states.tolist(), log.inputs.tolist())]
+        assert logged.tolist() == law
+        assert np.count_nonzero(logged) == fired
+
+    def test_reference_table_built_once_per_run(self, params, artifacts,
+                                                monkeypatch):
+        # the loop's tables also serve the metrics
+        calls = []
+        table = heli.sim.reference_table
+
+        def counted(*args):
+            calls.append(None)
+            return table(*args)
+
+        monkeypatch.setattr(heli.sim, "reference_table", counted)
+        cfg = builtin_scenario("step-offset", seed=3)
+        cfg.duration = 1.0
+        run_scenario(cfg, params, artifacts)
+        assert len(calls) == 1
 
 
 class TestCompare:

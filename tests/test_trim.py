@@ -13,6 +13,7 @@ from heli import (
     verify_linearization,
 )
 import heli.trim
+from heli.dynamics import plant_constants
 from heli.trim import MODEL_STATE_LABELS
 
 IDX = {name: k for k, name in enumerate(MODEL_STATE_LABELS)}
@@ -221,16 +222,51 @@ class TestTrimBits:
         assert digest.hexdigest() == self.DIGESTS[case]
 
     def test_derivative_calls_per_trim(self, monkeypatch):
-        # 3 Newton iterations, each 16 calls for the 8 central-difference
+        # 3 Newton iterations, each one lane call for the 8 central-difference
         # columns plus one line-search trial, after the initial residual
         # and before the final residual in `TrimPoint.from_vectors`
-        calls = []
-        derivative = heli.trim._state_derivative_flat
-
-        def counted(*args):
-            calls.append(None)
-            return derivative(*args)
-
-        monkeypatch.setattr(heli.trim, "_state_derivative_flat", counted)
+        calls = _count_derivative_calls(monkeypatch)
         find_trim(HelicopterParams())
-        assert len(calls) == 1 + 3 * (16 + 1) + 1
+        assert len(calls) == 1 + 3 * (1 + 1) + 1
+
+    def test_linearize_makes_one_derivative_call(self, monkeypatch, params,
+                                                 trim):
+        # its 30 central-difference points run as 30 lanes of one call
+        calls = _count_derivative_calls(monkeypatch)
+        linearize(params, trim)
+        assert len(calls) == 1
+
+
+def _count_derivative_calls(monkeypatch) -> list:
+    calls = []
+    derivative = heli.trim._state_derivative_flat
+
+    def counted(*args):
+        calls.append(None)
+        return derivative(*args)
+
+    monkeypatch.setattr(heli.trim, "_state_derivative_flat", counted)
+    return calls
+
+
+def test_lane_jacobian_equals_pointwise_differences(params, trim):
+    # the Newton Jacobian at the default start and at trim, against the
+    # columns formed one point at a time on the float derivative
+    consts = plant_constants(params)
+    start = np.zeros(8)
+    start[0] = (params.m * params.g - params.thrust_trim) / params.k_col
+    at_trim = np.array([trim.inputs.delta_col, trim.inputs.delta_lat,
+                        trim.inputs.delta_lon, trim.state.xi, trim.state.phi,
+                        trim.state.theta, trim.state.a_s, trim.state.b_s])
+    for z in (start, at_trim):
+        columns = []
+        for j in range(z.size):
+            h = 1e-7 * max(1.0, abs(z[j]))
+            zp, zm = z.copy(), z.copy()
+            zp[j] += h
+            zm[j] -= h
+            columns.append((heli.trim._residual(zp, consts)
+                            - heli.trim._residual(zm, consts)) / (2.0 * h))
+        lanes = heli.trim._fd_jacobian(
+            lambda v: heli.trim._residual(v, consts), z, 1e-7)
+        assert lanes.tobytes() == np.column_stack(columns).tobytes()
