@@ -9,18 +9,50 @@ bisection and the shipped controller backs off by a small margin; the search
 record keeps one gamma and verdict per solve but no P.
 The closed-loop norm check is exact (imaginary-axis eigenvalues of a second
 Hamiltonian), and so are the plant's invariant zeros (its unobservable part).
+
+The Schur decomposition is LAPACK's `dgees` from scipy's f2py module
+`scipy/linalg/_flapack`, loaded straight from its file: `import
+scipy.linalg` would run the package's `__init__`, whose array-API layer
+pulls in `numpy.testing`, `numpy.ma`, `numpy.f2py` and more, ~0.3 s and
+~26 MB for every command, while the file alone takes ~5 ms and ~3 MB.  It
+is the same extension and routine `scipy.linalg.lapack.dgees` exposes, so
+the bits are the same.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgees
 
 from .errors import SynthesisError, UnstableSystemError
 from .state import clamp_servos
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK module, without running `scipy.linalg`'s init."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("heli needs scipy >= 1.10")
+    linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0],
+                              "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
+                                                    [linalg_dir])
+    if spec is None:
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no "
+                          "scipy/linalg/_flapack extension; heli needs "
+                          "scipy >= 1.10")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgees = _load_flapack().dgees
 
 # rows of the design state holding the tracked outputs (phi, theta, psi)
 TRACKED_ROWS = (0, 1, 8)

@@ -10,10 +10,10 @@ map of its linear dynamics, computed once per step length.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import UnobservablePairError
 
@@ -49,10 +49,18 @@ class ObserverDesign:
 
         With Gamma = int_0^dt exp(A_obs s) ds, one step is
         x' = exp(A_obs dt) x + Gamma (B_obs y + H_obs u); both matrices are
-        blocks of exp([[A_obs, I], [0, 0]] dt).
+        blocks of exp([[A_obs, I], [0, 0]] dt).  The exponential is scipy's
+        `expm`, and `scipy.linalg` is imported at the first call: `import
+        heli` and the design path never load it.  A `dt` that is not a
+        finite positive number raises ValueError.
         """
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        # imported here, not at the top: the package init costs every command
+        # ~0.3 s and ~26 MB, and only a scenario run needs the exponential.
+        # It stays scipy's because its bits feed every hinf log.
+        import scipy.linalg
+
         m = np.zeros((6, 6))
         m[:3, :3] = self.a_obs
         m[:3, 3:] = np.eye(3)

@@ -97,9 +97,10 @@ def rk4_step(derivative, state, inputs, wind, dt: float) -> list:
     written out over the 15 elements in Python floats: each stage state is
     `x + (0.5*dt)*k` or `x + dt*k`, and the new state, a list, is
     `x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4)`.  A state or derivative of any
-    other length raises ValueError.
+    other length raises ValueError, and so does a `dt` that is not positive
+    (NaN included).
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     half = 0.5 * dt
     x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14 = state

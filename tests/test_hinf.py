@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from heli import (
     gamma_star,
     hinf_norm,
     solve_riccati,
+    synthesize,
 )
 from heli import hinf
 from heli.hinf import feedback_gain, riccati_residual
@@ -65,6 +68,70 @@ def _failing_dgees(info):
     def call(*args, **kwargs):
         return dgees(*args, **kwargs)[:-1] + (info,)
     return call
+
+
+# scipy's own import path to dgees, in an interpreter that never imports heli
+_SCIPY_DGEES = """
+import sys
+import numpy as np
+from scipy.linalg.lapack import dgees
+out = []
+for m in np.load(sys.argv[1]):
+    lwork = int(dgees(lambda re, im: re < 0.0, m, lwork=-1)[-2][0])
+    _, sdim, wr, wi, z, _, info = dgees(lambda re, im: re < 0.0, m,
+                                        lwork=lwork, sort_t=1)
+    out.append(np.concatenate([[sdim, info], wr, wi, z.ravel()]))
+np.save(sys.argv[2], np.array(out))
+"""
+
+
+class TestDgeesOracle:
+    """`hinf.dgees`, loaded from scipy's extension file, against
+    `scipy.linalg.lapack.dgees` reached through the package in another
+    interpreter: the same (sdim, wr, wi, z, info) bits."""
+
+    @pytest.fixture(scope="class")
+    def hamiltonians(self, plant):
+        # every Hamiltonian the default design decomposes, in order
+        calls = []
+        real = hinf.dgees
+
+        def record(select, a, **kwargs):
+            if "sort_t" in kwargs:
+                calls.append(np.array(a))
+            return real(select, a, **kwargs)
+
+        hinf.dgees = record
+        try:
+            _, search, _ = synthesize(plant)
+        finally:
+            hinf.dgees = real
+        # each search probe, then the final solve at the gamma used
+        assert len(calls) == len(search.gammas) + 1 == 24
+        return np.array(calls)
+
+    @staticmethod
+    def _both(mats, tmp_path):
+        path_in, path_out = tmp_path / "in.npy", tmp_path / "out.npy"
+        np.save(path_in, mats)
+        subprocess.run([sys.executable, "-c", _SCIPY_DGEES, str(path_in),
+                        str(path_out)], check=True)
+        mine = []
+        for m in mats:
+            lwork = int(hinf.dgees(hinf._stable, m, lwork=-1)[-2][0])
+            _, sdim, wr, wi, z, _, info = hinf.dgees(hinf._stable, m,
+                                                     lwork=lwork, sort_t=1)
+            mine.append(np.concatenate([[sdim, info], wr, wi, z.ravel()]))
+        return np.array(mine), np.load(path_out)
+
+    def test_design_hamiltonians_bit_identical(self, hamiltonians, tmp_path):
+        mine, theirs = self._both(hamiltonians, tmp_path)
+        assert mine.tobytes() == theirs.tobytes()
+
+    def test_random_matrices_bit_identical(self, tmp_path):
+        mats = np.random.default_rng(2026).standard_normal((4, 18, 18))
+        mine, theirs = self._both(mats, tmp_path)
+        assert mine.tobytes() == theirs.tobytes()
 
 
 class TestSolveRiccati:

@@ -128,6 +128,13 @@ class TestStep:
         with pytest.raises(ValueError):
             observer_design.discretize(0.0)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"),
+                                    float("-inf")])
+    def test_nonfinite_dt_rejected(self, observer_design, dt):
+        # NaN and inf passed a `dt <= 0.0` guard and gave an all-NaN map
+        with pytest.raises(ValueError):
+            observer_design.discretize(dt)
+
 
     @pytest.mark.parametrize("dt", [0.0005, 0.002, 0.02])
     def test_step_matches_fine_rk4(self, observer_design, dt):

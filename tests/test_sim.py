@@ -79,6 +79,12 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_step(lambda x, u, w: x, np.zeros(15), None, None, 0.0)
 
+    def test_nan_dt_rejected(self):
+        # NaN passes a `dt <= 0.0` guard and would step to a NaN state
+        with pytest.raises(ValueError):
+            rk4_step(lambda x, u, w: list(x), [0.5] * 15, None, None,
+                     float("nan"))
+
     @pytest.mark.parametrize("n", [0, 1, 3, 14, 16])
     def test_other_state_length_rejected(self, n):
         with pytest.raises(ValueError):
