@@ -14,11 +14,18 @@ from .hinf import build_output_map, gamma_star, hinf_norm, synthesize
 from .observer import design_reduced_observer
 from .scenarios import builtin_names, builtin_scenario
 from .sim import SimArtifacts, compare_controllers, run_scenario
-from .state import INPUT_LABELS, N_STATES, STATE_LABELS
-from .trim import (
+from .state import (
+    INPUT_LABELS,
+    MEASURED_IDX,
     MODEL_INPUT_LABELS,
     MODEL_STATE_LABELS,
+    N_STATES,
+    REFERENCE_LABELS,
+    STATE_LABELS,
+    UNMEASURED_IDX,
     WIND_LABELS,
+)
+from .trim import (
     LinearPlant,
     TrimPoint,
     find_trim,
@@ -163,17 +170,16 @@ def cmd_synthesize(args) -> int:
     artifacts, search, report = _artifacts(cfg, plant)
     result, observer = artifacts.synthesis, artifacts.observer
 
+    measured = [MODEL_STATE_LABELS[i] for i in MEASURED_IDX]
     _write_matrix_csv(out / "F.csv", result.f, MODEL_STATE_LABELS)
-    _write_matrix_csv(out / "G.csv", result.g, ("phi_ref", "theta_ref", "psi_ref"))
+    _write_matrix_csv(out / "G.csv", result.g, REFERENCE_LABELS)
     _write_matrix_csv(out / "P.csv", result.riccati.p, MODEL_STATE_LABELS,
                       MODEL_STATE_LABELS)
     _write_matrix_csv(out / "observer_A.csv", observer.a_obs,
-                      ("a_s", "b_s", "dped"))
-    _write_matrix_csv(out / "observer_B.csv", observer.b_obs,
-                      ("phi", "theta", "p", "q", "r", "psi"))
+                      [MODEL_STATE_LABELS[i] for i in UNMEASURED_IDX])
+    _write_matrix_csv(out / "observer_B.csv", observer.b_obs, measured)
     _write_matrix_csv(out / "observer_H.csv", observer.h_obs, MODEL_INPUT_LABELS)
-    _write_matrix_csv(out / "observer_K.csv", observer.k_obs,
-                      ("phi", "theta", "p", "q", "r", "psi"))
+    _write_matrix_csv(out / "observer_K.csv", observer.k_obs, measured)
 
     out_map = build_output_map(cfg.weights)
     a_cl = plant.a + plant.b @ result.f

@@ -7,7 +7,7 @@ so typos fail loudly.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -19,10 +19,8 @@ from .params import HelicopterParams, PARAM_SECTIONS
 from .sim import PidGains, ReferenceSegment, ScenarioConfig
 from .wind import Gust
 
-_OUTER_KEYS = ("kp_z", "kd_z", "kp_x", "kd_x", "kp_y", "kd_y",
-               "tilt_limit", "col_limit")
-_PID_KEYS = ("roll_kp", "roll_ki", "roll_kd", "pitch_kp", "pitch_ki",
-             "pitch_kd", "yaw_kp", "yaw_ki", "int_limit")
+_OUTER_KEYS = tuple(f.name for f in fields(OuterGains))
+_PID_KEYS = tuple(f.name for f in fields(PidGains))
 _WEIGHT_KEYS = ("c11_diag", "c22_r", "c22_psi", "d11_diag")
 _OBSERVER_KEYS = ("poles",)
 _HINF_KEYS = ("gamma_tol", "gamma_margin")
@@ -60,13 +58,16 @@ def _read_sections(path) -> configparser.ConfigParser:
 
 # nan and inf parse as floats but no setting means them; they would only
 # fail later, deep inside trim or synthesis
-def _floats(text: str) -> np.ndarray:
+def _floats(text: str, n: int, what: str) -> np.ndarray:
+    """`n` comma-separated finite numbers, which `what` names in errors."""
     try:
         vals = np.array([float(tok) for tok in text.split(",") if tok.strip()])
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got '{text}'") from exc
     if not np.all(np.isfinite(vals)):
         raise ConfigError(f"expected finite numbers, got '{text}'")
+    if vals.size != n:
+        raise ConfigError(f"{what} needs {n} values")
     return vals
 
 
@@ -96,10 +97,9 @@ def load_toolkit_config(path) -> ToolkitConfig:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             if section in PARAM_SECTIONS:
                 param_values[key] = _float(section, key, raw)
-            elif section == "outer":
-                cfg.outer = replace(cfg.outer, **{key: _float(section, key, raw)})
-            elif section == "pid":
-                cfg.pid = replace(cfg.pid, **{key: _float(section, key, raw)})
+            elif section in ("outer", "pid"):
+                setattr(cfg, section, replace(getattr(cfg, section),
+                                              **{key: _float(section, key, raw)}))
             elif section == "weights":
                 cfg.weights = _apply_weight(cfg.weights, key, raw)
             elif section == "observer":
@@ -109,14 +109,11 @@ def load_toolkit_config(path) -> ToolkitConfig:
     if param_values:
         cfg.params = cfg.params.replace(**param_values)
     cfg.params.validate()
-    try:
-        cfg.outer.validate()
-    except ValueError as exc:
-        raise ConfigError(f"[outer] {exc}") from exc
-    try:
-        cfg.pid.validate()
-    except ValueError as exc:
-        raise ConfigError(f"[pid] {exc}") from exc
+    for section in ("outer", "pid"):
+        try:
+            getattr(cfg, section).validate()
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
     # the bisection needs a positive tolerance; a negative back-off would
     # place the design below the feasibility boundary
     if cfg.gamma_tol <= 0.0:
@@ -129,15 +126,9 @@ def load_toolkit_config(path) -> ToolkitConfig:
 def _apply_weight(weights: OutputWeights, key: str, raw: str) -> OutputWeights:
     c11, c22, d11 = weights.c11.copy(), weights.c22.copy(), weights.d11.copy()
     if key == "c11_diag":
-        vals = _floats(raw)
-        if vals.size != 4:
-            raise ConfigError("c11_diag needs 4 values")
-        c11 = np.diag(vals)
+        c11 = np.diag(_floats(raw, 4, key))
     elif key == "d11_diag":
-        vals = _floats(raw)
-        if vals.size != 3:
-            raise ConfigError("d11_diag needs 3 values")
-        d11 = np.diag(vals)
+        d11 = np.diag(_floats(raw, 3, key))
     elif key == "c22_r":
         c22[0, 2] = _float("weights", key, raw)
     elif key == "c22_psi":
@@ -207,24 +198,13 @@ def _apply_scenario_key(cfg: ScenarioConfig, key: str, raw: str):
             cfg.seed = int(raw)
         except ValueError as exc:
             raise ConfigError(f"seed must be an integer, got '{raw}'") from exc
-    elif key == "initial_offset":
-        vals = _floats(raw)
-        if vals.size != 3:
-            raise ConfigError("initial_offset needs 3 values")
-        cfg.initial_offset = vals
-    elif key == "att_ref":
-        vals = _floats(raw)
-        if vals.size != 3:
-            raise ConfigError("att_ref needs 3 values")
-        cfg.att_ref = vals
+    elif key in ("initial_offset", "att_ref"):
+        setattr(cfg, key, _floats(raw, 3, key))
 
 
 def _apply_wind_key(cfg: ScenarioConfig, key: str, raw: str):
     if key == "mean":
-        vals = _floats(raw)
-        if vals.size != 3:
-            raise ConfigError("wind mean needs 3 values")
-        cfg.wind = replace(cfg.wind, mean=vals)
+        cfg.wind = replace(cfg.wind, mean=_floats(raw, 3, "wind mean"))
     elif key in ("sigma", "tau_c"):
         cfg.wind = replace(cfg.wind, **{key: _float("wind", key, raw)})
     elif key == "gusts":
@@ -237,19 +217,14 @@ def _apply_wind_key(cfg: ScenarioConfig, key: str, raw: str):
             if len(parts) != 3:
                 raise ConfigError(
                     f"gust '{chunk}' must look like start:end:du,dv,dw")
-            delta = _floats(parts[2])
-            if delta.size != 3:
-                raise ConfigError(f"gust delta needs 3 values in '{chunk}'")
+            delta = _floats(parts[2], 3, f"gust delta in '{chunk}'")
             gusts.append(Gust(_float("wind", "gust start", parts[0]),
                               _float("wind", "gust end", parts[1]), delta))
         cfg.wind = replace(cfg.wind, gusts=tuple(gusts))
 
 
 def _parse_segment(raw: str) -> ReferenceSegment:
-    vals = _floats(raw)
-    if vals.size != 8:
-        raise ConfigError(
-            "reference segment needs 8 values: t, pn, pe, pd, vn, ve, vd, psi")
+    vals = _floats(raw, 8, "reference segment (t, pn, pe, pd, vn, ve, vd, psi)")
     return ReferenceSegment(t_start=float(vals[0]), p0=vals[1:4].copy(),
                             v=vals[4:7].copy(), psi=float(vals[7]))
 
@@ -257,34 +232,26 @@ def _parse_segment(raw: str) -> ReferenceSegment:
 def write_default_config(path):
     """Write the full default configuration in the on-disk format."""
     cfg = ToolkitConfig()
-    lines = []
-    for section, keys in PARAM_SECTIONS.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {getattr(cfg.params, key)!r}")
-        lines.append("")
-    lines.append("[outer]")
-    for key in _OUTER_KEYS:
-        lines.append(f"{key} = {getattr(cfg.outer, key)!r}")
-    lines.append("")
-    lines.append("[pid]")
-    for key in _PID_KEYS:
-        lines.append(f"{key} = {getattr(cfg.pid, key)!r}")
-    lines.append("")
-    lines.append("[weights]")
-    lines.append("c11_diag = " + ", ".join(repr(float(v))
-                                           for v in np.diag(cfg.weights.c11)))
-    lines.append(f"c22_r = {float(cfg.weights.c22[0, 2])!r}")
-    lines.append(f"c22_psi = {float(cfg.weights.c22[1, 4])!r}")
-    lines.append("d11_diag = " + ", ".join(repr(float(v))
-                                           for v in np.diag(cfg.weights.d11)))
-    lines.append("")
-    lines.append("[observer]")
-    lines.append("poles = " + ", ".join(repr(float(p)) for p in cfg.observer_poles))
-    lines.append("")
-    lines.append("[hinf]")
-    lines.append(f"gamma_tol = {cfg.gamma_tol!r}")
-    lines.append(f"gamma_margin = {cfg.gamma_margin!r}")
-    lines.append("")
+
+    def assignments(record, keys) -> list:
+        return [f"{key} = {getattr(record, key)!r}" for key in keys]
+
+    def numbers(values) -> str:
+        return ", ".join(repr(float(v)) for v in values)
+
+    sections = {
+        **{section: assignments(cfg.params, keys)
+           for section, keys in PARAM_SECTIONS.items()},
+        "outer": assignments(cfg.outer, _OUTER_KEYS),
+        "pid": assignments(cfg.pid, _PID_KEYS),
+        "weights": [f"c11_diag = {numbers(np.diag(cfg.weights.c11))}",
+                    f"c22_r = {float(cfg.weights.c22[0, 2])!r}",
+                    f"c22_psi = {float(cfg.weights.c22[1, 4])!r}",
+                    f"d11_diag = {numbers(np.diag(cfg.weights.d11))}"],
+        "observer": [f"poles = {numbers(cfg.observer_poles)}"],
+        "hinf": assignments(cfg, _HINF_KEYS),
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        fh.write("\n".join(
+            f"[{section}]\n" + "".join(f"{line}\n" for line in body)
+            for section, body in sections.items()))

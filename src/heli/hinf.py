@@ -9,6 +9,9 @@ bisection and the shipped controller backs off by a small margin; the search
 record keeps one gamma and verdict per solve but no P.
 The closed-loop norm check is exact (imaginary-axis eigenvalues of a second
 Hamiltonian), and so are the plant's invariant zeros (its unobservable part).
+The feedforward gain makes the design model's tracked outputs
+(`heli.state.TRACKED_ROWS`) follow the attitude reference about their trim
+values, which `SynthesisResult.gain_rows` takes from the trim point.
 
 The Schur decomposition is LAPACK's `dgees` from scipy's f2py module
 `scipy/linalg/_flapack`, loaded straight from its file: `import
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SynthesisError, UnstableSystemError
-from .state import clamp_servos
+from .state import TRACKED_ROWS, clamp_servos
 
 
 def _load_flapack():
@@ -53,9 +56,6 @@ def _load_flapack():
 
 
 dgees = _load_flapack().dgees
-
-# rows of the design state holding the tracked outputs (phi, theta, psi)
-TRACKED_ROWS = (0, 1, 8)
 
 _NORM_TOL = 1e-10        # hinf_norm: relative accuracy of the peak
 _AXIS_TOL = 1e-8         # |Re l| / max |l| under which l is on the j-axis
@@ -114,8 +114,9 @@ _VERDICTS = ("", "imaginary_axis", "singular_subspace", "verification_failed")
 
 @dataclass(frozen=True)
 class GainRows:
-    """F, G and h_out_trim of a `SynthesisResult` as tuples of Python
-    floats, F and G row by row: what `control_law` reads each step."""
+    """F and G of a `SynthesisResult`, row by row, and the trim's tracked
+    outputs, as tuples of Python floats: what `control_law` reads each
+    step."""
 
     f: tuple
     g: tuple
@@ -128,12 +129,13 @@ class SynthesisResult:
     g: np.ndarray            # 3x3 reference feedforward gain
     gamma: float
     riccati: RiccatiSolution
-    h_out_trim: np.ndarray   # (phi, theta, psi) at trim
 
-    def gain_rows(self) -> GainRows:
+    def gain_rows(self, h_out_trim) -> GainRows:
+        """The gains about a trim point whose tracked outputs are
+        `h_out_trim` (`TrimPoint.h_out_trim`)."""
         return GainRows(f=tuple(map(tuple, self.f.tolist())),
                         g=tuple(map(tuple, self.g.tolist())),
-                        h_out_trim=tuple(self.h_out_trim.tolist()))
+                        h_out_trim=tuple(map(float, h_out_trim)))
 
 
 @dataclass(frozen=True)
@@ -418,8 +420,7 @@ def gamma_star(a, b, c, d, e, tol: float = 1e-4, margin: float = 0.05,
 
 
 def compute_gains(riccati: RiccatiSolution, a, b, c, d,
-                  tracked_rows=TRACKED_ROWS,
-                  h_out_trim=None) -> SynthesisResult:
+                  tracked_rows=TRACKED_ROWS) -> SynthesisResult:
     """Feedback and feedforward gains from a verified Riccati solution.
 
     The feedforward gain inverts the closed-loop DC path of the tracked
@@ -431,17 +432,12 @@ def compute_gains(riccati: RiccatiSolution, a, b, c, d,
     cl_eigs = np.linalg.eigvals(a_cl)
     if np.any(cl_eigs.real >= 0.0):
         raise SynthesisError("closed loop A + B F is not Hurwitz")
-    c_sel = np.zeros((len(tracked_rows), a.shape[0]))
-    for i, row in enumerate(tracked_rows):
-        c_sel[i, row] = 1.0
+    c_sel = np.eye(a.shape[0])[list(tracked_rows)]
     dc = c_sel @ np.linalg.solve(a_cl, b)
     if abs(np.linalg.det(dc)) < 1e-12:
         raise SynthesisError("tracked-output DC gain is singular")
     g = -np.linalg.inv(dc)
-    if h_out_trim is None:
-        h_out_trim = np.zeros(len(tracked_rows))
-    return SynthesisResult(f=f, g=g, gamma=riccati.gamma, riccati=riccati,
-                           h_out_trim=np.asarray(h_out_trim, dtype=float))
+    return SynthesisResult(f=f, g=g, gamma=riccati.gamma, riccati=riccati)
 
 
 def control_law(gains: GainRows, x, r, u_trim,
@@ -449,10 +445,10 @@ def control_law(gains: GainRows, x, r, u_trim,
     """Servo inputs for a deviation state and attitude reference.
 
     Computes u = (F x + G (r - h_out_trim)) + u_trim from `gains`
-    (`SynthesisResult.gain_rows()`), written out over the 3x9 and 3x3
-    gains with each matrix-vector product summed left to right over Python
-    floats, and clamps each cyclic and pedal channel, reporting which
-    channels saturated.  Returns the flat input list (dlat, dlon, dped,
+    (`SynthesisResult.gain_rows(trim.h_out_trim)`), written out over the
+    3x9 and 3x3 gains with each matrix-vector product summed left to right
+    over Python floats, and clamps each cyclic and pedal channel, reporting
+    which channels saturated.  Returns the flat input list (dlat, dlon, dped,
     dcol) with the collective `delta_col` passed through untouched, and the
     flag bits.
     """
@@ -578,7 +574,5 @@ def synthesize(plant, weights: OutputWeights | None = None,
         raise SynthesisError("output map D is column rank deficient")
     search, solution = gamma_star(plant.a, plant.b, out_map.c, out_map.d,
                                   plant.e, tol=tol, margin=margin)
-    result = compute_gains(solution, plant.a, plant.b,
-                           out_map.c, out_map.d,
-                           h_out_trim=plant.trim.h_out_trim)
+    result = compute_gains(solution, plant.a, plant.b, out_map.c, out_map.d)
     return result, search, report

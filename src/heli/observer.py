@@ -1,11 +1,12 @@
 """Reduced-order estimator for the flap angles and the tail servo command.
 
 Six of the nine model states are measured directly (phi, theta, p, q, r,
-psi); the remaining three (a_s, b_s, dped) are reconstructed from those
-measurements and the servo inputs.  The estimator runs on deviation
-variables about the trim point.  Its gain places the error poles by least
-squares on the measured coupling, and it steps by the exact zero-order-hold
-map of its linear dynamics, computed once per step length.
+psi: `heli.state.MEASURED_IDX`); the remaining three (a_s, b_s, dped:
+`UNMEASURED_IDX`) are reconstructed from those measurements and the servo
+inputs.  The estimator runs on deviation variables about the trim point.
+Its gain places the error poles by least squares on the measured coupling,
+and it steps by the exact zero-order-hold map of its linear dynamics,
+computed once per step length.
 """
 from __future__ import annotations
 
@@ -16,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnobservablePairError
-
-MEASURED_IDX = (0, 1, 2, 3, 6, 8)    # phi, theta, p, q, r, psi
-UNMEASURED_IDX = (4, 5, 7)           # a_s, b_s, dped
+from .state import MEASURED_IDX, UNMEASURED_IDX
 
 DEFAULT_POLES = (-50.0, -50.0, -60.0)
 
@@ -216,8 +215,12 @@ def observer_step(disc: DiscreteObserver, state: ObserverState, y, u
 
 
 def assemble_state_estimate(y_dev, z_est) -> list:
-    """Interleave measured deviations and estimates into the 9-state order
-    (`MEASURED_IDX` and `UNMEASURED_IDX`)."""
+    """Interleave measured deviations and estimates into the model order.
+
+    Written out, as it runs every step: the six measurements `y_dev` go to
+    the slots `heli.state.MEASURED_IDX` and the three estimates `z_est` to
+    `UNMEASURED_IDX`, in `MODEL_STATE_LABELS` order.
+    """
     phi, theta, p, q, r, psi = y_dev
     a_s, b_s, dped = z_est
     return [phi, theta, p, q, a_s, b_s, r, dped, psi]

@@ -6,6 +6,7 @@ exact numbers, only on their signs and rough magnitudes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -52,14 +53,19 @@ class HelicopterParams:
     h_tr: float = 0.12        # tail rotor hub height above CG (m)
 
     def validate(self) -> "HelicopterParams":
+        # NaN fails every test below; a NaN or inf anywhere would only fail
+        # later, inside trim
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"parameter {f.name} must be finite")
         positive = ("m", "jx", "jy", "jz", "tau_mr", "omega_mr", "i_beta")
         for name in positive:
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"parameter {name} must be > 0")
         nonneg = ("g", "k_beta", "gamma_mr", "thrust_trim", "k_col", "flap_limit",
                   "dx", "dy", "dz", "lp", "mq", "nr", "k_ped")
         for name in nonneg:
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"parameter {name} must be >= 0")
         return self
 

@@ -64,13 +64,17 @@ from .outer import (
 )
 from .params import HelicopterParams
 from .state import (
+    INPUT_LABELS,
     MEASURED_STATES,
+    MODEL_STATE_LABELS,
+    REFERENCE_LABELS,
     SAT_DCOL,
     SAT_FLAP,
     SAT_GYRO,
     SAT_TILT,
     STATE_LABELS,
     N_STATES,
+    UNMEASURED_IDX,
     clamp_servos,
 )
 from .trim import TrimPoint
@@ -80,9 +84,10 @@ SETTLE_WINDOW = 2.0  # seconds excluded after each reference or wind event
 CSV_BLOCK_ROWS = 1024  # rows per block in ScenarioLog.to_csv and _step_rows
 CSV_COPY_BYTES = 1 << 20  # largest chunk to_csv copies from its child at once
 
-LOG_COLUMNS = ("t," + ",".join(STATE_LABELS)
-               + ",dlat,dlon,dped,dcol,wind_u,wind_v,wind_w"
-               + ",phi_ref,theta_ref,psi_ref,est_a_s,est_b_s,est_dped,sat_flags")
+LOG_COLUMNS = ",".join((
+    "t", *STATE_LABELS, *INPUT_LABELS, "wind_u", "wind_v", "wind_w",
+    *REFERENCE_LABELS,
+    *("est_" + MODEL_STATE_LABELS[i] for i in UNMEASURED_IDX), "sat_flags"))
 CSV_HEADER = (LOG_COLUMNS + "\n").encode("utf-8")
 # the array fields of ScenarioLog, in the order a forked run sends them
 LOG_ARRAYS = ("t", "states", "inputs", "wind", "att_ref", "estimates",
@@ -277,8 +282,8 @@ class ScenarioConfig:
     att_ref: np.ndarray | None = None  # fixed attitude reference when outer is off
 
     def validate(self) -> "ScenarioConfig":
-        if self.duration <= 0.0:
-            raise ConfigError("duration must be > 0")
+        if not 0.0 < self.duration < math.inf:
+            raise ConfigError("duration must be finite and > 0")
         if not 0.0 < self.dt <= 0.02:
             raise ConfigError("dt must lie in (0, 0.02]")
         if self.controller not in ("hinf", "pid", "open_loop"):
@@ -544,7 +549,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
     pid = PidAttitudeController(artifacts.pid_gains, trim)
     if controller == "hinf":
-        gain_rows = artifacts.synthesis.gain_rows()
+        gain_rows = artifacts.synthesis.gain_rows(trim.h_out_trim)
     obs_state = None
     if artifacts.observer is not None:
         obs_step = artifacts.observer.discretize(dt)

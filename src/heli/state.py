@@ -11,6 +11,11 @@ servo commands and wind the body-axis 3-vector.  `FullState` and
 `ControlInputs` are named views over those layouts: tuples whose fields name
 the elements in order, so a view is itself a flat sequence.  The field names
 of `FullState` are the state labels, and the state columns of scenario logs.
+
+The nine-state design model that trim, the observer and the H-infinity
+loop share is laid out here too, once: its labels, the flat row of each
+model state, and its measured, unmeasured and tracked subsets, from which
+the subsets' flat rows and labels follow.
 """
 from __future__ import annotations
 
@@ -66,10 +71,25 @@ class ControlInputs(NamedTuple):
 STATE_LABELS = FullState._fields
 N_STATES = len(STATE_LABELS)
 
-# flat-state rows of the six measured outputs (phi, theta, p, q, r, psi)
-MEASURED_STATES = [6, 7, 9, 10, 11, 8]
-
 INPUT_LABELS = ("dlat", "dlon", "dped", "dcol")
+
+# *_IDX and TRACKED_ROWS index MODEL_STATE_LABELS; the *_STATES are flat
+# rows, as lists so that they index arrays
+MODEL_STATE_LABELS = ("phi", "theta", "p", "q", "a_s", "b_s", "r", "dped", "psi")
+MODEL_INPUT_LABELS = INPUT_LABELS[:3]   # the collective is the outer loop's
+WIND_LABELS = ("u_wind", "v_wind", "w_wind")
+MEASURED_IDX = (0, 1, 2, 3, 6, 8)       # phi, theta, p, q, r, psi
+UNMEASURED_IDX = tuple(i for i in range(len(MODEL_STATE_LABELS))
+                       if i not in MEASURED_IDX)   # a_s, b_s, dped
+TRACKED_ROWS = (0, 1, 8)                # phi, theta, psi
+# dped has no flat row: the gyro integrator xi (row 14) stands in its slot
+# until linearization changes coordinates to the tail servo command
+MODEL_STATES = [STATE_LABELS.index("xi" if name == "dped" else name)
+                for name in MODEL_STATE_LABELS]
+MEASURED_STATES = [MODEL_STATES[i] for i in MEASURED_IDX]
+TRACKED_STATES = [MODEL_STATES[i] for i in TRACKED_ROWS]
+# the attitude reference, one label per tracked output
+REFERENCE_LABELS = tuple(MODEL_STATE_LABELS[i] + "_ref" for i in TRACKED_ROWS)
 
 # Saturation flag bits used in scenario logs.
 SAT_DLAT = 1

@@ -1,12 +1,14 @@
 """Hover trim and linearization of the attitude dynamics.
 
-The linear design model has nine states in the fixed order
+The linear design model is laid out in `heli.state`: nine states in the
+order `MODEL_STATE_LABELS`,
 
     [phi, theta, p, q, a_s, b_s, r, dped, psi]
 
 where `dped` is the tail servo command produced by the yaw-rate PI loop.
-The nonlinear plant stores the loop's integrator instead, so the model is
-obtained by an affine change of coordinates after numerical differentiation.
+The nonlinear plant stores the loop's integrator xi instead, and
+`MODEL_STATES` maps the dped slot to xi's flat row, so the model is obtained
+by an affine change of coordinates after numerical differentiation.
 Each Jacobian, per Newton iteration or of the design model, is one call of
 the plant derivative on lanes that hold all its central-difference points.
 """
@@ -24,17 +26,17 @@ from .dynamics import (
 )
 from .errors import TrimConvergenceError
 from .params import HelicopterParams
-from .state import MEASURED_STATES, ControlInputs, FullState, N_STATES
+from .state import (
+    MEASURED_STATES,
+    MODEL_STATE_LABELS,
+    MODEL_STATES,
+    N_STATES,
+    TRACKED_STATES,
+    ControlInputs,
+    FullState,
+)
 
 _NONPOS = tuple(range(3, N_STATES))   # flat-state indices past position
-
-# the nine model states, as indices into the flat vector
-MODEL_STATE_LABELS = ("phi", "theta", "p", "q", "a_s", "b_s", "r", "dped", "psi")
-MODEL_INPUT_LABELS = ("dlat", "dlon", "dped")
-WIND_LABELS = ("u_wind", "v_wind", "w_wind")
-_MODEL_IDX = (6, 7, 9, 10, 12, 13, 11, 14, 8)  # xi sits in the dped slot
-_GYRO_SLOT = 7   # position of dped / xi in the model ordering
-_R_SLOT = 6
 
 # trim unknowns: delta_col, delta_lat, delta_lon, xi, phi, theta, a_s, b_s
 _UNKNOWN_LABELS = ("dcol", "dlat", "dlon", "xi", "phi", "theta", "a_s", "b_s")
@@ -46,8 +48,8 @@ class TrimPoint:
 
     state: FullState
     inputs: ControlInputs
-    y_trim: np.ndarray        # (phi, theta, p, q, r, psi) at trim
-    h_out_trim: np.ndarray    # (phi, theta, psi) at trim
+    y_trim: np.ndarray        # measured states at trim (MEASURED_STATES)
+    h_out_trim: np.ndarray    # tracked outputs at trim (TRACKED_STATES)
     residual: float
     dped_prime: float         # steady tail command
 
@@ -59,8 +61,7 @@ class TrimPoint:
         residual = _hover_residual(x, u, plant_constants(params))
         return TrimPoint(
             state=FullState.from_vector(x), inputs=ControlInputs.from_vector(u),
-            y_trim=x[MEASURED_STATES],
-            h_out_trim=np.array([x[6], x[7], x[8]]),
+            y_trim=x[MEASURED_STATES], h_out_trim=x[TRACKED_STATES],
             residual=np.linalg.norm(residual), dped_prime=dped_prime)
 
 
@@ -161,13 +162,13 @@ def _model_lanes(z: np.ndarray, trim: TrimPoint, consts: tuple) -> np.ndarray:
     Velocities and position are frozen at their trim values, which truncates
     the slow translational modes out of the attitude model.
     """
-    n = len(_MODEL_IDX)
+    n = len(MODEL_STATES)
     x = np.repeat(trim.state.as_vector()[:, None], z.shape[1], axis=1)
-    x[list(_MODEL_IDX)] = z[:n]
+    x[MODEL_STATES] = z[:n]
     u = np.repeat(trim.inputs.as_vector()[:, None], z.shape[1], axis=1)
     u[0:3] = z[n:n + 3]
     xdot = _state_derivative_flat(x, u, z[n + 3:], consts, *LANE_OPS)
-    return np.array(xdot)[list(_MODEL_IDX)]
+    return np.array(xdot)[MODEL_STATES]
 
 
 def _gyro_coordinate_change(params: HelicopterParams
@@ -178,13 +179,14 @@ def _gyro_coordinate_change(params: HelicopterParams
     zero-order-held pedal command this is z = M w + N u with the input
     derivative term dropped.
     """
-    n = len(_MODEL_IDX)
+    n = len(MODEL_STATES)
+    gyro, r = MODEL_STATE_LABELS.index("dped"), MODEL_STATE_LABELS.index("r")
     m_t = np.eye(n)
-    m_t[_GYRO_SLOT, _R_SLOT] = -params.kp_g
+    m_t[gyro, r] = -params.kp_g
     m_inv = np.eye(n)
-    m_inv[_GYRO_SLOT, _R_SLOT] = params.kp_g
+    m_inv[gyro, r] = params.kp_g
     n_t = np.zeros((n, 3))
-    n_t[_GYRO_SLOT, 2] = params.kp_g * params.ka_g
+    n_t[gyro, 2] = params.kp_g * params.ka_g
     return m_t, m_inv, n_t
 
 
@@ -198,8 +200,8 @@ def linearize(params: HelicopterParams, trim: TrimPoint,
     matches the design model.
     """
     consts = plant_constants(params)
-    n = len(_MODEL_IDX)
-    z0 = np.concatenate([trim.state.as_vector()[list(_MODEL_IDX)],
+    n = len(MODEL_STATES)
+    z0 = np.concatenate([trim.state.as_vector()[MODEL_STATES],
                          trim.inputs.as_vector()[0:3], np.zeros(3)])
     jac = _fd_jacobian(lambda z: _model_lanes(z, trim, consts), z0, step)
     a_w, b_w, e_w = jac[:, :n], jac[:, n:n + 3], jac[:, n + 3:]
@@ -224,11 +226,11 @@ def verify_linearization(params: HelicopterParams, plant: LinearPlant,
         raise ValueError("perturbation_scale must lie in (0, 1e-2]")
     rng = np.random.default_rng(seed)
     trim = plant.trim
-    n = len(_MODEL_IDX)
+    n = len(MODEL_STATES)
     m_t, m_inv, n_t = _gyro_coordinate_change(params)
     consts = plant_constants(params)
 
-    w0 = trim.state.as_vector()[list(_MODEL_IDX)]
+    w0 = trim.state.as_vector()[MODEL_STATES]
     u0 = trim.inputs.as_vector()[0:3]
     samples = []
     for _ in range(n_samples):

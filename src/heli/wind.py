@@ -23,7 +23,7 @@ class Gust:
     delta: np.ndarray  # body-axis wind step (m/s)
 
     def validate(self) -> "Gust":
-        if self.end <= self.start:
+        if not self.end > self.start:
             raise ConfigError(f"gust interval [{self.start}, {self.end}] is empty")
         return self
 
@@ -36,9 +36,9 @@ class WindModel:
     tau_c: float = 2.0       # turbulence correlation time (s)
 
     def validate(self) -> "WindModel":
-        if self.sigma < 0.0:
-            raise ConfigError("turbulence intensity must be >= 0")
-        if self.tau_c <= 0.0:
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigError("turbulence intensity must be finite and >= 0")
+        if not self.tau_c > 0.0:
             raise ConfigError("turbulence correlation time must be > 0")
         for g in self.gusts:
             g.validate()

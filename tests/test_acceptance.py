@@ -23,9 +23,8 @@ from heli import (
     verify_linearization,
 )
 from heli.hinf import feedback_gain
-from heli.observer import MEASURED_IDX, UNMEASURED_IDX
 from heli.sim import reference_at, settled_mask, _rotation_rows
-from heli.trim import MODEL_STATE_LABELS
+from heli.state import MEASURED_IDX, MODEL_STATE_LABELS, UNMEASURED_IDX
 
 IDX = {name: k for k, name in enumerate(MODEL_STATE_LABELS)}
 SQRT2 = math.sqrt(2.0)

@@ -1,10 +1,12 @@
 import configparser
+import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heli import ConfigError, HelicopterParams
+from heli import ConfigError, Gust, HelicopterParams, ScenarioConfig, WindModel
 from heli.config import (
     _SCENARIO_KEYS,
     _WIND_KEYS,
@@ -24,6 +26,10 @@ class TestToolkitConfig:
         assert cfg.outer == ToolkitConfig().outer
         assert cfg.pid == ToolkitConfig().pid
         assert np.array_equal(cfg.weights.d11, np.diag([12.0, 11.0, 31.0]))
+        # the bytes written before each section became a loop over its
+        # record's fields; configs/default.cfg holds the same bytes
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "47e1b869611182b3d4cd01f8ddd729fbf9e35bc79b7b1e362a8fb8007e45d2ca")
 
     def test_shipped_default_config_matches_code(self):
         # keeps configs/default.cfg in sync with the dataclass defaults
@@ -256,3 +262,27 @@ def test_one_line_scenario_loads_or_raises_config_error(one_line_file, key,
         load_scenario_file(one_line_file)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: HelicopterParams().replace(m=math.nan),
+                 "parameter m", id="params-m-nan"),
+    pytest.param(lambda: ScenarioConfig(duration=math.nan,
+                                        use_outer=False).validate(),
+                 "duration", id="duration-nan"),
+    pytest.param(lambda: ScenarioConfig(duration=math.inf,
+                                        use_outer=False).validate(),
+                 "duration", id="duration-inf"),
+    pytest.param(lambda: WindModel(sigma=math.nan).validate(),
+                 "turbulence intensity", id="wind-sigma-nan"),
+    pytest.param(lambda: WindModel(tau_c=math.nan).validate(),
+                 "correlation time", id="wind-tau-nan"),
+    pytest.param(lambda: Gust(math.nan, 1.0, np.zeros(3)).validate(),
+                 "gust interval", id="gust-start-nan"),
+])
+def test_validators_reject_non_finite(build, message):
+    # each of these used to pass validation and fail later: trim with a
+    # LinAlgError, the run with a ValueError or OverflowError, or the wind
+    # silently still
+    with pytest.raises(ConfigError, match=message):
+        build()

@@ -376,8 +376,8 @@ class TestControlLaw:
     def test_equilibrium_returns_trim(self, synthesis, trim):
         result, _, _ = synthesis
         u_trim = trim.inputs.as_vector()[0:3]
-        u, flags = control_law(result.gain_rows(), np.zeros(9),
-                               result.h_out_trim, u_trim,
+        u, flags = control_law(result.gain_rows(trim.h_out_trim), np.zeros(9),
+                               trim.h_out_trim, u_trim,
                                delta_col=trim.inputs.delta_col)
         assert np.allclose(u[0:3], u_trim, atol=1e-14)
         assert u[3] == trim.inputs.delta_col
@@ -397,8 +397,8 @@ class TestControlLaw:
         result, _, _ = synthesis
         u_trim = trim.inputs.as_vector()[0:3]
         big = 50.0 * np.ones(9)
-        u, flags = control_law(result.gain_rows(), big, result.h_out_trim,
-                               u_trim)
+        u, flags = control_law(result.gain_rows(trim.h_out_trim), big,
+                               trim.h_out_trim, u_trim)
         assert set(np.abs(u[0:3])) == {1.0}
         assert flags == 1 | 2 | 4
 

@@ -11,11 +11,10 @@ from heli import (
 )
 from heli.observer import (
     DEFAULT_POLES,
-    MEASURED_IDX,
-    UNMEASURED_IDX,
     assemble_state_estimate,
     partition_plant,
 )
+from heli.state import MEASURED_IDX, UNMEASURED_IDX
 
 from rk4_reference import rk4_reference
 

@@ -14,7 +14,7 @@ from heli import (
 )
 import heli.trim
 from heli.dynamics import plant_constants
-from heli.trim import MODEL_STATE_LABELS
+from heli.state import MODEL_STATE_LABELS
 
 IDX = {name: k for k, name in enumerate(MODEL_STATE_LABELS)}
 
