@@ -14,12 +14,14 @@ The feedforward gain makes the design model's tracked outputs
 values, which `SynthesisResult.gain_rows` takes from the trim point.
 
 The Schur decomposition is LAPACK's `dgees` from scipy's f2py module
-`scipy/linalg/_flapack`, loaded straight from its file: `import
-scipy.linalg` would run the package's `__init__`, whose array-API layer
-pulls in `numpy.testing`, `numpy.ma`, `numpy.f2py` and more, ~0.3 s and
-~26 MB for every command, while the file alone takes ~5 ms and ~3 MB.  It
-is the same extension and routine `scipy.linalg.lapack.dgees` exposes, so
-the bits are the same.
+`scipy/linalg/_flapack`, loaded straight from its file by
+`linalg_extension`, which also serves the observer's matrix
+exponential (`scipy/linalg/_matfuncs_expm`).  heli reaches scipy through
+these two extension files only and never imports `scipy.linalg`: its
+package `__init__`, whose array-API layer pulls in `numpy.testing`,
+`numpy.ma`, `numpy.f2py` and more, would cost ~0.3 s and ~26 MB, while
+`_flapack` alone takes ~5 ms and ~3 MB.  It is the same extension and
+routine `scipy.linalg.lapack.dgees` exposes, so the bits are the same.
 """
 from __future__ import annotations
 
@@ -36,26 +38,27 @@ from .errors import SynthesisError, UnstableSystemError
 from .state import TRACKED_ROWS, clamp_servos
 
 
-def _load_flapack():
-    """scipy's f2py LAPACK module, without running `scipy.linalg`'s init."""
+def linalg_extension(name: str):
+    """The extension module `scipy/linalg/<name>`, loaded from its file
+    without running `scipy.linalg`'s package init."""
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
         raise ImportError("heli needs scipy >= 1.10")
     linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0],
                               "linalg")
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
+    spec = importlib.machinery.PathFinder.find_spec(f"scipy.linalg.{name}",
                                                     [linalg_dir])
     if spec is None:
         from importlib.metadata import version
         raise ImportError(f"scipy {version('scipy')} has no "
-                          "scipy/linalg/_flapack extension; heli needs "
+                          f"scipy/linalg/{name} extension; heli needs "
                           "scipy >= 1.10")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-dgees = _load_flapack().dgees
+dgees = linalg_extension("_flapack").dgees
 
 _NORM_TOL = 1e-10        # hinf_norm: relative accuracy of the peak
 _AXIS_TOL = 1e-8         # |Re l| / max |l| under which l is on the j-axis
@@ -170,6 +173,9 @@ def build_output_map(weights: OutputWeights) -> ControlledOutputMap:
     d11 = np.asarray(weights.d11, dtype=float)
     if c11.shape != (4, 4) or c22.shape != (2, 5) or d11.shape != (3, 3):
         raise ValueError("weight blocks must have shapes 4x4, 2x5, 3x3")
+    for name, block in (("c11", c11), ("c22", c22), ("d11", d11)):
+        if not np.all(np.isfinite(block)):
+            raise SynthesisError(f"weight block {name} has non-finite entries")
     if abs(np.linalg.det(d11)) < 1e-12:
         raise SynthesisError("input weight block is singular")
     c = np.zeros((9, 9))

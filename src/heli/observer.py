@@ -10,6 +10,7 @@ computed once per step length.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,9 +18,81 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnobservablePairError
+from .hinf import linalg_extension
 from .state import MEASURED_IDX, UNMEASURED_IDX
 
 DEFAULT_POLES = (-50.0, -50.0, -60.0)
+
+
+@functools.cache
+def _pade():
+    """scipy's `expm` kernels (`pick_pade_structure`, `pade_UV_calc`),
+    loaded at the first step map: `import heli` and the design path never
+    pay for the file."""
+    return linalg_extension("_matfuncs_expm")
+
+
+def _exp_sinch(x):
+    """exp of the divided differences of `x`: scipy's `_exp_sinch`."""
+    lexp_diff = np.diff(np.exp(x))
+    l_diff = np.diff(x)
+    mask_z = l_diff == 0.
+    lexp_diff[~mask_z] /= l_diff[~mask_z]
+    lexp_diff[mask_z] = np.exp(x[:-1][mask_z])
+    return lexp_diff
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a real square float64 matrix `a` with n >= 2, bit for bit
+    what scipy 1.17.1's `scipy.linalg.expm` returns.
+
+    This is the 2-D path of scipy's driver (`scipy/linalg/_matfuncs.py`)
+    over the same extension kernels: a scaled Pade approximant, then
+    squaring, with Al-Mohy and Higham's exact diagonal and first off-
+    diagonal for a triangular `a` and `exp` of the diagonal for a diagonal
+    one.  The branch follows scipy's `bandwidth`: a single nonzero entry
+    below (above) the diagonal makes `a` not upper (lower) triangular.
+    """
+    lower = bool(np.any(np.tril(a, -1)))
+    upper = bool(np.any(np.triu(a, 1)))
+    if not (lower or upper):
+        return np.diag(np.exp(np.diag(a)))
+    pade = _pade()
+    am = np.empty((5,) + a.shape)
+    am[0] = a
+    m, s = pade.pick_pade_structure(am)
+    if m < 0:
+        raise MemoryError("expm could not allocate memory for the Pade "
+                          f"structure (error code {m})")
+    info = pade.pade_UV_calc(am, m)
+    if info != 0:
+        if info <= -11:
+            raise MemoryError("expm could not allocate memory for the "
+                              f"exponential (error code {info})")
+        raise RuntimeError("expm got an internal LAPACK error "
+                           f"(error code {info})")
+    e = am[0]
+    if s != 0 and lower and upper:
+        for _ in range(s):
+            e = e @ e
+    elif s != 0:
+        # Code Fragment 2.1 of Al-Mohy and Higham (2009)
+        diag_a = np.diag(a)
+        np.einsum('ii->i', e)[:] = np.exp(diag_a * 2**(-s))
+        sd = np.diag(a, k=1 if upper else -1)
+        for i in range(s - 1, -1, -1):
+            e = e @ e
+            np.einsum('ii->i', e)[:] = np.exp(diag_a * 2.**(-i))
+            exp_sd = _exp_sinch(diag_a * (2.**(-i))) * (sd * 2**(-i))
+            if upper:
+                np.einsum('ii->i', e[:-1, 1:])[:] = exp_sd
+            else:
+                np.einsum('ii->i', e[1:, :-1])[:] = exp_sd
+    if not lower:
+        return np.triu(e)
+    if not upper:
+        return np.tril(e)
+    return e
 
 
 @dataclass(frozen=True)
@@ -48,22 +121,19 @@ class ObserverDesign:
 
         With Gamma = int_0^dt exp(A_obs s) ds, one step is
         x' = exp(A_obs dt) x + Gamma (B_obs y + H_obs u); both matrices are
-        blocks of exp([[A_obs, I], [0, 0]] dt).  The exponential is scipy's
-        `expm`, and `scipy.linalg` is imported at the first call: `import
-        heli` and the design path never load it.  A `dt` that is not a
-        finite positive number raises ValueError.
+        blocks of exp([[A_obs, I], [0, 0]] dt).  The exponential is `expm`,
+        scipy's driver over the kernels of its extension file
+        `scipy/linalg/_matfuncs_expm`, which the first call loads: the bits
+        are `scipy.linalg.expm`'s, and `scipy.linalg` itself is never
+        imported.  A `dt` that is not a finite positive number raises
+        ValueError.
         """
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError(f"dt must be finite and positive, got {dt!r}")
-        # imported here, not at the top: the package init costs every command
-        # ~0.3 s and ~26 MB, and only a scenario run needs the exponential.
-        # It stays scipy's because its bits feed every hinf log.
-        import scipy.linalg
-
         m = np.zeros((6, 6))
         m[:3, :3] = self.a_obs
         m[:3, 3:] = np.eye(3)
-        e = scipy.linalg.expm(m * dt)
+        e = expm(m * dt)
         gamma = e[:3, 3:]
         phi, gamma_b, gamma_h, k_obs = (
             tuple(map(tuple, mat.tolist()))

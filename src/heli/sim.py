@@ -288,6 +288,10 @@ class ScenarioConfig:
             raise ConfigError("dt must lie in (0, 0.02]")
         if self.controller not in ("hinf", "pid", "open_loop"):
             raise ConfigError(f"unknown controller '{self.controller}'")
+        if not np.all(np.isfinite(self.initial_offset)):
+            raise ConfigError("initial_offset must be finite")
+        if self.att_ref is not None and not np.all(np.isfinite(self.att_ref)):
+            raise ConfigError("att_ref must be finite")
         if self.use_outer:
             if not self.references:
                 raise ConfigError("outer loop requires reference segments")
@@ -295,6 +299,10 @@ class ScenarioConfig:
             if sorted(starts) != starts or len(set(starts)) != len(starts):
                 raise ConfigError("reference segments must be time-ordered "
                                   "and non-overlapping")
+            for seg in self.references:
+                if not all(np.all(np.isfinite(v)) for v in
+                           (seg.t_start, seg.p0, seg.v, seg.psi)):
+                    raise ConfigError("reference segments must be finite")
         self.wind.validate()
         return self
 

@@ -25,6 +25,8 @@ class Gust:
     def validate(self) -> "Gust":
         if not self.end > self.start:
             raise ConfigError(f"gust interval [{self.start}, {self.end}] is empty")
+        if not np.all(np.isfinite(self.delta)):
+            raise ConfigError("gust delta must be finite")
         return self
 
 
@@ -36,6 +38,8 @@ class WindModel:
     tau_c: float = 2.0       # turbulence correlation time (s)
 
     def validate(self) -> "WindModel":
+        if not np.all(np.isfinite(self.mean)):
+            raise ConfigError("wind mean must be finite")
         if not 0.0 <= self.sigma < np.inf:
             raise ConfigError("turbulence intensity must be finite and >= 0")
         if not self.tau_c > 0.0:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heli import ConfigError, Gust, HelicopterParams, ScenarioConfig, WindModel
+from heli import (ConfigError, Gust, HelicopterParams, ReferenceSegment,
+                  ScenarioConfig, WindModel)
 from heli.config import (
     _SCENARIO_KEYS,
     _WIND_KEYS,
@@ -279,6 +280,23 @@ def test_one_line_scenario_loads_or_raises_config_error(one_line_file, key,
                  "correlation time", id="wind-tau-nan"),
     pytest.param(lambda: Gust(math.nan, 1.0, np.zeros(3)).validate(),
                  "gust interval", id="gust-start-nan"),
+    # these five used to fail in the run as SimulationAbort: non-finite state
+    pytest.param(lambda: ScenarioConfig(
+        use_outer=False,
+        initial_offset=np.array([0.0, math.nan, 0.0])).validate(),
+        "initial_offset", id="initial-offset-nan"),
+    pytest.param(lambda: ScenarioConfig(
+        use_outer=False, att_ref=np.array([0.0, 0.0, math.inf])).validate(),
+        "att_ref", id="att-ref-inf"),
+    pytest.param(lambda: WindModel(
+        mean=np.array([math.nan, 0.0, 0.0])).validate(),
+        "wind mean", id="wind-mean-nan"),
+    pytest.param(lambda: WindModel(gusts=(
+        Gust(1.0, 2.0, np.array([0.0, -math.inf, 0.0])),)).validate(),
+        "gust delta", id="gust-delta-inf"),
+    pytest.param(lambda: ScenarioConfig(references=(ReferenceSegment(
+        0.0, np.array([0.0, 0.0, math.nan]), np.zeros(3)),)).validate(),
+        "reference segments must be finite", id="reference-p0-nan"),
 ])
 def test_validators_reject_non_finite(build, message):
     # each of these used to pass validation and fail later: trim with a

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -59,6 +60,15 @@ class TestBuildOutputMap:
                           d11=np.diag([1.0, 0.0, 1.0]))
         with pytest.raises(SynthesisError):
             build_output_map(w)
+
+    @pytest.mark.parametrize("block", ["c11", "c22", "d11"])
+    def test_non_finite_weight_block_rejected(self, block):
+        # a NaN used to pass and fail later in check_feasibility's SVD
+        w = OutputWeights.default()
+        bad = np.array(getattr(w, block))
+        bad[1, 1] = math.nan
+        with pytest.raises(SynthesisError, match=f"weight block {block}"):
+            build_output_map(dataclasses.replace(w, **{block: bad}))
 
 
 def _failing_dgees(info):

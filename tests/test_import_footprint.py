@@ -35,7 +35,8 @@ def test_import_loads_no_public_scipy_subpackage():
 
 
 def test_design_path_does_not_load_scipy_linalg():
-    # what `heli synthesize` runs; only a scenario run needs scipy's expm
+    # what `heli synthesize` runs; only a scenario run needs the exponential,
+    # so its extension file stays unloaded too
     out = _after_fresh_import(
         "from heli.config import ToolkitConfig\n"
         "cfg = ToolkitConfig()\n"
@@ -47,8 +48,30 @@ def test_design_path_does_not_load_scipy_linalg():
         "out_map = heli.build_output_map(cfg.weights)\n"
         "norm = heli.hinf_norm(plant.a + plant.b @ result.f, plant.e,\n"
         "                      out_map.c + out_map.d @ result.f)\n"
-        "print(norm > 0.0, 'scipy.linalg' in sys.modules)\n")
-    assert out.split() == ["True", "False"]
+        "print(norm > 0.0, 'scipy.linalg' in sys.modules,\n"
+        "      'scipy.linalg._matfuncs_expm' in sys.modules)\n")
+    assert out.split() == ["True", "False", "False"]
+
+
+def test_scenario_run_does_not_load_scipy_linalg():
+    # the observer's exponential comes from scipy/linalg/_matfuncs_expm
+    # alone; the package init added ~18 MB to a paper-hover-climb run's
+    # peak RSS.  The file registers itself in sys.modules, so the first
+    # check shows the run did load it.
+    out = _after_fresh_import(
+        "from dataclasses import replace\n"
+        "params = heli.HelicopterParams()\n"
+        "plant = heli.linearize(params, heli.find_trim(params))\n"
+        "result, _, _ = heli.synthesize(plant)\n"
+        "artifacts = heli.SimArtifacts(\n"
+        "    trim=plant.trim, synthesis=result,\n"
+        "    observer=heli.design_reduced_observer(plant))\n"
+        "scenario = replace(heli.builtin_scenario('hover-hold'), duration=1.0,\n"
+        "                   controller='hinf')\n"
+        "log, _ = heli.run_scenario(scenario, params, artifacts)\n"
+        "print(len(log.t), 'scipy.linalg._matfuncs_expm' in sys.modules,\n"
+        "      'scipy.linalg' in sys.modules)\n")
+    assert out.split() == ["501", "True", "False"]
 
 
 def test_import_does_not_load_multiprocessing():

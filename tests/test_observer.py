@@ -1,14 +1,23 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import place_poles
 
 from heli import (
+    ObserverDesign,
     UnobservablePairError,
+    builtin_names,
+    builtin_scenario,
     design_reduced_observer,
+    find_trim,
+    linearize,
     observer_init,
     observer_step,
 )
+from heli import observer
 from heli.observer import (
     DEFAULT_POLES,
     assemble_state_estimate,
@@ -17,6 +26,7 @@ from heli.observer import (
 from heli.state import MEASURED_IDX, UNMEASURED_IDX
 
 from rk4_reference import rk4_reference
+from test_gamma_search import _perturbed_params
 
 
 def _toy_plant():
@@ -152,6 +162,100 @@ class TestStep:
                               None, None, dt / 1000)
         got = np.array(out.x_obs)
         assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+# scipy's own path to the step map and to exp, in an interpreter that never
+# imports heli: the blocks of expm([[A_obs, I], [0, 0]] dt) per design and
+# step, then expm of every matrix under each remaining key
+_SCIPY_EXPM = """
+import sys
+import numpy as np
+from scipy.linalg import expm
+data = dict(np.load(sys.argv[1]))
+maps = []
+for a_obs, b_obs, h_obs, dt in zip(data.pop("a_obs"), data.pop("b_obs"),
+                                   data.pop("h_obs"), data.pop("dt")):
+    m = np.zeros((6, 6))
+    m[:3, :3] = a_obs
+    m[:3, 3:] = np.eye(3)
+    e = expm(m * dt)
+    maps.append(np.concatenate([e[:3, :3].ravel(), (e[:3, 3:] @ b_obs).ravel(),
+                                (e[:3, 3:] @ h_obs).ravel()]))
+np.savez(sys.argv[2], maps=np.array(maps),
+         **{key: np.array([expm(a) for a in mats]) for key, mats in data.items()})
+"""
+
+
+class TestExpmOracle:
+    """`ObserverDesign.discretize` and its `expm` driver, over the kernels
+    of scipy's extension file, against `scipy.linalg.expm` reached through
+    the package in another interpreter: the same bits."""
+
+    @staticmethod
+    def _against_scipy(tmp_path, designs=(), dts=(), **mats):
+        """Assert that `discretize` gives scipy's step map bit for bit for
+        every design and dt; return scipy's expm of each stack in `mats`."""
+        pairs = [(des, dt) for des in designs for dt in dts]
+        path_in, path_out = tmp_path / "in.npz", tmp_path / "out.npz"
+        np.savez(path_in,
+                 a_obs=np.array([des.a_obs for des, _ in pairs]).reshape(-1, 3, 3),
+                 b_obs=np.array([des.b_obs for des, _ in pairs]).reshape(-1, 3, 6),
+                 h_obs=np.array([des.h_obs for des, _ in pairs]).reshape(-1, 3, 3),
+                 dt=np.array([dt for _, dt in pairs], dtype=float), **mats)
+        subprocess.run([sys.executable, "-c", _SCIPY_EXPM, str(path_in),
+                        str(path_out)], check=True)
+        theirs = dict(np.load(path_out))
+        mine = [np.concatenate([np.ravel(mat) for mat in
+                                (disc.phi, disc.gamma_b, disc.gamma_h)])
+                for disc in (des.discretize(dt) for des, dt in pairs)]
+        assert np.array(mine).tobytes() == theirs["maps"].tobytes()
+        return theirs
+
+    def test_default_design_bit_identical(self, observer_design, tmp_path):
+        self._against_scipy(tmp_path, [observer_design],
+                            [0.001, 0.002, 0.005, 0.01, 0.02, 0.05])
+
+    def test_design_sweep_plants_bit_identical(self, tmp_path):
+        designs = [design_reduced_observer(linearize(params, find_trim(params)))
+                   for seed in (2026, 7) for params in _perturbed_params(seed)]
+        dts = sorted({builtin_scenario(name).dt for name in builtin_names()}
+                     | {0.02})
+        self._against_scipy(tmp_path, designs, dts)
+
+    def test_random_matrices_bit_identical(self, tmp_path):
+        # scales from 0.01 to 100 reach every Pade order and up to ~10
+        # squarings; the triangular and diagonal parts of the 4x4 ones take
+        # scipy's other two branches
+        rng = np.random.default_rng(2026)
+        scales = 10.0 ** np.arange(-2.0, 3.0)
+        mats = {f"n{n}": rng.standard_normal((5, n, n)) * scales[:, None, None]
+                for n in (4, 9, 12)}
+        mats["n4_parts"] = np.concatenate(
+            [np.triu(mats["n4"]), np.tril(mats["n4"]),
+             mats["n4"] * np.eye(4)])
+        theirs = self._against_scipy(tmp_path, **mats)
+        for key, stack in mats.items():
+            mine = np.array([observer.expm(a) for a in stack])
+            assert mine.tobytes() == theirs[key].tobytes(), key
+
+    @pytest.mark.parametrize("dt, squarings", [(0.002, 0), (0.2, 2)])
+    def test_upper_triangular_a_obs_bit_identical(self, tmp_path, monkeypatch,
+                                                  dt, squarings):
+        # on the default design only A_obs[2, 1] ~ -8e-17 of round-off keeps
+        # A_obs from being upper triangular; scipy then squares with the
+        # exact diagonal and superdiagonal and zeroes the lower part
+        rng = np.random.default_rng(5)
+        design = ObserverDesign(
+            a_obs=np.array([[-50.0, 4.0, 1.0], [0.0, -60.0, 2.0],
+                            [0.0, 0.0, -55.0]]),
+            b_obs=rng.standard_normal((3, 6)),
+            h_obs=rng.standard_normal((3, 3)), k_obs=np.zeros((3, 6)))
+        calls = []
+        exp_sinch = observer._exp_sinch
+        monkeypatch.setattr(observer, "_exp_sinch",
+                            lambda x: calls.append(x) or exp_sinch(x))
+        self._against_scipy(tmp_path, [design], [dt])
+        assert len(calls) == squarings
 
 
 class TestErrorDynamics:

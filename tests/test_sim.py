@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import heli.sim
 from heli import (
     ConfigError,
+    Gust,
     HelicopterParams,
     OuterGains,
     PidGains,
@@ -469,8 +470,11 @@ class TestRunScenario:
     def test_nonfinite_state_aborts_with_step(self, params, artifacts):
         cfg = builtin_scenario("hover-hold", seed=2)
         cfg.duration = 5.0
-        cfg.wind = WindModel(mean=np.array([np.nan, 0.0, 0.0]))
-        with pytest.raises(SimulationAbort) as info:
+        # validation rejects a NaN wind, but two finite gusts can overflow
+        # to an infinite vertical wind: step 0 turns the state non-finite
+        gust = Gust(0.0, 5.0, np.array([0.0, 0.0, 1e308]))
+        cfg.wind = WindModel(gusts=(gust, gust))
+        with pytest.raises(SimulationAbort) as info, np.errstate(over="ignore"):
             run_scenario(cfg, params, artifacts)
         assert info.value.step == 1
         assert "step 1" in str(info.value)
