@@ -41,13 +41,12 @@ from .hinf import (
 )
 from .observer import (
     ObserverDesign,
-    ObserverState,
     assemble_state_estimate,
     design_reduced_observer,
     observer_init,
     observer_step,
 )
-from .outer import OuterGains, PositionReference, altitude_control, horizontal_control
+from .outer import OuterGains, altitude_control, horizontal_control
 from .params import HelicopterParams
 from .scenarios import builtin_names, builtin_scenario
 from .sim import (

@@ -151,23 +151,23 @@ def _plant(cfg: ToolkitConfig, plant_dir=None) -> LinearPlant:
 def _artifacts(cfg: ToolkitConfig, plant: LinearPlant):
     """Inner-loop synthesis and observer design on `plant`, as SimArtifacts.
 
-    Also returns the gamma search and the feasibility report of the synthesis.
+    Also returns the gamma search and the plant's invariant zeros.
     """
-    result, search, report = synthesize(plant, cfg.weights,
+    result, search, zeros = synthesize(plant, cfg.weights,
                                         tol=cfg.gamma_tol,
                                         margin=cfg.gamma_margin)
     observer = design_reduced_observer(plant, cfg.observer_poles)
     artifacts = SimArtifacts(trim=plant.trim, synthesis=result,
                              observer=observer, pid_gains=cfg.pid,
                              outer_gains=cfg.outer)
-    return artifacts, search, report
+    return artifacts, search, zeros
 
 
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     plant = _plant(cfg, getattr(args, "plant", None))
-    artifacts, search, report = _artifacts(cfg, plant)
+    artifacts, search, zeros = _artifacts(cfg, plant)
     result, observer = artifacts.synthesis, artifacts.observer
 
     measured = [MODEL_STATE_LABELS[i] for i in MEASURED_IDX]
@@ -197,8 +197,8 @@ def cmd_synthesize(args) -> int:
     ]
     for lam in sorted(eigs, key=lambda z: z.real):
         lines.append(f"  {lam.real: .4f} {lam.imag:+.4f}j")
-    lines.append("invariant zeros: " + ("none" if report.ok else
-                                        str(report.invariant_zeros)))
+    lines.append("invariant zeros: " + ("none" if zeros.size == 0 else
+                                        str(zeros)))
     (out / "synthesis_report.txt").write_text("\n".join(lines) + "\n",
                                               encoding="utf-8")
     print(f"gamma = {result.gamma:.6g} (boundary {search.gamma_star:.6g}), "

@@ -116,29 +116,20 @@ _VERDICTS = ("", "imaginary_axis", "singular_subspace", "verification_failed")
 
 
 @dataclass(frozen=True)
-class GainRows:
-    """F and G of a `SynthesisResult`, row by row, and the trim's tracked
-    outputs, as tuples of Python floats: what `control_law` reads each
-    step."""
-
-    f: tuple
-    g: tuple
-    h_out_trim: tuple
-
-
-@dataclass(frozen=True)
 class SynthesisResult:
     f: np.ndarray            # 3x9 state feedback gain
     g: np.ndarray            # 3x3 reference feedforward gain
     gamma: float
     riccati: RiccatiSolution
 
-    def gain_rows(self, h_out_trim) -> GainRows:
+    def gain_rows(self, h_out_trim) -> tuple[tuple, tuple, tuple]:
         """The gains about a trim point whose tracked outputs are
-        `h_out_trim` (`TrimPoint.h_out_trim`)."""
-        return GainRows(f=tuple(map(tuple, self.f.tolist())),
-                        g=tuple(map(tuple, self.g.tolist())),
-                        h_out_trim=tuple(map(float, h_out_trim)))
+        `h_out_trim` (`TrimPoint.h_out_trim`): F and G row by row, and
+        those outputs, as tuples of Python floats, which is what
+        `control_law` reads each step."""
+        return (tuple(map(tuple, self.f.tolist())),
+                tuple(map(tuple, self.g.tolist())),
+                tuple(map(float, h_out_trim)))
 
 
 @dataclass(frozen=True)
@@ -156,14 +147,6 @@ class GammaSearchResult:
         tuples, for callers that keep many searches."""
         return [(g, v == 0, _VERDICTS[v])
                 for g, v in zip(self.gammas, self.verdicts)]
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    d_rank: int
-    d_full_column_rank: bool
-    invariant_zeros: np.ndarray
-    ok: bool
 
 
 def build_output_map(weights: OutputWeights) -> ControlledOutputMap:
@@ -446,23 +429,24 @@ def compute_gains(riccati: RiccatiSolution, a, b, c, d,
     return SynthesisResult(f=f, g=g, gamma=riccati.gamma, riccati=riccati)
 
 
-def control_law(gains: GainRows, x, r, u_trim,
+def control_law(gains, x, r, u_trim,
                 delta_col: float = 0.0) -> tuple[list, int]:
     """Servo inputs for a deviation state and attitude reference.
 
-    Computes u = (F x + G (r - h_out_trim)) + u_trim from `gains`
-    (`SynthesisResult.gain_rows(trim.h_out_trim)`), written out over the
+    Computes u = (F x + G (r - h_out_trim)) + u_trim from `gains`, the
+    (F rows, G rows, h_out_trim) of
+    `SynthesisResult.gain_rows(trim.h_out_trim)`, written out over the
     3x9 and 3x3 gains with each matrix-vector product summed left to right
     over Python floats, and clamps each cyclic and pedal channel, reporting
     which channels saturated.  Returns the flat input list (dlat, dlon, dped,
     dcol) with the collective `delta_col` passed through untouched, and the
     flag bits.
     """
+    f_rows, g_rows, (h0, h1, h2) = gains
     (f00, f01, f02, f03, f04, f05, f06, f07, f08), \
         (f10, f11, f12, f13, f14, f15, f16, f17, f18), \
-        (f20, f21, f22, f23, f24, f25, f26, f27, f28) = gains.f
-    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gains.g
-    h0, h1, h2 = gains.h_out_trim
+        (f20, f21, f22, f23, f24, f25, f26, f27, f28) = f_rows
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g_rows
     ut0, ut1, ut2 = u_trim
     e0, e1, e2 = r[0] - h0, r[1] - h1, r[2] - h2
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
@@ -536,19 +520,18 @@ def _span(m: np.ndarray, tol: float) -> np.ndarray:
     return u[:, sv > tol]
 
 
-def check_feasibility(a, b, c, d) -> FeasibilityReport:
-    """Rank and invariant-zero diagnostics for the synthesis plant.
+def check_feasibility(a, b, c, d) -> np.ndarray:
+    """Invariant zeros of the synthesis plant; none is an empty array.
 
-    With D injective, u = -(D'D)^-1 D'C x on any output-nulling motion, so
-    the output-nulling subspace is the unobservable subspace of the resolved
+    A D without full column rank raises SynthesisError.  With D injective,
+    u = -(D'D)^-1 D'C x on any output-nulling motion, so the
+    output-nulling subspace is the unobservable subspace of the resolved
     pair (A_res, C_res): the orthogonal complement of the span grown from
     the rows of C_res by A_res'.  The zeros are A_res restricted to it.
     """
     a, b, c, d = (np.asarray(m, dtype=float) for m in (a, b, c, d))
-    d_rank = int(np.linalg.matrix_rank(d, tol=_RANK_TOL))
-    if d_rank < b.shape[1]:
-        return FeasibilityReport(d_rank=d_rank, d_full_column_rank=False,
-                                 invariant_zeros=np.array([]), ok=False)
+    if np.linalg.matrix_rank(d, tol=_RANK_TOL) < b.shape[1]:
+        raise SynthesisError("output map D is column rank deficient")
 
     resolve = np.linalg.solve(d.T @ d, d.T @ c)
     a_res, c_res = a - b @ resolve, c - d @ resolve
@@ -563,22 +546,22 @@ def check_feasibility(a, b, c, d) -> FeasibilityReport:
             break
         observable = grown
     v = np.linalg.svd(observable)[0][:, observable.shape[1]:]
-    zeros = np.linalg.eigvals(v.T @ a_res @ v)
-    return FeasibilityReport(d_rank=d_rank, d_full_column_rank=True,
-                             invariant_zeros=zeros, ok=zeros.size == 0)
+    return np.linalg.eigvals(v.T @ a_res @ v)
 
 
 def synthesize(plant, weights: OutputWeights | None = None,
                tol: float = 1e-4, margin: float = 0.05
-               ) -> tuple[SynthesisResult, GammaSearchResult, FeasibilityReport]:
-    """Full inner-loop synthesis pipeline for a linearized plant."""
+               ) -> tuple[SynthesisResult, GammaSearchResult, np.ndarray]:
+    """Full inner-loop synthesis pipeline for a linearized plant.
+
+    Returns the gains, the gamma search and the plant's invariant zeros
+    (`check_feasibility`).
+    """
     if weights is None:
         weights = OutputWeights.default()
     out_map = build_output_map(weights)
-    report = check_feasibility(plant.a, plant.b, out_map.c, out_map.d)
-    if not report.d_full_column_rank:
-        raise SynthesisError("output map D is column rank deficient")
+    zeros = check_feasibility(plant.a, plant.b, out_map.c, out_map.d)
     search, solution = gamma_star(plant.a, plant.b, out_map.c, out_map.d,
                                   plant.e, tol=tol, margin=margin)
     result = compute_gains(solution, plant.a, plant.b, out_map.c, out_map.d)
-    return result, search, report
+    return result, search, zeros

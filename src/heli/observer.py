@@ -96,32 +96,21 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DiscreteObserver:
-    """Zero-order-hold map of the estimator over one step of fixed length.
-
-    Each matrix is a tuple of its rows, each row a tuple of Python floats:
-    `observer_step` reads them once per step.
-    """
-
-    phi: tuple       # 3x3 state transition exp(A_obs dt)
-    gamma_b: tuple   # 3x6 held-measurement drive
-    gamma_h: tuple   # 3x3 held-input drive
-    k_obs: tuple     # 3x6 direct measurement injection
-
-
-@dataclass(frozen=True)
 class ObserverDesign:
     a_obs: np.ndarray    # 3x3 estimator dynamics, Hurwitz
     b_obs: np.ndarray    # 3x6 measurement drive
     h_obs: np.ndarray    # 3x3 input drive
     k_obs: np.ndarray    # 3x6 direct measurement injection
 
-    def discretize(self, dt: float) -> DiscreteObserver:
+    def discretize(self, dt: float) -> tuple[tuple, tuple, tuple, tuple]:
         """Exact step map for measurements and inputs held over `dt`.
 
         With Gamma = int_0^dt exp(A_obs s) ds, one step is
         x' = exp(A_obs dt) x + Gamma (B_obs y + H_obs u); both matrices are
-        blocks of exp([[A_obs, I], [0, 0]] dt).  The exponential is `expm`,
+        blocks of exp([[A_obs, I], [0, 0]] dt).  Returns (Phi, Gamma B_obs,
+        Gamma H_obs, K_obs), 3x3, 3x6, 3x3 and 3x6, each a tuple of its
+        rows and each row a tuple of Python floats: what `observer_step`
+        reads once per step.  The exponential is `expm`,
         scipy's driver over the kernels of its extension file
         `scipy/linalg/_matfuncs_expm`, which the first call loads: the bits
         are `scipy.linalg.expm`'s, and `scipy.linalg` itself is never
@@ -135,20 +124,9 @@ class ObserverDesign:
         m[:3, 3:] = np.eye(3)
         e = expm(m * dt)
         gamma = e[:3, 3:]
-        phi, gamma_b, gamma_h, k_obs = (
-            tuple(map(tuple, mat.tolist()))
-            for mat in (e[:3, :3], gamma @ self.b_obs, gamma @ self.h_obs,
-                        self.k_obs))
-        return DiscreteObserver(phi=phi, gamma_b=gamma_b, gamma_h=gamma_h,
-                                k_obs=k_obs)
-
-
-@dataclass(slots=True)
-class ObserverState:
-    """Estimator state as lists of Python floats; a new one per step."""
-
-    x_obs: list      # internal 3-vector
-    estimate: list   # deviation estimate of (a_s, b_s, dped)
+        return tuple(tuple(map(tuple, mat.tolist()))
+                     for mat in (e[:3, :3], gamma @ self.b_obs,
+                                 gamma @ self.h_obs, self.k_obs))
 
 
 def partition_plant(a: np.ndarray, b: np.ndarray):
@@ -237,32 +215,35 @@ def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
 
 
 def observer_init(design: ObserverDesign, y: np.ndarray,
-                  estimate: np.ndarray | None = None) -> ObserverState:
-    """Internal state that makes the initial estimate equal `estimate`."""
+                  estimate: np.ndarray | None = None) -> tuple[list, list]:
+    """Internal state x_obs that makes the initial estimate equal
+    `estimate` (zero if None), and that estimate: (x_obs, estimate) as
+    lists of Python floats."""
     y = np.asarray(y, dtype=float)
     if estimate is None:
         estimate = np.zeros(3)
     estimate = np.asarray(estimate, dtype=float)
     x_obs = estimate - design.k_obs @ y
-    return ObserverState(x_obs=x_obs.tolist(), estimate=estimate.tolist())
+    return x_obs.tolist(), estimate.tolist()
 
 
-def observer_step(disc: DiscreteObserver, state: ObserverState, y, u
-                  ) -> ObserverState:
-    """One exact zero-order-hold step of the estimator (`design.discretize`)
-    with the six measurements `y` and three inputs `u` held over the step.
+def observer_step(disc, x_obs, y, u) -> tuple[list, list]:
+    """One exact zero-order-hold step of the estimator from internal state
+    `x_obs`, with the six measurements `y` and three inputs `u` held over
+    the step; `disc` is the step map `design.discretize(dt)`.
 
     x' = (Phi x + Gamma_b y) + Gamma_h u and estimate = x' + K y, written
     out over the 3x3 and 3x6 matrices with each matrix-vector product summed
-    left to right over Python floats.
+    left to right over Python floats.  Returns (x', estimate), the deviation
+    estimate of (a_s, b_s, dped), as lists.
     """
-    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = disc.phi
-    (b00, b01, b02, b03, b04, b05), (b10, b11, b12, b13, b14, b15), \
-        (b20, b21, b22, b23, b24, b25) = disc.gamma_b
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = disc.gamma_h
-    (k00, k01, k02, k03, k04, k05), (k10, k11, k12, k13, k14, k15), \
-        (k20, k21, k22, k23, k24, k25) = disc.k_obs
-    x0, x1, x2 = state.x_obs
+    ((p00, p01, p02), (p10, p11, p12), (p20, p21, p22)), \
+        ((b00, b01, b02, b03, b04, b05), (b10, b11, b12, b13, b14, b15),
+         (b20, b21, b22, b23, b24, b25)), \
+        ((h00, h01, h02), (h10, h11, h12), (h20, h21, h22)), \
+        ((k00, k01, k02, k03, k04, k05), (k10, k11, k12, k13, k14, k15),
+         (k20, k21, k22, k23, k24, k25)) = disc
+    x0, x1, x2 = x_obs
     y0, y1, y2, y3, y4, y5 = y
     u0, u1, u2 = u
     n0 = (p00 * x0 + p01 * x1 + p02 * x2
@@ -274,7 +255,7 @@ def observer_step(disc: DiscreteObserver, state: ObserverState, y, u
     n2 = (p20 * x0 + p21 * x1 + p22 * x2
           + (b20 * y0 + b21 * y1 + b22 * y2 + b23 * y3 + b24 * y4 + b25 * y5)
           + (h20 * u0 + h21 * u1 + h22 * u2))
-    return ObserverState(
+    return (
         [n0, n1, n2],
         [n0 + (k00 * y0 + k01 * y1 + k02 * y2 + k03 * y3 + k04 * y4
                + k05 * y5),

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import body_to_ned_rows
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
@@ -36,13 +34,6 @@ class OuterGains:
         if not 0.0 < self.col_limit <= 1.0:
             raise ValueError("col_limit must lie in (0, 1]")
         return self
-
-
-@dataclass(frozen=True)
-class PositionReference:
-    p_ref: np.ndarray        # NED position reference (m)
-    v_ref: np.ndarray        # NED velocity reference (m/s)
-    psi_ref: float = 0.0
 
 
 def ned_velocity(x) -> list:

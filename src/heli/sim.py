@@ -57,7 +57,6 @@ from .observer import (
 )
 from .outer import (
     OuterGains,
-    PositionReference,
     altitude_control,
     horizontal_control,
     ned_velocity,
@@ -78,7 +77,7 @@ from .state import (
     clamp_servos,
 )
 from .trim import TrimPoint
-from .wind import WindModel
+from .wind import WindModel, _check_shape3
 
 SETTLE_WINDOW = 2.0  # seconds excluded after each reference or wind event
 CSV_BLOCK_ROWS = 1024  # rows per block in ScenarioLog.to_csv and _step_rows
@@ -218,7 +217,8 @@ class ReferenceSegment:
     psi: float = 0.0
 
 
-def reference_at(segments, t: float) -> PositionReference:
+def reference_at(segments, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """p_ref, v_ref and psi_ref at time `t`: one row of `reference_table`."""
     active = segments[0]
     for seg in segments:
         if seg.t_start <= t:
@@ -227,8 +227,7 @@ def reference_at(segments, t: float) -> PositionReference:
             break
     dt = t - active.t_start
     p = active.p0 + active.v * dt
-    return PositionReference(p_ref=p, v_ref=active.v.copy(),
-                             psi_ref=active.psi)
+    return p, active.v.copy(), active.psi
 
 
 def reference_table(segments, t: np.ndarray
@@ -288,10 +287,13 @@ class ScenarioConfig:
             raise ConfigError("dt must lie in (0, 0.02]")
         if self.controller not in ("hinf", "pid", "open_loop"):
             raise ConfigError(f"unknown controller '{self.controller}'")
+        _check_shape3(self.initial_offset, "initial_offset")
         if not np.all(np.isfinite(self.initial_offset)):
             raise ConfigError("initial_offset must be finite")
-        if self.att_ref is not None and not np.all(np.isfinite(self.att_ref)):
-            raise ConfigError("att_ref must be finite")
+        if self.att_ref is not None:
+            _check_shape3(self.att_ref, "att_ref")
+            if not np.all(np.isfinite(self.att_ref)):
+                raise ConfigError("att_ref must be finite")
         if self.use_outer:
             if not self.references:
                 raise ConfigError("outer loop requires reference segments")
@@ -300,6 +302,8 @@ class ScenarioConfig:
                 raise ConfigError("reference segments must be time-ordered "
                                   "and non-overlapping")
             for seg in self.references:
+                _check_shape3(seg.p0, "reference segment p0")
+                _check_shape3(seg.v, "reference segment v")
                 if not all(np.all(np.isfinite(v)) for v in
                            (seg.t_start, seg.p0, seg.v, seg.psi)):
                     raise ConfigError("reference segments must be finite")
@@ -515,8 +519,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     observer on the same held measurements.  After the loop, the yaw-gyro
     clamp flag is set from the logged columns, and the metrics are taken
     with the reference tables the loop read.  A toolkit error raised by any
-    stage stops the run as a SimulationAbort that names the stage, the step
-    and the simulated time.
+    stage, or a ValueError or OverflowError raised by the plant RK4, stops
+    the run as a SimulationAbort that names the stage, the step and the
+    simulated time.
     """
     config.validate()
     for name in ("outer_gains", "pid_gains"):
@@ -558,10 +563,10 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     pid = PidAttitudeController(artifacts.pid_gains, trim)
     if controller == "hinf":
         gain_rows = artifacts.synthesis.gain_rows(trim.h_out_trim)
-    obs_state = None
-    if artifacts.observer is not None:
+    observing = artifacts.observer is not None
+    if observing:
         obs_step = artifacts.observer.discretize(dt)
-        obs_state = observer_init(artifacts.observer, np.zeros(6))
+        x_obs, z_est = observer_init(artifacts.observer, np.zeros(6))
     z_trim = np.array([trim.state.a_s, trim.state.b_s, trim.dped_prime])
 
     states = np.empty((n_steps + 1, N_STATES))
@@ -611,7 +616,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             # inner loop
             stage = "inner loop"
             if controller == "hinf":
-                x_hat = assemble_state_estimate(y_dev, obs_state.estimate)
+                x_hat = assemble_state_estimate(y_dev, z_est)
                 u, sat = control_law(gain_rows, x_hat, att_ref, u_trim3,
                                      delta_col=delta_col)
                 step_flags |= sat
@@ -624,8 +629,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             states[k] = x
             inputs[k] = u
             att_refs[k] = att_ref
-            if obs_state is not None:
-                estimates[k] = obs_state.estimate
+            if observing:
+                estimates[k] = z_est
             flags[k] = step_flags
 
             if k == n_steps:
@@ -637,17 +642,23 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                 if abs(x[idx]) > flap_limit:
                     x[idx] = math.copysign(flap_limit, x[idx])
                     carry_flags |= SAT_FLAP
-            if obs_state is not None:
+            if observing:
                 stage = "observer"
-                obs_state = observer_step(
-                    obs_step, obs_state, y_dev,
+                x_obs, z_est = observer_step(
+                    obs_step, x_obs, y_dev,
                     [u[0] - ut0, u[1] - ut1, u[2] - ut2])
     except SimulationAbort:
         raise
     except HeliError as exc:
         raise SimulationAbort(k, times[k], stage, exc) from exc
+    except (ValueError, OverflowError) as exc:
+        # the physics meets an infinite or out-of-domain value (math.sin
+        # of an overflowed angle) before the state check sees it
+        if stage != "plant RK4":
+            raise
+        raise SimulationAbort(k, times[k], stage, exc) from exc
 
-    if obs_state is not None:
+    if observing:
         estimates += z_trim
     # the tail servo clamp, from the logged states and pedal commands
     _, _, gyro_sat = yaw_gyro_law(states[:, 14], inputs[:, 2], states[:, 11],

@@ -16,6 +16,14 @@ from .errors import ConfigError
 TURBULENCE_GRID_DT = 0.01  # internal realization step (s)
 
 
+def _check_shape3(value, what: str):
+    """ConfigError unless `value` has shape (3,): a scalar or a vector of
+    another length would broadcast, or fail, inside the run."""
+    if np.shape(value) != (3,):
+        raise ConfigError(f"{what} must have shape (3,), got "
+                          f"{np.shape(value)}")
+
+
 @dataclass(frozen=True)
 class Gust:
     start: float
@@ -25,6 +33,7 @@ class Gust:
     def validate(self) -> "Gust":
         if not self.end > self.start:
             raise ConfigError(f"gust interval [{self.start}, {self.end}] is empty")
+        _check_shape3(self.delta, "gust delta")
         if not np.all(np.isfinite(self.delta)):
             raise ConfigError("gust delta must be finite")
         return self
@@ -38,6 +47,7 @@ class WindModel:
     tau_c: float = 2.0       # turbulence correlation time (s)
 
     def validate(self) -> "WindModel":
+        _check_shape3(self.mean, "wind mean")
         if not np.all(np.isfinite(self.mean)):
             raise ConfigError("wind mean must be finite")
         if not 0.0 <= self.sigma < np.inf:

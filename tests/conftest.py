@@ -51,8 +51,8 @@ def output_map():
 
 @pytest.fixture(scope="session")
 def synthesis(plant):
-    result, search, report = synthesize(plant)
-    return result, search, report
+    result, search, zeros = synthesize(plant)
+    return result, search, zeros
 
 
 @pytest.fixture(scope="session")

@@ -304,3 +304,26 @@ def test_validators_reject_non_finite(build, message):
     # silently still
     with pytest.raises(ConfigError, match=message):
         build()
+
+
+_SHAPE3_FIELDS = {
+    "initial_offset": lambda v: ScenarioConfig(use_outer=False,
+                                               initial_offset=v),
+    "att_ref": lambda v: ScenarioConfig(use_outer=False, att_ref=v),
+    "wind mean": lambda v: WindModel(mean=v),
+    "gust delta": lambda v: WindModel(gusts=(Gust(1.0, 2.0, v),)),
+    "reference segment p0": lambda v: ScenarioConfig(
+        references=(ReferenceSegment(0.0, v, np.zeros(3)),)),
+    "reference segment v": lambda v: ScenarioConfig(
+        references=(ReferenceSegment(0.0, np.zeros(3), v),)),
+}
+
+
+@pytest.mark.parametrize("field", list(_SHAPE3_FIELDS))
+@pytest.mark.parametrize("value", [5.0, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
+                         ids=["scalar", "length-2", "length-4"])
+def test_validators_reject_non_3_vectors(field, value):
+    # a scalar used to broadcast over all three axes, and other lengths to
+    # fail in the run with numpy's ValueError or a TypeError
+    with pytest.raises(ConfigError, match=f"{field} must have shape \\(3,\\)"):
+        _SHAPE3_FIELDS[field](np.asarray(value)).validate()

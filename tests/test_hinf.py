@@ -502,31 +502,30 @@ class TestHinfNorm:
 
 class TestCheckFeasibility:
     def test_default_weights_full_rank(self, output_map):
-        report = check_feasibility(np.zeros((9, 9)), np.zeros((9, 3)),
-                                   output_map.c, output_map.d)
-        assert report.d_rank == 3
-        assert report.d_full_column_rank
+        # D has full column rank, so no SynthesisError
+        zeros = check_feasibility(np.zeros((9, 9)), np.zeros((9, 3)),
+                                  output_map.c, output_map.d)
+        assert np.linalg.matrix_rank(output_map.d) == 3
+        assert isinstance(zeros, np.ndarray)
 
     def test_rank_deficiency_flagged(self):
         w = OutputWeights(c11=np.eye(4), c22=np.zeros((2, 5)), d11=np.eye(3))
         out = build_output_map(w)
         d = out.d.copy()
         d[1, 1] = 0.0
-        report = check_feasibility(np.zeros((9, 9)), np.zeros((9, 3)),
-                                   out.c, d)
-        assert report.d_rank == 2
-        assert not report.ok
+        with pytest.raises(SynthesisError,
+                           match="output map D is column rank deficient"):
+            check_feasibility(np.zeros((9, 9)), np.zeros((9, 3)), out.c, d)
+        assert np.linalg.matrix_rank(d) == 2
 
     def test_scalar_plant_has_no_zeros(self, scalar_plant):
         a, b, c, d, _ = scalar_plant
-        report = check_feasibility(a, b, c, d)
-        assert report.ok
-        assert report.invariant_zeros.size == 0
+        assert check_feasibility(a, b, c, d).size == 0
 
     def test_design_plant_has_no_zeros(self, plant, output_map):
-        report = check_feasibility(plant.a, plant.b, output_map.c,
-                                   output_map.d)
-        assert report.ok
+        zeros = check_feasibility(plant.a, plant.b, output_map.c,
+                                  output_map.d)
+        assert zeros.size == 0
 
     def test_known_zero_is_found(self):
         # x1 never reaches the outputs: holding x2 = 0, u = 0 leaves the
@@ -535,10 +534,9 @@ class TestCheckFeasibility:
         b = np.array([[1.0], [0.0]])
         c = np.array([[0.0, 1.0], [0.0, 0.0]])
         d = np.array([[0.0], [1.0]])
-        report = check_feasibility(a, b, c, d)
-        assert not report.ok
-        assert report.invariant_zeros.size == 1
-        assert report.invariant_zeros[0] == pytest.approx(-3.0, abs=1e-8)
+        zeros = check_feasibility(a, b, c, d)
+        assert zeros.size == 1
+        assert zeros[0] == pytest.approx(-3.0, abs=1e-8)
 
     def test_square_d_makes_every_state_output_nulling(self):
         # D invertible: u = -D^-1 C x nulls the output from any state, so the
@@ -547,9 +545,9 @@ class TestCheckFeasibility:
         b = np.array([[1.0], [0.3]])
         c = np.array([[0.7, -0.2]])
         d = np.array([[0.1]])
-        report = check_feasibility(a, b, c, d)
+        zeros = check_feasibility(a, b, c, d)
         expect = np.linalg.eigvals(a - b @ np.linalg.solve(d, c))
-        assert np.allclose(np.sort_complex(report.invariant_zeros),
+        assert np.allclose(np.sort_complex(zeros),
                            np.sort_complex(expect), atol=1e-10)
 
 
@@ -595,7 +593,7 @@ def hidden_block_plants(draw):
 @given(hidden_block_plants())
 def test_zeros_are_the_hidden_block(plant):
     a, b, c, d, expect = plant
-    zeros = check_feasibility(a, b, c, d).invariant_zeros
+    zeros = check_feasibility(a, b, c, d)
     assert zeros.size == expect.size
     dist = np.abs(zeros[:, None] - expect[None, :])
     rows, cols = linear_sum_assignment(dist)

@@ -73,9 +73,8 @@ def _linear_loop(model, artifacts, winds, dt, intended):
     """
     f0, a, b, e = model
     f_gain = artifacts.synthesis.f
-    disc = artifacts.observer.discretize(dt)
-    phi, gamma_b, gamma_h, k_obs = (np.array(m) for m in (
-        disc.phi, disc.gamma_b, disc.gamma_h, disc.k_obs))
+    phi, gamma_b, gamma_h, k_obs = (
+        np.array(m) for m in artifacts.observer.discretize(dt))
 
     def rate(dx, du, w):
         return f0 + a @ dx + b[:, 0:3] @ du + e @ w

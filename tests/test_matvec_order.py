@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from heli.dynamics import rotation_body_to_ned
-from heli.hinf import GainRows, control_law
-from heli.observer import DiscreteObserver, ObserverState, observer_step
+from heli.hinf import control_law
+from heli.observer import observer_step
 from heli.outer import ned_velocity
 
 REL = 1e-12
@@ -52,8 +52,7 @@ def _vector(n, bound):
 @given(_matrix(3, 9, 0.05), _matrix(3, 3, 0.05), _vector(9, 1.0),
        _vector(3, 1.0), _vector(3, 1.0), _vector(3, 0.2))
 def test_control_law_sums_left_to_right(f, g, x, r, h, u_trim):
-    gains = GainRows(f=tuple(map(tuple, f)), g=tuple(map(tuple, g)),
-                     h_out_trim=tuple(h))
+    gains = tuple(map(tuple, f)), tuple(map(tuple, g)), tuple(h)
     got, flags = control_law(gains, x, r, u_trim, delta_col=0.25)
     assert flags == 0 and got[3] == 0.25
     e = [ri - hi for ri, hi in zip(r, h)]
@@ -71,21 +70,21 @@ def test_control_law_sums_left_to_right(f, g, x, r, h, u_trim):
 @given(_matrix(3, 3, 2.0), _matrix(3, 6, 2.0), _matrix(3, 3, 2.0),
        _matrix(3, 6, 50.0), _vector(3, 1.0), _vector(6, 1.0), _vector(3, 1.0))
 def test_observer_step_sums_left_to_right(phi, gb, gh, k, x_obs, y, u):
-    disc = DiscreteObserver(*(tuple(map(tuple, m)) for m in (phi, gb, gh, k)))
-    out = observer_step(disc, ObserverState(x_obs, [0.0] * 3), y, u)
+    disc = tuple(tuple(map(tuple, m)) for m in (phi, gb, gh, k))
+    x_out, estimate_out = observer_step(disc, x_obs, y, u)
     x_new = [(_dot(p, x_obs) + _dot(b, y)) + _dot(h, u)
              for p, b, h in zip(phi, gb, gh)]
     estimate = [xn + _dot(kr, y) for xn, kr in zip(x_new, k)]
-    assert _bits(out.x_obs) == _bits(x_new)
-    assert _bits(out.estimate) == _bits(estimate)
+    assert _bits(x_out) == _bits(x_new)
+    assert _bits(estimate_out) == _bits(estimate)
 
     pa, ba, ha, ka = map(np.array, (phi, gb, gh, k))
     xa, ya, ua = map(np.array, (x_obs, y, u))
     scale = np.abs(pa) @ np.abs(xa) + np.abs(ba) @ np.abs(ya) \
         + np.abs(ha) @ np.abs(ua)
     want = pa @ xa + ba @ ya + ha @ ua
-    assert _near(out.x_obs, want, scale)
-    assert _near(out.estimate, want + ka @ ya,
+    assert _near(x_out, want, scale)
+    assert _near(estimate_out, want + ka @ ya,
                  scale + np.abs(ka) @ np.abs(ya))
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import tracemalloc
@@ -192,10 +193,10 @@ class TestReferences:
                              np.array([0.0, 0.0, -2.5])),
             ReferenceSegment(22.0, np.array([0.0, 0.0, -20.0]), np.zeros(3)),
         )
-        assert reference_at(segs, 5.0).p_ref[2] == -10.0
-        assert reference_at(segs, 20.0).p_ref[2] == pytest.approx(-15.0)
-        assert reference_at(segs, 40.0).p_ref[2] == -20.0
-        assert reference_at(segs, 19.0).v_ref[2] == -2.5
+        assert reference_at(segs, 5.0)[0][2] == -10.0
+        assert reference_at(segs, 20.0)[0][2] == pytest.approx(-15.0)
+        assert reference_at(segs, 40.0)[0][2] == -20.0
+        assert reference_at(segs, 19.0)[1][2] == -2.5
 
     def test_settled_mask_excludes_event_windows(self):
         cfg = builtin_scenario("paper-hover-climb", seed=0)
@@ -451,9 +452,9 @@ class TestRunScenario:
         seen = []
         step = heli.sim.observer_step
 
-        def spy(disc, state, y, u):
+        def spy(disc, x_obs, y, u):
             seen.append((list(y), list(u)))
-            return step(disc, state, y, u)
+            return step(disc, x_obs, y, u)
 
         monkeypatch.setattr(heli.sim, "observer_step", spy)
         cfg = builtin_scenario("gust-attitude-hold", seed=3)
@@ -478,6 +479,28 @@ class TestRunScenario:
             run_scenario(cfg, params, artifacts)
         assert info.value.step == 1
         assert "step 1" in str(info.value)
+
+    @pytest.mark.parametrize("wind, overflow", [
+        (WindModel(mean=np.array([0.0, 1.7e308, 0.0])), False),
+        (WindModel(gusts=2 * (Gust(0.0, 5.0, np.array([0.0, 1e308, 0.0])),)),
+         True),
+    ], ids=["finite-mean", "overlapping-gusts"])
+    def test_math_domain_error_in_rk4_aborts(self, params, artifacts, wind,
+                                             overflow):
+        # the first derivative overflows the lateral speed; math.sin of the
+        # next stage's infinite angle raises a bare ValueError.  Two gusts
+        # first overflow to an infinite wind in WindSequence.table
+        cfg = builtin_scenario("hover-hold", seed=2)
+        cfg.duration = 5.0
+        cfg.wind = wind
+        warns = (pytest.warns(RuntimeWarning, match="overflow") if overflow
+                 else contextlib.nullcontext())
+        with warns, pytest.raises(SimulationAbort) as info:
+            run_scenario(cfg, params, artifacts)
+        err = info.value
+        assert (err.step, err.stage) == (0, "plant RK4")
+        assert type(err.__cause__) is ValueError
+        assert str(err).startswith("plant RK4 failed at step 0")
 
     def test_overflowing_sum_of_finite_state_runs_on(self, params, artifacts):
         # pn + pe overflows to inf, so the quick sum test fails; the
@@ -950,7 +973,7 @@ def test_reference_table_equals_reference_at(run):
     segments, times = run
     p_ref, v_ref, psi_ref = reference_table(segments, times)
     for k, t in enumerate(times):
-        ref = reference_at(segments, t)
-        assert list(p_ref[k]) == list(ref.p_ref)
-        assert np.array_equal(v_ref[k], ref.v_ref)
-        assert psi_ref[k] == ref.psi_ref
+        p_at, v_at, psi_at = reference_at(segments, t)
+        assert list(p_ref[k]) == list(p_at)
+        assert np.array_equal(v_ref[k], v_at)
+        assert psi_ref[k] == psi_at
