@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .hinf import OutputWeights
-from .observer import DEFAULT_POLES
+from .observer import DEFAULT_POLES, check_poles
 from .outer import OuterGains
 from .params import HelicopterParams, PARAM_SECTIONS
 from .sim import PidGains, ReferenceSegment, ScenarioConfig
@@ -114,6 +114,10 @@ def load_toolkit_config(path) -> ToolkitConfig:
             getattr(cfg, section).validate()
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
+    try:
+        check_poles(cfg.observer_poles)
+    except ValueError as exc:
+        raise ConfigError(f"[observer] {exc}") from exc
     # the bisection needs a positive tolerance; a negative back-off would
     # place the design below the feasibility boundary
     if cfg.gamma_tol <= 0.0:
@@ -148,8 +152,6 @@ def _parse_poles(raw: str) -> tuple:
             raise ConfigError(f"bad observer pole '{tok}'") from exc
         if not np.isfinite(poles[-1]):
             raise ConfigError(f"bad observer pole '{tok}'")
-    if len(poles) != 3:
-        raise ConfigError("observer poles need exactly 3 values")
     return tuple(p.real if p.imag == 0.0 else p for p in poles)
 
 

@@ -15,13 +15,12 @@ values, which `SynthesisResult.gain_rows` takes from the trim point.
 
 The Schur decomposition is LAPACK's `dgees` from scipy's f2py module
 `scipy/linalg/_flapack`, loaded straight from its file by
-`linalg_extension`, which also serves the observer's matrix
-exponential (`scipy/linalg/_matfuncs_expm`).  heli reaches scipy through
-these two extension files only and never imports `scipy.linalg`: its
-package `__init__`, whose array-API layer pulls in `numpy.testing`,
-`numpy.ma`, `numpy.f2py` and more, would cost ~0.3 s and ~26 MB, while
-`_flapack` alone takes ~5 ms and ~3 MB.  It is the same extension and
-routine `scipy.linalg.lapack.dgees` exposes, so the bits are the same.
+`linalg_extension`.  heli reaches scipy through this one extension file
+only and never imports `scipy.linalg`: its package `__init__`, whose
+array-API layer pulls in `numpy.testing`, `numpy.ma`, `numpy.f2py` and
+more, would cost ~0.3 s and ~26 MB, while `_flapack` alone takes ~5 ms and
+~3 MB.  It is the same extension and routine `scipy.linalg.lapack.dgees`
+exposes, so the bits are the same.
 """
 from __future__ import annotations
 
@@ -38,27 +37,27 @@ from .errors import SynthesisError, UnstableSystemError
 from .state import TRACKED_ROWS, clamp_servos
 
 
-def linalg_extension(name: str):
-    """The extension module `scipy/linalg/<name>`, loaded from its file
-    without running `scipy.linalg`'s package init."""
+def linalg_extension():
+    """scipy's LAPACK extension module `scipy/linalg/_flapack`, loaded from
+    its file without running `scipy.linalg`'s package init."""
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
         raise ImportError("heli needs scipy >= 1.10")
     linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0],
                               "linalg")
-    spec = importlib.machinery.PathFinder.find_spec(f"scipy.linalg.{name}",
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
                                                     [linalg_dir])
     if spec is None:
         from importlib.metadata import version
         raise ImportError(f"scipy {version('scipy')} has no "
-                          f"scipy/linalg/{name} extension; heli needs "
+                          "scipy/linalg/_flapack extension; heli needs "
                           "scipy >= 1.10")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-dgees = linalg_extension("_flapack").dgees
+dgees = linalg_extension().dgees
 
 _NORM_TOL = 1e-10        # hinf_norm: relative accuracy of the peak
 _AXIS_TOL = 1e-8         # |Re l| / max |l| under which l is on the j-axis
@@ -476,10 +475,7 @@ def hinf_norm(a_cl, e, c_cl) -> float:
     it is at most a relative 2 * _NORM_TOL below it while eigvals resolves
     the crossings (on stiff, strongly non-normal systems with a very sharp
     peak, round-off in the crossings can leave it ~1e-6 low).  A transfer
-    that is zero at all the starting frequencies gives 0.0.  Where gamma^2
-    overflows (a norm above ~1e154), E E'/gamma^2 is its 0 limit: no
-    crossing is found and the bound from the starting frequencies stands,
-    which is low for a peak between them.
+    that is zero at all the starting frequencies gives 0.0.
     """
     a_cl = np.asarray(a_cl, dtype=float)
     e = np.atleast_2d(np.asarray(e, dtype=float))
@@ -501,7 +497,15 @@ def hinf_norm(a_cl, e, c_cl) -> float:
     eet, ctc = e @ e.T, c_cl.T @ c_cl
     while bound > 0.0:
         gamma = (1.0 + 2.0 * _NORM_TOL) * bound
-        lam = np.linalg.eigvals(np.block([[a_cl, eet / _square(gamma)],
+        gamma_sq = _square(gamma)
+        if gamma_sq == math.inf and math.isfinite(bound):
+            # E E'/gamma^2 would be 0 and hide every crossing: search on E
+            # scaled by a power of two, which scales the transfer exactly
+            k = math.frexp(bound)[1]
+            with np.errstate(over="ignore"):
+                return float(np.ldexp(hinf_norm(a_cl, np.ldexp(e, -k), c_cl),
+                                      k))
+        lam = np.linalg.eigvals(np.block([[a_cl, eet / gamma_sq],
                                           [-ctc, -a_cl.T]]))
         # round-off moves eigenvalues off the axis in proportion to the
         # largest one; a spurious crossing only adds a midpoint to evaluate

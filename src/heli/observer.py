@@ -10,7 +10,6 @@ computed once per step length.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,80 +17,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnobservablePairError
-from .hinf import linalg_extension
 from .state import MEASURED_IDX, UNMEASURED_IDX
 
 DEFAULT_POLES = (-50.0, -50.0, -60.0)
 
 
-@functools.cache
-def _pade():
-    """scipy's `expm` kernels (`pick_pade_structure`, `pade_UV_calc`),
-    loaded at the first step map: `import heli` and the design path never
-    pay for the file."""
-    return linalg_extension("_matfuncs_expm")
-
-
-def _exp_sinch(x):
-    """exp of the divided differences of `x`: scipy's `_exp_sinch`."""
-    lexp_diff = np.diff(np.exp(x))
-    l_diff = np.diff(x)
-    mask_z = l_diff == 0.
-    lexp_diff[~mask_z] /= l_diff[~mask_z]
-    lexp_diff[mask_z] = np.exp(x[:-1][mask_z])
-    return lexp_diff
-
-
 def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a real square float64 matrix `a` with n >= 2, bit for bit
-    what scipy 1.17.1's `scipy.linalg.expm` returns.
+    """exp(a) for a real square matrix `a`, by scaling and squaring a Taylor
+    series (Moler & Van Loan 2003, "Nineteen dubious ways to compute the
+    exponential of a matrix, twenty-five years later", method 3).
 
-    This is the 2-D path of scipy's driver (`scipy/linalg/_matfuncs.py`)
-    over the same extension kernels: a scaled Pade approximant, then
-    squaring, with Al-Mohy and Higham's exact diagonal and first off-
-    diagonal for a triangular `a` and `exp` of the diagonal for a diagonal
-    one.  The branch follows scipy's `bandwidth`: a single nonzero entry
-    below (above) the diagonal makes `a` not upper (lower) triangular.
+    a / 2^s has a 1-norm below 1/2, so its degree-18 Taylor polynomial,
+    summed in Horner form, misses the series by less than 2^-19 / 19!
+    (~1.6e-23); s squarings then undo the scaling.
     """
-    lower = bool(np.any(np.tril(a, -1)))
-    upper = bool(np.any(np.triu(a, 1)))
-    if not (lower or upper):
-        return np.diag(np.exp(np.diag(a)))
-    pade = _pade()
-    am = np.empty((5,) + a.shape)
-    am[0] = a
-    m, s = pade.pick_pade_structure(am)
-    if m < 0:
-        raise MemoryError("expm could not allocate memory for the Pade "
-                          f"structure (error code {m})")
-    info = pade.pade_UV_calc(am, m)
-    if info != 0:
-        if info <= -11:
-            raise MemoryError("expm could not allocate memory for the "
-                              f"exponential (error code {info})")
-        raise RuntimeError("expm got an internal LAPACK error "
-                           f"(error code {info})")
-    e = am[0]
-    if s != 0 and lower and upper:
-        for _ in range(s):
-            e = e @ e
-    elif s != 0:
-        # Code Fragment 2.1 of Al-Mohy and Higham (2009)
-        diag_a = np.diag(a)
-        np.einsum('ii->i', e)[:] = np.exp(diag_a * 2**(-s))
-        sd = np.diag(a, k=1 if upper else -1)
-        for i in range(s - 1, -1, -1):
-            e = e @ e
-            np.einsum('ii->i', e)[:] = np.exp(diag_a * 2.**(-i))
-            exp_sd = _exp_sinch(diag_a * (2.**(-i))) * (sd * 2**(-i))
-            if upper:
-                np.einsum('ii->i', e[:-1, 1:])[:] = exp_sd
-            else:
-                np.einsum('ii->i', e[1:, :-1])[:] = exp_sd
-    if not lower:
-        return np.triu(e)
-    if not upper:
-        return np.tril(e)
+    s = max(0, math.frexp(np.linalg.norm(a, 1))[1] + 1)
+    a = a * 0.5 ** s
+    eye = np.eye(len(a))
+    e = eye
+    for k in range(18, 0, -1):
+        e = eye + (a @ e) / k
+    for _ in range(s):
+        e = e @ e
     return e
 
 
@@ -110,12 +57,8 @@ class ObserverDesign:
         blocks of exp([[A_obs, I], [0, 0]] dt).  Returns (Phi, Gamma B_obs,
         Gamma H_obs, K_obs), 3x3, 3x6, 3x3 and 3x6, each a tuple of its
         rows and each row a tuple of Python floats: what `observer_step`
-        reads once per step.  The exponential is `expm`,
-        scipy's driver over the kernels of its extension file
-        `scipy/linalg/_matfuncs_expm`, which the first call loads: the bits
-        are `scipy.linalg.expm`'s, and `scipy.linalg` itself is never
-        imported.  A `dt` that is not a finite positive number raises
-        ValueError.
+        reads once per step.  The exponential is `expm`.  A `dt` that is
+        not a finite positive number raises ValueError.
         """
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError(f"dt must be finite and positive, got {dt!r}")
@@ -159,19 +102,9 @@ def _pole_block(poles: np.ndarray) -> np.ndarray:
     return d
 
 
-def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
-    """Place the estimation-error poles and assemble the estimator matrices.
-
-    `plant` is a LinearPlant or an (A, B) pair.  Poles must be closed under
-    conjugation with negative real parts.
-    """
-    if hasattr(plant, "a"):
-        a, b = plant.a, plant.b
-    else:
-        a, b = plant
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-
+def check_poles(poles) -> np.ndarray:
+    """`poles` as a complex array, or ValueError unless they are three,
+    with negative real parts and closed under conjugation."""
     poles = np.asarray(poles, dtype=complex)
     if poles.shape != (3,):
         raise ValueError("exactly three observer poles are required")
@@ -180,7 +113,23 @@ def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
     if not np.array_equal(np.sort_complex(poles),
                           np.sort_complex(np.conj(poles))):
         raise ValueError("observer poles must be closed under conjugation")
+    return poles
 
+
+def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
+    """Place the estimation-error poles and assemble the estimator matrices.
+
+    `plant` is a LinearPlant or an (A, B) pair; `poles` must pass
+    `check_poles`.
+    """
+    if hasattr(plant, "a"):
+        a, b = plant.a, plant.b
+    else:
+        a, b = plant
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+
+    poles = check_poles(poles)
     a_yy, a_yz, a_zy, a_zz, b_y, b_z = partition_plant(a, b)
 
     # observability of the (unmeasured, measured-coupling) pair

@@ -102,13 +102,18 @@ class WindSequence:
         return w + self.turbulence[idx]
 
     def table(self, times: np.ndarray) -> np.ndarray:
-        """Rows of `at(t)` for every t in `times`, with the same arithmetic."""
+        """Rows of `at(t)` for every t in `times`, with the same arithmetic.
+
+        Finite gusts that overlap may sum to an infinite wind; that reaches
+        the run, which stops on it, with no numpy warning on the way.
+        """
         times = np.asarray(times, dtype=float)
         w = np.empty((times.size, 3))
         w[:] = self.model.mean
-        for g in self.model.gusts:
-            on = (g.start <= times) & (times < g.end)
-            w[on] += g.delta
         idx = np.floor((times + 1e-12) / TURBULENCE_GRID_DT).astype(int)
         idx = np.clip(idx, 0, self.turbulence.shape[0] - 1)
-        return w + self.turbulence[idx]
+        with np.errstate(over="ignore"):
+            for g in self.model.gusts:
+                on = (g.start <= times) & (times < g.end)
+                w[on] += g.delta
+            return w + self.turbulence[idx]

@@ -170,6 +170,18 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("poles", ["50, -50, -60", "-50, -40+5j, -60"])
+    def test_bad_observer_poles_fail_with_one_line(self, tmp_path, capsys,
+                                                   poles):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[observer]\npoles = {poles}\n", encoding="utf-8")
+        code = main(["synthesize", "--config", str(bad), "--out",
+                     str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [observer] ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_custom_config_feeds_pipeline(self, tmp_path):
         cfgf = tmp_path / "heavy.cfg"
         cfgf.write_text("[mass]\nm = 10.5\n", encoding="utf-8")

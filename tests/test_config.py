@@ -86,6 +86,14 @@ class TestToolkitConfig:
         cfg = load_toolkit_config(path)
         assert cfg.observer_poles == (-40 + 8j, -40 - 8j, -60.0)
 
+    @pytest.mark.parametrize("poles", ["50, -50, -60", "-50, -40+5j, -60",
+                                       "-50, -60"])
+    def test_bad_observer_poles_rejected(self, tmp_path, poles):
+        path = tmp_path / "o.cfg"
+        path.write_text(f"[observer]\npoles = {poles}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^\[observer\] "):
+            load_toolkit_config(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_toolkit_config(tmp_path / "absent.cfg")

@@ -28,11 +28,11 @@ LOG_ARRAYS = ("t", "states", "inputs", "wind", "att_ref", "estimates",
 
 GOLDEN = {
     "log/t": "2b5230fd6c4a07b6975f611ae2be774e77140b69e988abfbbddfab77f1b92c41",
-    "log/states": "b7796ef8b3994a63e731bc1add5f9c89c36d4efae2620ac8a682e6e78c2343b5",
-    "log/inputs": "102178cbec05afa3930bb868b63ae91823ab565fffd8baea2ca1fe69df7974ee",
+    "log/states": "6289b8ff0a29f6e0c304a3866603c52d708b0597d6f2e77ec2139100f9b215ad",
+    "log/inputs": "fb3c0302b52327d90983e0e510e29b68e3e2337025d5880313d64c9310403dcb",
     "log/wind": "8b2e9488e317c009f242525928073631af5184cb2906689dbc248be69bca5ab2",
-    "log/att_ref": "4595e672054d8eb528db4cfed732777a390f15a34d65f9bb63d49b234b417c12",
-    "log/estimates": "251008dc22051c5be0d0242201c5521efe59dce413e83658100ebcd7464a2ea2",
+    "log/att_ref": "9cc0e7985d7a393239dc724fdf04ed6ac8da34d329e53a5e396f166d05450c73",
+    "log/estimates": "f75b2fd973b4138b722f9ef0b4838a3a8414a416c26a7f9f0d75e83601d74d2c",
     "log/sat_flags": "f36b6132e8e86597ba0ec0e7ebfabb2bf5c5e216e5f38b21189617779bbb2eae",
     "design/P": "a26b23d3ff645ef6341ddb3b3d92ccf67474ecc7211cda16caea1b1e2206a8ae",
     "design/F": "68e72ba2f1dc4ef6a14fa549c496f4e4fe9b4136f7812a7c6e40584bcc76c429",

@@ -431,6 +431,20 @@ class TestHinfNorm:
                           np.array([[1e80]]))
         assert n == pytest.approx(1e160, rel=1e-12)
 
+    def test_interior_peak_whose_square_overflows(self):
+        # a norm of ~1e157: with E E' / gamma^2 at its 0 limit no crossing
+        # would be found and the bound from w = 0 and the pole frequency,
+        # 1.25e-3 below the peak, would stand
+        wn, zeta = 3.7, 0.05
+        a = np.array([[0.0, 1.0], [-wn ** 2, -2 * zeta * wn]])
+        e = np.array([[0.0], [wn ** 2]])
+        c = np.array([[1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n = hinf_norm(a, e * 1e78, c * 1e78)
+        assert n == pytest.approx(1e156 * hinf_norm(a, e, c),
+                                  rel=2 * hinf._NORM_TOL)
+
     @pytest.mark.parametrize("wn, zeta", [
         (3.7, 0.05),
         (5e4, 0.01),

@@ -9,8 +9,6 @@ from scipy.signal import place_poles
 from heli import (
     ObserverDesign,
     UnobservablePairError,
-    builtin_names,
-    builtin_scenario,
     design_reduced_observer,
     find_trim,
     linearize,
@@ -165,6 +163,9 @@ class TestStep:
         assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
 
 
+# step lengths around the built-in scenarios' 0.002 s
+_DTS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.2)
+
 # scipy's own path to the step map and to exp, in an interpreter that never
 # imports heli: the blocks of expm([[A_obs, I], [0, 0]] dt) per design and
 # step, then expm of every matrix under each remaining key
@@ -187,15 +188,23 @@ np.savez(sys.argv[2], maps=np.array(maps),
 """
 
 
+def _max_rel(mine, theirs) -> float:
+    """Largest max-norm relative difference over the rows of two stacks."""
+    mine, theirs = (np.reshape(x, (len(x), -1)) for x in (mine, theirs))
+    return float(np.max(np.max(np.abs(mine - theirs), axis=1)
+                        / np.max(np.abs(theirs), axis=1)))
+
+
 class TestExpmOracle:
-    """`ObserverDesign.discretize` and its `expm` driver, over the kernels
-    of scipy's extension file, against `scipy.linalg.expm` reached through
-    the package in another interpreter: the same bits."""
+    """`ObserverDesign.discretize` and its Taylor-series `expm` against
+    `scipy.linalg.expm`, reached through the package in another
+    interpreter."""
 
     @staticmethod
     def _against_scipy(tmp_path, designs=(), dts=(), **mats):
-        """Assert that `discretize` gives scipy's step map bit for bit for
-        every design and dt; return scipy's expm of each stack in `mats`."""
+        """Assert that `discretize` gives scipy's step map within 1e-13
+        (max-norm relative) for every design and dt; return scipy's expm of
+        each stack in `mats`."""
         pairs = [(des, dt) for des in designs for dt in dts]
         path_in, path_out = tmp_path / "in.npz", tmp_path / "out.npz"
         np.savez(path_in,
@@ -206,27 +215,25 @@ class TestExpmOracle:
         subprocess.run([sys.executable, "-c", _SCIPY_EXPM, str(path_in),
                         str(path_out)], check=True)
         theirs = dict(np.load(path_out))
-        mine = [np.concatenate([np.ravel(mat) for mat in
-                                des.discretize(dt)[:3]])
-                for des, dt in pairs]
-        assert np.array(mine).tobytes() == theirs["maps"].tobytes()
+        if pairs:
+            mine = [np.concatenate([np.ravel(mat) for mat in
+                                    des.discretize(dt)[:3]])
+                    for des, dt in pairs]
+            assert _max_rel(mine, theirs["maps"]) <= 1e-13
         return theirs
 
-    def test_default_design_bit_identical(self, observer_design, tmp_path):
-        self._against_scipy(tmp_path, [observer_design],
-                            [0.001, 0.002, 0.005, 0.01, 0.02, 0.05])
+    def test_default_design_matches_scipy(self, observer_design, tmp_path):
+        self._against_scipy(tmp_path, [observer_design], _DTS)
 
-    def test_design_sweep_plants_bit_identical(self, tmp_path):
+    def test_design_sweep_plants_match_scipy(self, tmp_path):
         designs = [design_reduced_observer(linearize(params, find_trim(params)))
                    for seed in (2026, 7) for params in _perturbed_params(seed)]
-        dts = sorted({builtin_scenario(name).dt for name in builtin_names()}
-                     | {0.02})
-        self._against_scipy(tmp_path, designs, dts)
+        self._against_scipy(tmp_path, designs, _DTS)
 
-    def test_random_matrices_bit_identical(self, tmp_path):
-        # scales from 0.01 to 100 reach every Pade order and up to ~10
-        # squarings; the triangular and diagonal parts of the 4x4 ones take
-        # scipy's other two branches
+    def test_random_matrices_match_scipy(self, tmp_path):
+        # scales from 0.01 to 100 take from 0 to ~11 squarings; at 1-norms
+        # of up to ~1e3 the exponential's conditioning, not the series,
+        # sets the distance between two good methods
         rng = np.random.default_rng(2026)
         scales = 10.0 ** np.arange(-2.0, 3.0)
         mats = {f"n{n}": rng.standard_normal((5, n, n)) * scales[:, None, None]
@@ -237,26 +244,20 @@ class TestExpmOracle:
         theirs = self._against_scipy(tmp_path, **mats)
         for key, stack in mats.items():
             mine = np.array([observer.expm(a) for a in stack])
-            assert mine.tobytes() == theirs[key].tobytes(), key
+            assert _max_rel(mine, theirs[key]) <= 1e-12, key
 
-    @pytest.mark.parametrize("dt, squarings", [(0.002, 0), (0.2, 2)])
-    def test_upper_triangular_a_obs_bit_identical(self, tmp_path, monkeypatch,
-                                                  dt, squarings):
+    @pytest.mark.parametrize("dt", [0.002, 0.2])
+    def test_upper_triangular_a_obs_matches_scipy(self, tmp_path, dt):
         # on the default design only A_obs[2, 1] ~ -8e-17 of round-off keeps
-        # A_obs from being upper triangular; scipy then squares with the
-        # exact diagonal and superdiagonal and zeroes the lower part
+        # A_obs from being upper triangular, where scipy takes another
+        # branch; the Taylor series has none
         rng = np.random.default_rng(5)
         design = ObserverDesign(
             a_obs=np.array([[-50.0, 4.0, 1.0], [0.0, -60.0, 2.0],
                             [0.0, 0.0, -55.0]]),
             b_obs=rng.standard_normal((3, 6)),
             h_obs=rng.standard_normal((3, 3)), k_obs=np.zeros((3, 6)))
-        calls = []
-        exp_sinch = observer._exp_sinch
-        monkeypatch.setattr(observer, "_exp_sinch",
-                            lambda x: calls.append(x) or exp_sinch(x))
         self._against_scipy(tmp_path, [design], [dt])
-        assert len(calls) == squarings
 
 
 class TestErrorDynamics:

@@ -1,7 +1,7 @@
-import contextlib
 import math
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -480,22 +480,20 @@ class TestRunScenario:
         assert info.value.step == 1
         assert "step 1" in str(info.value)
 
-    @pytest.mark.parametrize("wind, overflow", [
-        (WindModel(mean=np.array([0.0, 1.7e308, 0.0])), False),
-        (WindModel(gusts=2 * (Gust(0.0, 5.0, np.array([0.0, 1e308, 0.0])),)),
-         True),
+    @pytest.mark.parametrize("wind", [
+        WindModel(mean=np.array([0.0, 1.7e308, 0.0])),
+        WindModel(gusts=2 * (Gust(0.0, 5.0, np.array([0.0, 1e308, 0.0])),)),
     ], ids=["finite-mean", "overlapping-gusts"])
-    def test_math_domain_error_in_rk4_aborts(self, params, artifacts, wind,
-                                             overflow):
+    def test_math_domain_error_in_rk4_aborts(self, params, artifacts, wind):
         # the first derivative overflows the lateral speed; math.sin of the
         # next stage's infinite angle raises a bare ValueError.  Two gusts
-        # first overflow to an infinite wind in WindSequence.table
+        # first overflow to an infinite wind in WindSequence.table, which
+        # must not leak numpy's overflow warning
         cfg = builtin_scenario("hover-hold", seed=2)
         cfg.duration = 5.0
         cfg.wind = wind
-        warns = (pytest.warns(RuntimeWarning, match="overflow") if overflow
-                 else contextlib.nullcontext())
-        with warns, pytest.raises(SimulationAbort) as info:
+        with warnings.catch_warnings(), pytest.raises(SimulationAbort) as info:
+            warnings.simplefilter("error")
             run_scenario(cfg, params, artifacts)
         err = info.value
         assert (err.step, err.stage) == (0, "plant RK4")
