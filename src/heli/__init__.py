@@ -48,6 +48,7 @@ from .observer import (
 )
 from .outer import OuterGains, altitude_control, horizontal_control
 from .params import HelicopterParams
+from .pipeline import build_design
 from .scenarios import builtin_names, builtin_scenario
 from .sim import (
     MetricsReport,

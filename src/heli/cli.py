@@ -9,77 +9,61 @@ import numpy as np
 
 from . import __version__
 from .config import ToolkitConfig, load_scenario_file, load_toolkit_config
-from .errors import ConfigError, HeliError
-from .hinf import build_output_map, gamma_star, hinf_norm, synthesize
-from .observer import design_reduced_observer
+from .errors import HeliError
+from .hinf import build_output_map, gamma_star, hinf_norm
+from .pipeline import PLANT_FILES, build_design, linear_plant
 from .scenarios import builtin_names, builtin_scenario
-from .sim import SimArtifacts, compare_controllers, run_scenario
+from .sim import compare_controllers, run_scenario
 from .state import (
     INPUT_LABELS,
     MEASURED_IDX,
     MODEL_INPUT_LABELS,
     MODEL_STATE_LABELS,
-    N_STATES,
     REFERENCE_LABELS,
     STATE_LABELS,
     UNMEASURED_IDX,
-    WIND_LABELS,
 )
-from .trim import (
-    LinearPlant,
-    TrimPoint,
-    find_trim,
-    linearize,
-    verify_linearization,
-)
+from .trim import find_trim, verify_linearization
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray, col_labels, row_labels=None):
+    matrix = np.atleast_2d(matrix)
+    leads = ([""] * len(matrix) if row_labels is None
+             else [label + "," for label in row_labels])
     with open(path, "w", encoding="utf-8") as fh:
-        if row_labels is None:
-            fh.write(",".join(col_labels) + "\n")
-            for row in np.atleast_2d(matrix):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        else:
-            fh.write("," + ",".join(col_labels) + "\n")
-            for label, row in zip(row_labels, np.atleast_2d(matrix)):
-                fh.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(("" if row_labels is None else ",") + ",".join(col_labels) + "\n")
+        for lead, row in zip(leads, matrix):
+            fh.write(lead + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _load_config(args) -> ToolkitConfig:
-    if getattr(args, "config", None):
-        return load_toolkit_config(args.config)
-    return ToolkitConfig()
+    return load_toolkit_config(args.config) if args.config else ToolkitConfig()
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or ".")
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _trim_report(trim, path: Path):
-    x = trim.state.as_vector()
-    u = trim.inputs.as_vector()
+def _write_trim(trim, out: Path):
+    x, u = trim.state.as_vector(), trim.inputs.as_vector()
     lines = ["hover trim", f"residual = {trim.residual:.3e}", ""]
-    for label, value in zip(STATE_LABELS, x):
-        lines.append(f"{label:8s} = {value: .6e}")
-    lines.append("")
-    for label, value in zip(INPUT_LABELS, u):
-        lines.append(f"{label:8s} = {value: .6e}")
-    lines.append(f"{'dped_out':8s} = {trim.dped_prime: .6e}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines += [f"{label:8s} = {value: .6e}" for label, value in
+              zip(STATE_LABELS, x)]
+    lines += [""] + [f"{label:8s} = {value: .6e}" for label, value in
+                     zip(INPUT_LABELS + ("dped_out",), (*u, trim.dped_prime))]
+    (out / "trim_report.txt").write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8")
+    for (name, cols, _), row in zip(PLANT_FILES[3:], (x, u)):
+        _write_matrix_csv(out / name, row[None, :], cols)
 
 
 def cmd_trim(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     trim = find_trim(cfg.params)
-    _trim_report(trim, out / "trim_report.txt")
-    _write_matrix_csv(out / "trim_state.csv", trim.state.as_vector()[None, :],
-                      STATE_LABELS)
-    _write_matrix_csv(out / "trim_inputs.csv", trim.inputs.as_vector()[None, :],
-                      INPUT_LABELS)
+    _write_trim(trim, out)
     print(f"trim residual {trim.residual:.3e}; report in {out}")
     return 0
 
@@ -87,87 +71,20 @@ def cmd_trim(args) -> int:
 def cmd_linearize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    plant = _plant(cfg)
-    trim = plant.trim
-    _write_matrix_csv(out / "A.csv", plant.a, MODEL_STATE_LABELS,
-                      MODEL_STATE_LABELS)
-    _write_matrix_csv(out / "B.csv", plant.b, MODEL_INPUT_LABELS,
-                      MODEL_STATE_LABELS)
-    _write_matrix_csv(out / "E.csv", plant.e, WIND_LABELS, MODEL_STATE_LABELS)
-    _write_matrix_csv(out / "trim_state.csv", trim.state.as_vector()[None, :],
-                      STATE_LABELS)
-    _write_matrix_csv(out / "trim_inputs.csv", trim.inputs.as_vector()[None, :],
-                      INPUT_LABELS)
-    _trim_report(trim, out / "trim_report.txt")
+    plant = linear_plant(cfg)
+    for (name, cols, rows), matrix in zip(PLANT_FILES,
+                                          (plant.a, plant.b, plant.e)):
+        _write_matrix_csv(out / name, matrix, cols, rows)
+    _write_trim(plant.trim, out)
     err = verify_linearization(cfg.params, plant, 1e-4)
     print(f"linear model written to {out}; verification error {err:.3e}")
     return 0
 
 
-def _read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
-    """Read a matrix written by `_write_matrix_csv`; ConfigError unless it is
-    readable, numeric and of `shape`."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-            labeled = header.startswith(",")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                if labeled:
-                    cells = cells[1:]
-                rows.append([float(v) for v in cells])
-    except OSError as exc:
-        raise ConfigError(f"cannot read plant file: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: not a numeric CSV ({exc})") from exc
-    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
-        raise ConfigError(f"{path}: expected a {shape[0]}x{shape[1]} matrix")
-    return np.array(rows)
-
-
-def _load_plant_dir(path: Path, cfg: ToolkitConfig) -> LinearPlant:
-    """Rebuild a LinearPlant from the CSV files written by `heli linearize`."""
-    n, m = len(MODEL_STATE_LABELS), len(MODEL_INPUT_LABELS)
-    a = _read_matrix_csv(path / "A.csv", (n, n))
-    b = _read_matrix_csv(path / "B.csv", (n, m))
-    e = _read_matrix_csv(path / "E.csv", (n, len(WIND_LABELS)))
-    x = _read_matrix_csv(path / "trim_state.csv", (1, N_STATES))[0]
-    u = _read_matrix_csv(path / "trim_inputs.csv", (1, len(INPUT_LABELS)))[0]
-    return LinearPlant(a=a, b=b, e=e,
-                       trim=TrimPoint.from_vectors(x, u, cfg.params))
-
-
-def _plant(cfg: ToolkitConfig, plant_dir=None) -> LinearPlant:
-    """The linear design model: read from `--plant` CSVs, else trim -> linearize."""
-    if plant_dir is not None:
-        return _load_plant_dir(Path(plant_dir), cfg)
-    return linearize(cfg.params, find_trim(cfg.params))
-
-
-def _artifacts(cfg: ToolkitConfig, plant: LinearPlant):
-    """Inner-loop synthesis and observer design on `plant`, as SimArtifacts.
-
-    Also returns the gamma search and the plant's invariant zeros.
-    """
-    result, search, zeros = synthesize(plant, cfg.weights,
-                                        tol=cfg.gamma_tol,
-                                        margin=cfg.gamma_margin)
-    observer = design_reduced_observer(plant, cfg.observer_poles)
-    artifacts = SimArtifacts(trim=plant.trim, synthesis=result,
-                             observer=observer, pid_gains=cfg.pid,
-                             outer_gains=cfg.outer)
-    return artifacts, search, zeros
-
-
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    plant = _plant(cfg, getattr(args, "plant", None))
-    artifacts, search, zeros = _artifacts(cfg, plant)
+    plant, artifacts, search, zeros = build_design(cfg, args.plant)
     result, observer = artifacts.synthesis, artifacts.observer
 
     measured = [MODEL_STATE_LABELS[i] for i in MEASURED_IDX]
@@ -209,7 +126,7 @@ def cmd_synthesize(args) -> int:
 def cmd_gamma_search(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    plant = _plant(cfg, getattr(args, "plant", None))
+    plant = linear_plant(cfg, args.plant)
     out_map = build_output_map(cfg.weights)
     search, _ = gamma_star(plant.a, plant.b, out_map.c, out_map.d, plant.e,
                            tol=cfg.gamma_tol, margin=cfg.gamma_margin)
@@ -239,7 +156,7 @@ def cmd_simulate(args) -> int:
     scenario = _scenario_from_args(args)
     if args.controller:
         scenario.controller = args.controller
-    artifacts, _, _ = _artifacts(cfg, _plant(cfg))
+    _, artifacts, _, _ = build_design(cfg)
     log, metrics = run_scenario(scenario, cfg.params, artifacts)
     log_path = out / f"{scenario.name}_{scenario.controller}.csv"
     log.to_csv(log_path)
@@ -258,7 +175,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     scenario = _scenario_from_args(args)
-    artifacts, _, _ = _artifacts(cfg, _plant(cfg))
+    _, artifacts, _, _ = build_design(cfg)
     report, log_a, log_b = compare_controllers(scenario, cfg.params, artifacts)
     log_a.to_csv(out / f"{scenario.name}_hinf.csv")
     log_b.to_csv(out / f"{scenario.name}_pid.csv")

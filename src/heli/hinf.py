@@ -487,24 +487,22 @@ def hinf_norm(a_cl, e, c_cl) -> float:
     if np.any(poles.real >= 0.0):
         raise UnstableSystemError("closed-loop matrix is not Hurwitz")
 
+    # search on E and C scaled by powers of two, which scales the transfer
+    # exactly: to entries below 1, then by the first bound's exponent, split
+    # between them, so that E E', C'C and gamma^2 stay in the float range
+    ke, kc = (math.frexp(np.max(np.abs(m), initial=0.0))[1] for m in (e, c_cl))
+    e, c_cl = np.ldexp(e, -ke), np.ldexp(c_cl, -kc)
     eye = np.eye(n)
 
     def sigma(w: float) -> float:
         tf = c_cl @ np.linalg.solve(1j * w * eye - a_cl, e)
         return float(np.linalg.svd(tf, compute_uv=False)[0])
 
-    bound = max(sigma(w) for w in np.append(0.0, np.abs(poles)))
+    bound, kb = math.frexp(max(sigma(w) for w in np.append(0.0, np.abs(poles))))
+    e, c_cl = np.ldexp(e, -(kb // 2)), np.ldexp(c_cl, kb // 2 - kb)
     eet, ctc = e @ e.T, c_cl.T @ c_cl
     while bound > 0.0:
-        gamma = (1.0 + 2.0 * _NORM_TOL) * bound
-        gamma_sq = _square(gamma)
-        if gamma_sq == math.inf and math.isfinite(bound):
-            # E E'/gamma^2 would be 0 and hide every crossing: search on E
-            # scaled by a power of two, which scales the transfer exactly
-            k = math.frexp(bound)[1]
-            with np.errstate(over="ignore"):
-                return float(np.ldexp(hinf_norm(a_cl, np.ldexp(e, -k), c_cl),
-                                      k))
+        gamma_sq = _square((1.0 + 2.0 * _NORM_TOL) * bound)
         lam = np.linalg.eigvals(np.block([[a_cl, eet / gamma_sq],
                                           [-ctc, -a_cl.T]]))
         # round-off moves eigenvalues off the axis in proportion to the
@@ -515,7 +513,8 @@ def hinf_norm(a_cl, e, c_cl) -> float:
         if peak <= bound:
             break
         bound = peak
-    return bound
+    with np.errstate(over="ignore"):   # a norm past the float range is inf
+        return float(np.ldexp(bound, ke + kc + kb))
 
 
 def _span(m: np.ndarray, tol: float) -> np.ndarray:

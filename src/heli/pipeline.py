@@ -1,0 +1,82 @@
+"""The design pipeline: hover trim -> linearization -> H-infinity synthesis
+-> reduced-order observer, from one `heli.config.ToolkitConfig`.
+
+`build_design` is the one place these stages are chained with the settings
+each takes from the configuration; the CLI and the tests call it.  The
+linear model can instead be read back, bit for bit, from the CSV files
+`heli linearize` writes (`PLANT_FILES`).
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigError
+from .hinf import synthesize
+from .observer import design_reduced_observer
+from .sim import SimArtifacts
+from .state import (
+    INPUT_LABELS,
+    MODEL_INPUT_LABELS,
+    MODEL_STATE_LABELS,
+    STATE_LABELS,
+    WIND_LABELS,
+)
+from .trim import LinearPlant, TrimPoint, find_trim, linearize
+
+# the files of a plant directory, in the order of A, B, E, the trim state
+# and the trim inputs: name, column labels, row labels (None: one row)
+PLANT_FILES = (
+    ("A.csv", MODEL_STATE_LABELS, MODEL_STATE_LABELS),
+    ("B.csv", MODEL_INPUT_LABELS, MODEL_STATE_LABELS),
+    ("E.csv", WIND_LABELS, MODEL_STATE_LABELS),
+    ("trim_state.csv", STATE_LABELS, None),
+    ("trim_inputs.csv", INPUT_LABELS, None),
+)
+
+
+def _read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
+    """A matrix CSV; ConfigError unless readable, numeric and of `shape`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            skip = int(fh.readline().startswith(","))
+            rows = [[float(v) for v in line.split(",")[skip:]]
+                    for line in map(str.strip, fh) if line]
+    except OSError as exc:
+        raise ConfigError(f"cannot read plant file: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a numeric CSV ({exc})") from exc
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise ConfigError(f"{path}: expected a {shape[0]}x{shape[1]} matrix")
+    return np.array(rows)
+
+
+def linear_plant(cfg, plant_dir=None) -> LinearPlant:
+    """The linear design model: read from the CSV files `heli linearize`
+    wrote to `plant_dir`, else trim -> linearize on `cfg.params`."""
+    if plant_dir is None:
+        return linearize(cfg.params, find_trim(cfg.params))
+    a, b, e, x, u = (
+        _read_matrix_csv(Path(plant_dir) / name,
+                         (1 if rows is None else len(rows), len(cols)))
+        for name, cols, rows in PLANT_FILES)
+    return LinearPlant(a=a, b=b, e=e,
+                       trim=TrimPoint.from_vectors(x[0], u[0], cfg.params))
+
+
+def build_design(cfg, plant_dir=None):
+    """The design `cfg` describes: `(plant, artifacts, search, zeros)`.
+
+    `plant` is `linear_plant(cfg, plant_dir)`; `artifacts` the `SimArtifacts`
+    with its trim, the synthesis (`cfg.weights`, `gamma_tol`, `gamma_margin`),
+    the observer (`cfg.observer_poles`), `cfg.pid` and `cfg.outer`; `search`
+    and `zeros` as `heli.synthesize` returns them."""
+    plant = linear_plant(cfg, plant_dir)
+    result, search, zeros = synthesize(plant, cfg.weights, tol=cfg.gamma_tol,
+                                       margin=cfg.gamma_margin)
+    observer = design_reduced_observer(plant, cfg.observer_poles)
+    artifacts = SimArtifacts(trim=plant.trim, synthesis=result,
+                             observer=observer, pid_gains=cfg.pid,
+                             outer_gains=cfg.outer)
+    return plant, artifacts, search, zeros

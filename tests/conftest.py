@@ -6,15 +6,12 @@ import pytest
 from heli import (
     HelicopterParams,
     OutputWeights,
-    SimArtifacts,
+    build_design,
     build_output_map,
     builtin_scenario,
-    design_reduced_observer,
-    find_trim,
-    linearize,
     run_scenario,
-    synthesize,
 )
+from heli.config import ToolkitConfig
 
 
 @pytest.fixture(autouse=True)
@@ -35,13 +32,20 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def trim(params):
-    return find_trim(params)
+def design(params):
+    """The default design, `(plant, artifacts, search, zeros)`, built as
+    every CLI command builds it."""
+    return build_design(ToolkitConfig(params=params))
 
 
 @pytest.fixture(scope="session")
-def plant(params, trim):
-    return linearize(params, trim)
+def plant(design):
+    return design[0]
+
+
+@pytest.fixture(scope="session")
+def trim(plant):
+    return plant.trim
 
 
 @pytest.fixture(scope="session")
@@ -50,20 +54,19 @@ def output_map():
 
 
 @pytest.fixture(scope="session")
-def synthesis(plant):
-    result, search, zeros = synthesize(plant)
-    return result, search, zeros
+def synthesis(design):
+    _, artifacts, search, zeros = design
+    return artifacts.synthesis, search, zeros
 
 
 @pytest.fixture(scope="session")
-def observer_design(plant):
-    return design_reduced_observer(plant)
+def observer_design(design):
+    return design[1].observer
 
 
 @pytest.fixture(scope="session")
-def artifacts(trim, synthesis, observer_design):
-    result, _, _ = synthesis
-    return SimArtifacts(trim=trim, synthesis=result, observer=observer_design)
+def artifacts(design):
+    return design[1]
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from heli.cli import _load_plant_dir, main
+from heli.cli import main
 from heli.config import ToolkitConfig
+from heli.pipeline import linear_plant
 from heli.sim import read_log_csv
 
 
@@ -77,7 +78,7 @@ class TestCli:
 
     def test_plant_csvs_reproduce_trim(self, tmp_path, trim):
         assert main(["linearize", "--out", str(tmp_path)]) == 0
-        loaded = _load_plant_dir(tmp_path, ToolkitConfig()).trim
+        loaded = linear_plant(ToolkitConfig(), tmp_path).trim
         assert np.array_equal(loaded.state.as_vector(),
                               trim.state.as_vector())
         assert np.array_equal(loaded.inputs.as_vector(),

@@ -122,19 +122,14 @@ def test_cli_files(command, tmp_path):
 
 
 if __name__ == "__main__":
-    from heli import (builtin_scenario, design_reduced_observer, find_trim,
-                      linearize, HelicopterParams, run_scenario, SimArtifacts,
-                      synthesize)
+    from heli import build_design, builtin_scenario, run_scenario
+    from heli.config import ToolkitConfig
 
-    params = HelicopterParams()
-    trim = find_trim(params)
-    plant = linearize(params, trim)
-    result, search, _ = synthesize(plant)
-    artifacts = SimArtifacts(trim=trim, synthesis=result,
-                             observer=design_reduced_observer(plant))
+    cfg = ToolkitConfig()
+    _, artifacts, search, _ = build_design(cfg)
     log, _ = run_scenario(builtin_scenario("paper-hover-climb", seed=2026),
-                          params, artifacts)
-    table = {**log_digests(log), **design_digests(result, search)}
+                          cfg.params, artifacts)
+    table = {**log_digests(log), **design_digests(artifacts.synthesis, search)}
     for command in ("linearize", "synthesize"):
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stdout(io.StringIO()):

@@ -445,6 +445,42 @@ class TestHinfNorm:
         assert n == pytest.approx(1e156 * hinf_norm(a, e, c),
                                   rel=2 * hinf._NORM_TOL)
 
+    @pytest.mark.parametrize("time_scale", [1e-156, 1e200],
+                             ids=["slow", "fast"])
+    def test_interior_peak_whose_square_leaves_the_float_range(self,
+                                                               time_scale):
+        # A alone puts the norm near 1e157 (slow) or 1e-199 (fast), with E
+        # and C of order 1, so that gamma^2 overflows or underflows to 0
+        wn, zeta = 3.7, 0.05
+        a = np.array([[0.0, 1.0], [-wn ** 2, -2 * zeta * wn]])
+        e = np.array([[0.0], [wn ** 2]])
+        c = np.array([[1.0, 0.0]])
+        n = hinf_norm(a * time_scale, e, c)
+        assert n == pytest.approx(hinf_norm(a, e, c) / time_scale,
+                                  rel=2 * hinf._NORM_TOL)
+
+    @pytest.mark.parametrize("e, c", [(1e300, 1e-290), (1e-290, 1e300)],
+                             ids=["E", "C"])
+    def test_gram_product_that_overflows(self, e, c):
+        # the norm is 1e10, but E E' (or C'C) is past the float range: the
+        # search must not form it from the unscaled matrix
+        n = hinf_norm(np.array([[-1.0]]), np.array([[e]]), np.array([[c]]))
+        assert n == pytest.approx(1e10, rel=1e-10)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1), st.integers(-300, 300),
+           st.integers(-300, 300))
+    def test_power_of_two_scaling_is_exact(self, n, m, p, seed, i, j):
+        # E 2^i and C 2^j scale the transfer by 2^(i + j) exactly, and so
+        # they must scale the computed norm, bit for bit
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        a -= (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(n)
+        e, c = rng.normal(size=(n, m)), rng.normal(size=(p, n))
+        assert (hinf_norm(a, np.ldexp(e, i), np.ldexp(c, j))
+                == np.ldexp(hinf_norm(a, e, c), i + j))
+
     @pytest.mark.parametrize("wn, zeta", [
         (3.7, 0.05),
         (5e4, 0.01),

@@ -40,11 +40,8 @@ def test_design_path_does_not_load_scipy_linalg():
     out = _after_fresh_import(
         "from heli.config import ToolkitConfig\n"
         "cfg = ToolkitConfig()\n"
-        "trim = heli.find_trim(cfg.params)\n"
-        "plant = heli.linearize(cfg.params, trim)\n"
-        "result, _, _ = heli.synthesize(plant, cfg.weights, tol=cfg.gamma_tol,\n"
-        "                               margin=cfg.gamma_margin)\n"
-        "heli.design_reduced_observer(plant, cfg.observer_poles)\n"
+        "plant, artifacts, _, _ = heli.build_design(cfg)\n"
+        "result = artifacts.synthesis\n"
         "out_map = heli.build_output_map(cfg.weights)\n"
         "norm = heli.hinf_norm(plant.a + plant.b @ result.f, plant.e,\n"
         "                      out_map.c + out_map.d @ result.f)\n"
@@ -59,15 +56,12 @@ def test_scenario_run_does_not_load_scipy_linalg():
     # to a paper-hover-climb run's peak RSS
     out = _after_fresh_import(
         "from dataclasses import replace\n"
-        "params = heli.HelicopterParams()\n"
-        "plant = heli.linearize(params, heli.find_trim(params))\n"
-        "result, _, _ = heli.synthesize(plant)\n"
-        "artifacts = heli.SimArtifacts(\n"
-        "    trim=plant.trim, synthesis=result,\n"
-        "    observer=heli.design_reduced_observer(plant))\n"
+        "from heli.config import ToolkitConfig\n"
+        "cfg = ToolkitConfig()\n"
+        "_, artifacts, _, _ = heli.build_design(cfg)\n"
         "scenario = replace(heli.builtin_scenario('hover-hold'), duration=1.0,\n"
         "                   controller='hinf')\n"
-        "log, _ = heli.run_scenario(scenario, params, artifacts)\n"
+        "log, _ = heli.run_scenario(scenario, cfg.params, artifacts)\n"
         "print(len(log.t), *sorted(name for name in sys.modules\n"
         "                          if name.startswith('scipy.linalg')))\n")
     assert out.split() == ["501", "scipy.linalg._flapack"]

@@ -17,9 +17,9 @@ PUBLIC_NAMES = [
     "SingularAttitudeError", "SynthesisError", "SynthesisResult",
     "TrimConvergenceError", "TrimPoint", "UnobservablePairError",
     "UnstableSystemError", "WindModel", "WindSequence", "altitude_control",
-    "assemble_state_estimate", "build_output_map", "builtin_names",
-    "builtin_scenario", "check_feasibility", "compare_controllers",
-    "compute_gains", "compute_metrics", "control_law",
+    "assemble_state_estimate", "build_design", "build_output_map",
+    "builtin_names", "builtin_scenario", "check_feasibility",
+    "compare_controllers", "compute_gains", "compute_metrics", "control_law",
     "design_reduced_observer", "find_trim", "flap_coupling", "gamma_star",
     "hinf_norm", "horizontal_control", "linearize", "observer_init",
     "observer_step", "rk4_step", "rotation_body_to_ned", "run_scenario",
