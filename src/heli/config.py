@@ -40,6 +40,28 @@ class ToolkitConfig:
     gamma_tol: float = 1e-4
     gamma_margin: float = 0.05
 
+    def validate(self) -> "ToolkitConfig":
+        """This config, or a ConfigError that names the first setting no
+        design can use: a parameter, an outer or PID gain, the observer
+        poles, `gamma_tol` or `gamma_margin`."""
+        self.params.validate()
+        for section in ("outer", "pid"):
+            try:
+                getattr(self, section).validate()
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from exc
+        try:
+            check_poles(self.observer_poles)
+        except ValueError as exc:
+            raise ConfigError(f"[observer] {exc}") from exc
+        # the bisection needs a positive tolerance; a negative back-off would
+        # place the design below the feasibility boundary
+        if not 0.0 < self.gamma_tol < np.inf:
+            raise ConfigError("[hinf] gamma_tol must be finite and > 0")
+        if not 0.0 <= self.gamma_margin < np.inf:
+            raise ConfigError("[hinf] gamma_margin must be finite and >= 0")
+        return self
+
 
 def _read_sections(path) -> configparser.ConfigParser:
     # no interpolation: a '%' in a value is text, not a reference
@@ -108,23 +130,7 @@ def load_toolkit_config(path) -> ToolkitConfig:
                 setattr(cfg, key, _float(section, key, raw))
     if param_values:
         cfg.params = cfg.params.replace(**param_values)
-    cfg.params.validate()
-    for section in ("outer", "pid"):
-        try:
-            getattr(cfg, section).validate()
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
-    try:
-        check_poles(cfg.observer_poles)
-    except ValueError as exc:
-        raise ConfigError(f"[observer] {exc}") from exc
-    # the bisection needs a positive tolerance; a negative back-off would
-    # place the design below the feasibility boundary
-    if cfg.gamma_tol <= 0.0:
-        raise ConfigError("[hinf] gamma_tol must be > 0")
-    if cfg.gamma_margin < 0.0:
-        raise ConfigError("[hinf] gamma_margin must be >= 0")
-    return cfg
+    return cfg.validate()
 
 
 def _apply_weight(weights: OutputWeights, key: str, raw: str) -> OutputWeights:

@@ -71,7 +71,9 @@ def build_design(cfg, plant_dir=None):
     `plant` is `linear_plant(cfg, plant_dir)`; `artifacts` the `SimArtifacts`
     with its trim, the synthesis (`cfg.weights`, `gamma_tol`, `gamma_margin`),
     the observer (`cfg.observer_poles`), `cfg.pid` and `cfg.outer`; `search`
-    and `zeros` as `heli.synthesize` returns them."""
+    and `zeros` as `heli.synthesize` returns them.  `cfg.validate()` runs
+    first, so a setting no design can use raises a ConfigError naming it."""
+    cfg.validate()
     plant = linear_plant(cfg, plant_dir)
     result, search, zeros = synthesize(plant, cfg.weights, tol=cfg.gamma_tol,
                                        margin=cfg.gamma_margin)

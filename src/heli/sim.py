@@ -8,22 +8,25 @@ configuration and seed.
 
 Everything a step reads is bound once per run: the plant constants, the
 gain rows of the controller and the observer, the measured-state indices,
-and the wind and reference tables as arrays.  A step's wind and reference
-rows come as Python floats from `_step_rows`, which converts the tables one
-block of `CSV_BLOCK_ROWS` steps at a time, so a run never holds its whole
-tables as Python floats.  The arithmetic of a step then runs on Python
-floats alone, written out over the model's fixed sizes: `rk4_step`
-integrates the 15-vector plant state element by element, and the control
-law, the observer and the measurement deviations name every term, with each
-matrix-vector product an explicit left-to-right sum.  What a step need not
-know is found after the run from the log: the yaw-gyro clamp flag, by the
-same law on the logged columns, and the metrics, from the reference tables
-the loop read.  The loop reaches each layer by its module-level name in
-this module at call time (`_state_derivative_flat` through `rk4_step`,
-`control_law`, `assemble_state_estimate`, `observer_step`,
-`horizontal_control`, `altitude_control`), so wrapping those names from
-outside traces every call; a layer reached through any other reference,
-such as an alias or a closure over the physics, would not be seen.
+and the wind table as an array.  A step's wind and reference rows come as
+Python floats from `_step_rows`, which converts the wind table and builds
+the reference rows one block of `CSV_BLOCK_ROWS` steps at a time, so a run
+holds no reference table and never holds its wind table as Python floats.
+The arithmetic of a step then runs on Python floats alone, written out over
+the model's fixed sizes: `rk4_step` integrates the 15-vector plant state
+element by element, and the control law, the observer and the measurement
+deviations name every term, with each matrix-vector product an explicit
+left-to-right sum.  What a step need not know is found after the run from
+the log: the yaw-gyro clamp flag, by the same law on the logged columns,
+and the metrics, from reference and rotation rows rebuilt one block at a
+time.  Beyond its log, a run thus holds a few arrays of one row per step
+and the scratch of one block.  The loop reaches each layer by its
+module-level name in this module at call time (`_state_derivative_flat`
+through `rk4_step`, `control_law`, `assemble_state_estimate`,
+`observer_step`, `horizontal_control`, `altitude_control`), so wrapping
+those names from outside traces every call; a layer reached through any
+other reference, such as an alias or a closure over the physics, would not
+be seen.
 
 Two calls split their work with one child made by `os.fork()`, through
 `_in_forked_child`: `compare_controllers` runs its first controller in the
@@ -80,7 +83,7 @@ from .trim import TrimPoint
 from .wind import WindModel, _check_shape3
 
 SETTLE_WINDOW = 2.0  # seconds excluded after each reference or wind event
-CSV_BLOCK_ROWS = 1024  # rows per block in ScenarioLog.to_csv and _step_rows
+CSV_BLOCK_ROWS = 512  # rows per block of _step_rows, _metrics and to_csv
 CSV_COPY_BYTES = 1 << 20  # largest chunk to_csv copies from its child at once
 
 LOG_COLUMNS = ",".join((
@@ -245,25 +248,36 @@ def reference_table(segments, t: np.ndarray
     v = np.array([seg.v for seg in segments], dtype=float)
     psi = np.array([seg.psi for seg in segments], dtype=float)
     dt = t - t_start[active]
-    return p0[active] + v[active] * dt[:, None], v[active], psi[active]
+    v_ref = v[active]
+    return p0[active] + v_ref * dt[:, None], v_ref, psi[active]
 
 
-def _step_rows(*tables):
-    """Step k's row of every table as Python floats, for k = 0, 1, ...
+def _row_blocks(start, stop):
+    """Slices of `CSV_BLOCK_ROWS` rows from `start`, the last cut at `stop`."""
+    return (slice(first, min(first + CSV_BLOCK_ROWS, stop))
+            for first in range(start, stop, CSV_BLOCK_ROWS))
 
-    A table is an array with one row per step: a 1-D table gives a float per
-    step, a 2-D one a tuple, and None gives None on every step.  Tables are
-    converted one block of `CSV_BLOCK_ROWS` steps at a time, and a block's
-    2-D rows are zipped from its column lists: per-row lists set off a full
-    collection during the loop.  Steps are drawn by `itertools.chain` over
-    one `zip` per block, so no Python frame is resumed per step.
+
+def _step_rows(wind, times, segments):
+    """Step k's wind row, then its p_ref and v_ref rows and psi_ref at
+    `times[k]` (None each when `segments` is None), as Python floats, for
+    k = 0, 1, ...
+
+    A block of `CSV_BLOCK_ROWS` steps at a time, the wind rows are converted
+    and the reference rows built by `reference_table` at the block's times;
+    a block's 3-vector rows are zipped from its column lists, as per-row
+    lists set off a full collection during the loop.  Steps are drawn by
+    `itertools.chain` over one `zip` per block, so no Python frame is
+    resumed per step.
     """
     def blocks():
-        for first in range(0, len(tables[0]), CSV_BLOCK_ROWS):
-            block = slice(first, first + CSV_BLOCK_ROWS)
+        for block in _row_blocks(0, len(times)):
+            refs = ((None, None, None) if segments is None
+                    else reference_table(segments, times[block]))
             yield zip(*(repeat(None) if a is None
-                        else a[block].tolist() if a.ndim == 1
-                        else zip(*a[block].T.tolist()) for a in tables))
+                        else a.tolist() if a.ndim == 1
+                        else zip(*a.T.tolist())
+                        for a in (wind[block], *refs)))
     return chain.from_iterable(blocks())
 
 
@@ -388,8 +402,7 @@ class ScenarioLog:
         itself."""
         columns = (self.t, self.states, self.inputs, self.wind, self.att_ref,
                    self.estimates)
-        for first in range(start, stop, CSV_BLOCK_ROWS):
-            block = slice(first, min(first + CSV_BLOCK_ROWS, stop))
+        for block in _row_blocks(start, stop):
             rows = np.column_stack([c[block] for c in columns]).tolist()
             flags = self.sat_flags[block].astype(int).tolist()
             yield "".join(f"{','.join(map(repr, row))},{bits}\n"
@@ -461,49 +474,60 @@ def compute_metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport
 
     Attitude errors are taken over the whole run; velocity and position
     envelopes only over settled windows (2 s past every reference change or
-    gust edge).
+    gust edge).  The reference rows and rotations behind the envelopes are
+    built one block of `CSV_BLOCK_ROWS` rows at a time.
     """
-    t = np.asarray(t)
-    refs = (reference_table(config.references, t)
-            if config.use_outer and config.references else (None, None, None))
-    return _metrics(t, np.asarray(states), np.asarray(att_ref), config, *refs[:2])
+    return _metrics(np.asarray(t), np.asarray(states), np.asarray(att_ref),
+                    config)
 
 
-def _metrics(t, states, att_ref, config: ScenarioConfig, p_ref, v_ref
-             ) -> MetricsReport:
-    """`compute_metrics` on arrays, with the p_ref and v_ref tables at `t`
-    given (None without the outer loop)."""
-    phi_err = states[:, 6] - att_ref[:, 0]
-    theta_err = states[:, 7] - att_ref[:, 1]
-    max_phi = float(np.max(np.abs(phi_err))) * 180.0 / math.pi
-    max_theta = float(np.max(np.abs(theta_err))) * 180.0 / math.pi
+def _metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport:
+    """`compute_metrics` on arrays.
 
-    if p_ref is not None:
-        rot = _rotation_rows(states[:, 6], states[:, 7], states[:, 8])
-        v_ned = np.einsum("nij,nj->ni", rot, states[:, 3:6])
-        vel_err = v_ned - v_ref
-        pos_err = states[:, 0:3] - p_ref
+    With the outer loop, each block of `CSV_BLOCK_ROWS` rows gets its
+    reference rows and body-to-NED rotations, and writes its velocity and
+    position errors into (n, 3) arrays and its zero-velocity-reference rows
+    into an (n,) mask.  The means and maxima then run over those whole
+    arrays, so the metrics are bit for bit those of full-length tables,
+    while the rotations never take more than one block.
+    """
+    max_phi = float(np.max(np.abs(states[:, 6] - att_ref[:, 0]))) \
+        * 180.0 / math.pi
+    max_theta = float(np.max(np.abs(states[:, 7] - att_ref[:, 1]))) \
+        * 180.0 / math.pi
+    if not (config.use_outer and config.references):
+        return MetricsReport(max_phi_err_deg=max_phi,
+                             max_theta_err_deg=max_theta,
+                             rms_vel_err=np.zeros(3), max_vel_err=np.zeros(3),
+                             horizontal_envelope=0.0, altitude_envelope=0.0)
 
-        mask = settled_mask(t, config)
-        if not np.any(mask):
-            mask = np.ones_like(t, dtype=bool)
-        ve = vel_err[mask]
-        rms = np.sqrt(np.mean(ve ** 2, axis=0))
-        vmax = np.max(np.abs(ve), axis=0)
+    vel_err = np.empty((t.size, 3))
+    pos_err = np.empty((t.size, 3))
+    still = np.empty(t.size, dtype=bool)  # hover segment: zero v_ref
+    for block in _row_blocks(0, t.size):
+        p_ref, v_ref, _ = reference_table(config.references, t[block])
+        x = states[block]
+        rot = _rotation_rows(x[:, 6], x[:, 7], x[:, 8])
+        np.subtract(np.einsum("nij,nj->ni", rot, x[:, 3:6]), v_ref,
+                    out=vel_err[block])
+        np.subtract(x[:, 0:3], p_ref, out=pos_err[block])
+        np.all(v_ref == 0.0, axis=1, out=still[block])
 
-        # position envelopes describe station keeping, so only settled
-        # stretches of zero-velocity (hover) segments count
-        hover = mask & np.all(v_ref == 0.0, axis=1)
-        if not np.any(hover):
-            hover = mask
-        pe = pos_err[hover]
-        horiz = float(np.max(np.hypot(pe[:, 0], pe[:, 1])))
-        alt = float(np.max(np.abs(pe[:, 2])))
-    else:
-        rms = np.zeros(3)
-        vmax = np.zeros(3)
-        horiz = 0.0
-        alt = 0.0
+    mask = settled_mask(t, config)
+    if not np.any(mask):
+        mask = np.ones_like(t, dtype=bool)
+    ve = vel_err[mask]
+    rms = np.sqrt(np.mean(ve ** 2, axis=0))
+    vmax = np.max(np.abs(ve), axis=0)
+
+    # position envelopes describe station keeping, so only settled
+    # stretches of zero-velocity (hover) segments count
+    hover = mask & still
+    if not np.any(hover):
+        hover = mask
+    pe = pos_err[hover]
+    horiz = float(np.max(np.hypot(pe[:, 0], pe[:, 1])))
+    alt = float(np.max(np.abs(pe[:, 2])))
     return MetricsReport(max_phi_err_deg=max_phi, max_theta_err_deg=max_theta,
                          rms_vel_err=rms, max_vel_err=vmax,
                          horizontal_envelope=horiz, altitude_envelope=alt)
@@ -518,10 +542,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     integrate the plant one RK4 step with everything held, then step the
     observer on the same held measurements.  After the loop, the yaw-gyro
     clamp flag is set from the logged columns, and the metrics are taken
-    with the reference tables the loop read.  A toolkit error raised by any
-    stage, or a ValueError or OverflowError raised by the plant RK4, stops
-    the run as a SimulationAbort that names the stage, the step and the
-    simulated time.
+    from the log by `_metrics`.  A toolkit error raised by any stage, or a
+    ValueError or OverflowError raised by the plant RK4, stops the run as a
+    SimulationAbort that names the stage, the step and the simulated time.
     """
     config.validate()
     for name in ("outer_gains", "pid_gains"):
@@ -542,8 +565,6 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     times = np.arange(n_steps + 1) * dt
 
     winds = config.wind.realize(config.duration, config.seed).table(times)
-    refs = (reference_table(config.references, times) if config.use_outer
-            else (None, None, None))
 
     x = trim.state.as_vector()
     x[0:3] += config.initial_offset
@@ -583,8 +604,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
     carry_flags = 0
     try:
-        for k, (wind, p_ref, v_ref, psi_ref) in enumerate(
-                _step_rows(winds, *refs)):
+        for k, (wind, p_ref, v_ref, psi_ref) in enumerate(_step_rows(
+                winds, times, config.references if config.use_outer
+                else None)):
             # the sum is finite unless an element is not or the sum overflows
             if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
                 raise SimulationAbort(k, times[k])
@@ -668,7 +690,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     log = ScenarioLog(t=times, states=states, inputs=inputs, wind=winds,
                       att_ref=att_refs, estimates=estimates, sat_flags=flags,
                       config=config)
-    metrics = _metrics(times, states, att_refs, config, *refs[:2])
+    metrics = _metrics(times, states, att_refs, config)
     return log, metrics
 
 

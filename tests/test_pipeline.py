@@ -3,7 +3,8 @@
 Every setting of a `ToolkitConfig` must reach the stage that uses it.  A
 config with no default setting is checked against the stages called one by
 one, bit for bit, and against the default design, from which each of its
-settings must move the result.
+settings must move the result.  A config no design can use fails before
+the first stage, with a ConfigError that names the setting.
 """
 from dataclasses import replace
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from heli import (
+    ConfigError,
+    HelicopterParams,
     OuterGains,
     OutputWeights,
     PidGains,
@@ -100,3 +103,16 @@ def test_plant_dir_gives_the_recomputed_design(cfg, params, tmp_path):
     on_defaults = replace(cfg, params=params)
     assert _same_bits(_design_arrays(*build_design(on_defaults, tmp_path)),
                       _design_arrays(*build_design(on_defaults)))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m", -1.0, "parameter m must be > 0"),
+    ("jx", 0.0, "parameter jx must be > 0"),
+    ("tau_mr", float("nan"), "parameter tau_mr must be finite"),
+])
+def test_unusable_parameter_names_itself(field, value, message):
+    # without the check, m = -1 builds a design, jx = 0 divides by zero and
+    # a NaN tau_mr reaches LAPACK
+    cfg = ToolkitConfig(params=HelicopterParams(**{field: value}))
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        build_design(cfg)

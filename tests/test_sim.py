@@ -2,7 +2,7 @@ import math
 import os
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -207,52 +207,160 @@ class TestReferences:
             assert mask[np.argmin(np.abs(t - (ev + 2.5)))]
 
 
-def _step_tables(n, seed=5):
-    """A wind table and p_ref, v_ref and psi_ref tables of n rows, with a
-    negative zero, an inf and a NaN among the values."""
+B = CSV_BLOCK_ROWS
+STEP_DT = 0.002
+
+
+def _step_segments(seed=5, still=2):
+    """Reference segments that start inside the first, second and third
+    blocks of steps of STEP_DT, none on a step time; segment `still` has
+    zero velocity."""
     rng = np.random.default_rng(seed)
-    wind, p_ref, v_ref = (rng.standard_normal((n, 3)) for _ in range(3))
-    psi_ref = rng.standard_normal(n)
+    starts = (0.0, (B // 3) * STEP_DT + 0.0007, (B + 7) * STEP_DT + 0.0013,
+              (2 * B + B // 2) * STEP_DT + 0.0001)
+    return tuple(ReferenceSegment(t0, rng.standard_normal(3),
+                                  np.zeros(3) if k == still
+                                  else rng.standard_normal(3),
+                                  float(rng.standard_normal()))
+                 for k, t0 in enumerate(starts))
+
+
+def _step_inputs(n, seed=5):
+    """A wind table of n rows, with a negative zero, an inf and a NaN in its
+    last row, the n step times and `_step_segments`."""
+    rng = np.random.default_rng(seed)
+    wind = rng.standard_normal((n, 3))
     wind[-1] = (-0.0, math.inf, math.nan)
-    return wind, p_ref, v_ref, psi_ref
+    return wind, np.arange(n) * STEP_DT, _step_segments(seed)
 
 
 class TestStepRows:
-    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049, 30001])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B - 1, 2 * B,
+                                   2 * B + 1, 4 * B + 1, 30001])
     def test_rows_are_each_tables_rows(self, n):
-        tables = _step_tables(n)
-        rows = list(_step_rows(*tables))
+        wind, times, segments = _step_inputs(n)
+        rows = list(_step_rows(wind, times, segments))
         assert len(rows) == n
+        tables = (wind, *reference_table(segments, times))
         for column, table in zip(zip(*rows), tables):
             assert np.array(column).tobytes() == table.tobytes()
             values = column if table.ndim == 1 else [v for r in column
                                                      for v in r]
             assert {type(v) for v in values} == {float}
 
-    @pytest.mark.parametrize("n", [1, 1025])
+    @pytest.mark.parametrize("n", [1, 2 * B + 1])
     def test_missing_tables_give_none(self, n):
-        wind = _step_tables(n)[0]
-        rows = list(_step_rows(wind, None, None, None))
+        wind, times, _ = _step_inputs(n)
+        rows = list(_step_rows(wind, times, None))
         assert [r[1:] for r in rows] == [(None, None, None)] * n
         assert np.array([r[0] for r in rows]).tobytes() == wind.tobytes()
 
     def test_holds_about_one_block(self):
-        tables = _step_tables(30001)
+        wind, times, segments = _step_inputs(30001)
         tracemalloc.start()
         try:
-            block = [a[:CSV_BLOCK_ROWS].tolist() for a in tables]
+            block = [a.tolist() for a in (
+                wind[:B], *reference_table(segments, times[:B]))]
             block_bytes = tracemalloc.get_traced_memory()[0]
             del block
             tracemalloc.reset_peak()
-            rows = _step_rows(*tables)
+            rows = _step_rows(wind, times, segments)
             for _ in range(5):
                 next(rows)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the whole table as Python floats would be ~30 blocks
+        # the whole wind and reference tables would be ~60 blocks
         assert held < 1.5 * block_bytes
         assert peak < 1.5 * block_bytes
+
+
+def _full_array_metrics(t, states, att_ref, config):
+    """`compute_metrics` as it was written over whole-run tables, with the
+    (n, 3, 3) rotation stack: the oracle for the per-block metrics."""
+    t, states, att_ref = map(np.asarray, (t, states, att_ref))
+    phi_err = states[:, 6] - att_ref[:, 0]
+    theta_err = states[:, 7] - att_ref[:, 1]
+    max_phi = float(np.max(np.abs(phi_err))) * 180.0 / math.pi
+    max_theta = float(np.max(np.abs(theta_err))) * 180.0 / math.pi
+    if not (config.use_outer and config.references):
+        return heli.sim.MetricsReport(max_phi, max_theta, np.zeros(3),
+                                      np.zeros(3), 0.0, 0.0)
+    p_ref, v_ref, _ = reference_table(config.references, t)
+    rot = heli.sim._rotation_rows(states[:, 6], states[:, 7], states[:, 8])
+    v_ned = np.einsum("nij,nj->ni", rot, states[:, 3:6])
+    vel_err = v_ned - v_ref
+    pos_err = states[:, 0:3] - p_ref
+    mask = settled_mask(t, config)
+    if not np.any(mask):
+        mask = np.ones_like(t, dtype=bool)
+    ve = vel_err[mask]
+    rms = np.sqrt(np.mean(ve ** 2, axis=0))
+    vmax = np.max(np.abs(ve), axis=0)
+    hover = mask & np.all(v_ref == 0.0, axis=1)
+    if not np.any(hover):
+        hover = mask
+    pe = pos_err[hover]
+    horiz = float(np.max(np.hypot(pe[:, 0], pe[:, 1])))
+    alt = float(np.max(np.abs(pe[:, 2])))
+    return heli.sim.MetricsReport(max_phi, max_theta, rms, vmax, horiz, alt)
+
+
+def _metrics_log(n, still=3, seed=8):
+    """Times, states and attitude references of n random rows, and a
+    scenario whose reference segments and gust edges fall inside blocks."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((n, 15)) * 10.0 ** rng.integers(-3, 2,
+                                                                (n, 15))
+    att_ref = rng.standard_normal((n, 3)) * 0.1
+    gusts = (Gust((B + 100) * STEP_DT + 0.0005, 5.0003, np.ones(3)),
+             Gust(20.0011, 22.5007, np.ones(3)))
+    cfg = ScenarioConfig(duration=60.0, dt=STEP_DT,
+                         references=_step_segments(seed, still),
+                         wind=WindModel(gusts=gusts))
+    return np.arange(n) * STEP_DT, states, att_ref, cfg
+
+
+class TestBlockMetrics:
+    """`compute_metrics` builds reference rows and rotations per block."""
+
+    @staticmethod
+    def _assert_oracles_bits(t, states, att_ref, cfg):
+        got = compute_metrics(t, states, att_ref, cfg)
+        want = _full_array_metrics(t, states, att_ref, cfg)
+        for f in fields(want):
+            assert (np.asarray(getattr(got, f.name)).tobytes()
+                    == np.asarray(getattr(want, f.name)).tobytes()), f.name
+
+    @pytest.mark.parametrize("still", [2, 3])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 30001])
+    def test_bits_equal_full_array_metrics(self, n, still):
+        # logs of up to 2B + 1 rows have no settled row, and segment 2 is
+        # never settled: each mask fallback is taken
+        self._assert_oracles_bits(*_metrics_log(n, still))
+
+    def test_without_outer_loop(self):
+        t, states, att_ref, cfg = _metrics_log(B + 1)
+        self._assert_oracles_bits(t, states, att_ref,
+                                  replace(cfg, use_outer=False))
+
+    def test_peak_memory_is_its_error_arrays_and_a_few_blocks(self):
+        t, states, att_ref, cfg = _metrics_log(30001)
+        n = t.size
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            compute_metrics(t, states, att_ref, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # four (n, 3) float arrays: the velocity and position errors, the
+        # settled velocity errors and their squares; eight (n,) masks; and
+        # four blocks of 15 columns as per-block scratch.  Whole-run
+        # reference tables or a rotation stack take several MB more.
+        kept = 4 * n * 3 * 8 + 8 * n
+        assert peak < kept + 4 * B * 15 * 8
 
 
 class TestScenarioValidation:
@@ -569,21 +677,24 @@ class TestRunScenario:
         assert logged.tolist() == law
         assert np.count_nonzero(logged) == fired
 
-    def test_reference_table_built_once_per_run(self, params, artifacts,
-                                                monkeypatch):
-        # the loop's tables also serve the metrics
+    def test_reference_rows_built_one_block_at_a_time(self, params,
+                                                      artifacts, monkeypatch):
+        # the loop and then the metrics each cover the run's times once
         calls = []
         table = heli.sim.reference_table
 
-        def counted(*args):
-            calls.append(None)
-            return table(*args)
+        def recorded(segments, t):
+            calls.append(np.array(t))
+            return table(segments, t)
 
-        monkeypatch.setattr(heli.sim, "reference_table", counted)
+        monkeypatch.setattr(heli.sim, "reference_table", recorded)
         cfg = builtin_scenario("step-offset", seed=3)
-        cfg.duration = 1.0
-        run_scenario(cfg, params, artifacts)
-        assert len(calls) == 1
+        cfg.duration = 3.0
+        log, _ = run_scenario(cfg, params, artifacts)
+        assert log.t.size > 2 * CSV_BLOCK_ROWS
+        assert max(c.size for c in calls) <= CSV_BLOCK_ROWS
+        assert (np.concatenate(calls).tobytes()
+                == np.concatenate([log.t, log.t]).tobytes())
 
 
 class TestCompare:
@@ -881,8 +992,8 @@ class TestParallelCsv:
         _assert_csv_is_the_oracles(log, tmp_path)
 
     @pytest.mark.parametrize("n, mid", [
-        (1, None), (1024, None), (1025, 1024), (2049, 1024), (3073, 2048),
-        (30001, 15360)])
+        (1, None), (512, None), (513, 512), (1024, 512), (1025, 512),
+        (2049, 1024), (3073, 1536), (30001, 14848)])
     def test_split_at_block_boundary_nearest_half(self, tmp_path, csv_ranges,
                                                   fork_calls, n, mid):
         _random_log(n).to_csv(tmp_path / "log.csv")
