@@ -46,7 +46,12 @@ from .observer import (
     observer_init,
     observer_step,
 )
-from .outer import OuterGains, altitude_control, horizontal_control
+from .outer import (
+    OuterGains,
+    altitude_control,
+    attitude_terms,
+    horizontal_control,
+)
 from .params import HelicopterParams
 from .pipeline import build_design
 from .scenarios import builtin_names, builtin_scenario

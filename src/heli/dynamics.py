@@ -5,18 +5,20 @@ dynamics, first-order main-rotor flapping, and the onboard yaw-rate PI loop.
 The model is written once, in `_state_derivative_flat`, over the flat
 15-vector, and reaches sine, cosine, the pitch singularity check and the gyro
 clamp through arguments.  With the defaults it runs on Python floats and
-returns a list, the scenario loop's path.  With `*LANE_OPS` the same text
-runs on lanes, one `(N,)` array per element, each lane bit for bit the float
-result while numpy's sine and cosine match `math`'s; trim and linearization
-take all the points of a Jacobian in one such call.  It reads the parameters
-from `plant_constants(params)`, one tuple built once per scenario run, trim
-solve, linearization, or call of `state_derivative`, the array edge that
-checks shapes and returns an ndarray.  Two helpers are shared with other
-modules: the body-to-NED rotation rows (`dcm_rows`), used by the outer loop
-on floats and by the scenario metrics on arrays, and the yaw-gyro law, which
-the derivative, `yaw_gyro_output` (trim) and the scenario's saturation flag
-(on the logged columns, after the run) call.  All functions are pure;
-repeated evaluation with identical arguments is bit-identical.
+returns a list, the scenario loop's path; its clamp, `clamp`, is two
+comparisons.  With `*LANE_OPS` (sine, cosine, theta check and clamp on
+arrays) the same text runs on lanes, one `(N,)` array per element, each lane
+bit for bit the float result while numpy's sine and cosine match `math`'s;
+trim and linearization take all the points of a Jacobian in one such call.
+It reads the parameters from `plant_constants(params)`, one tuple built once
+per scenario run, trim solve, linearization, or call of `state_derivative`,
+the array edge that checks shapes and returns an ndarray.  Two helpers are
+shared with other modules: the body-to-NED rotation rows (`dcm_rows`), used
+by the outer loop on floats and by the scenario metrics on arrays, and the
+yaw-gyro law, which the derivative, `yaw_gyro_output` (trim) and the
+scenario's saturation flag (on the logged columns, after the run, with
+`clamp_lanes`) call.  All functions are pure; repeated evaluation with
+identical arguments is bit-identical.
 """
 from __future__ import annotations
 
@@ -41,8 +43,20 @@ def _check_theta_lanes(theta: np.ndarray):
         raise SingularAttitudeError("|theta| >= pi/2 on a lane")
 
 
-# sin, cos, theta check, clamp minimum and maximum of the lane derivative
-LANE_OPS = (np.sin, np.cos, _check_theta_lanes, np.minimum, np.maximum)
+def clamp(v, lo, hi):
+    """`v` limited to [lo, hi]: bit for bit `min(max(v, lo), hi)` for every
+    float `v`, NaN and signed zeros included, whenever lo <= hi, at the cost
+    of two comparisons."""
+    return lo if v < lo else (hi if v > hi else v)
+
+
+def clamp_lanes(v, lo, hi):
+    """`clamp` on arrays of points."""
+    return np.minimum(np.maximum(v, lo), hi)
+
+
+# sin, cos, theta check and clamp of the lane derivative
+LANE_OPS = (np.sin, np.cos, _check_theta_lanes, clamp_lanes)
 
 
 def dcm_rows(sphi, cphi, sth, cth, spsi, cpsi) -> tuple:
@@ -54,16 +68,11 @@ def dcm_rows(sphi, cphi, sth, cth, spsi, cpsi) -> tuple:
             (-sth,       sphi * cth,                      cphi * cth))
 
 
-def body_to_ned_rows(phi: float, theta: float, psi: float) -> tuple:
-    """`dcm_rows` at one attitude, as tuples of Python floats."""
-    _check_theta(theta)
-    return dcm_rows(math.sin(phi), math.cos(phi), math.sin(theta),
-                    math.cos(theta), math.sin(psi), math.cos(psi))
-
-
 def rotation_body_to_ned(phi: float, theta: float, psi: float) -> np.ndarray:
     """ZYX (yaw-pitch-roll) direction cosine matrix mapping body vectors to NED."""
-    return np.array(body_to_ned_rows(phi, theta, psi))
+    _check_theta(theta)
+    return np.array(dcm_rows(math.sin(phi), math.cos(phi), math.sin(theta),
+                             math.cos(theta), math.sin(psi), math.cos(psi)))
 
 
 def flap_coupling(params: HelicopterParams) -> float:
@@ -76,18 +85,18 @@ def flap_coupling(params: HelicopterParams) -> float:
 
 
 def yaw_gyro_law(xi, delta_ped, r, ka_g: float, kp_g: float, ki_g: float,
-                 minimum=min, maximum=max) -> tuple:
+                 clamp=clamp) -> tuple:
     """Tail servo command and integrator rate of the onboard yaw-rate PI loop.
 
     Returns (delta_ped_prime, xi_dot, saturated): the servo command is
     clamped to the actuator range before it reaches the tail rotor, and
     `saturated` tells whether the clamp was active.  On arrays of points
-    pass `np.minimum` and `np.maximum`.
+    pass `clamp_lanes`.
     """
     err = ka_g * delta_ped - r
     out = kp_g * err + xi
     saturated = abs(out) > 1.0
-    out = minimum(maximum(out, -1.0), 1.0)
+    out = clamp(out, -1.0, 1.0)
     return out, ki_g * err, saturated
 
 
@@ -125,8 +134,7 @@ def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarra
 
 
 def _state_derivative_flat(x, u, w, consts: tuple, sin=math.sin, cos=math.cos,
-                           check_theta=_check_theta, minimum=min,
-                           maximum=max) -> list:
+                           check_theta=_check_theta, clamp=clamp) -> list:
     # x, u and w hold Python floats (numpy scalars cost several times more,
     # so callers unpack arrays with `.tolist()`), or one array per element
     # with `*LANE_OPS`; `consts` is `plant_constants(params)`
@@ -163,7 +171,7 @@ def _state_derivative_flat(x, u, w, consts: tuple, sin=math.sin, cos=math.cos,
     sb, cb = sin(b_s), cos(b_s)
 
     dped_prime, xi_dot, _ = yaw_gyro_law(xi, dped, r, ka_g, kp_g, ki_g,
-                                         minimum, maximum)
+                                         clamp)
     tail_y = -k_ped * dped_prime
 
     drag_x = -dx * (vx - w_u)

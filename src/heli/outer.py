@@ -3,13 +3,19 @@
 Altitude errors are handled in the up-positive sense and produce a total
 thrust command with tilt compensation; horizontal errors are rotated into
 the heading frame and turned into bounded attitude references.
+
+A step evaluates the attitude once: `attitude_terms(x)` checks theta, takes
+the sines and cosines of phi, theta and psi, and rotates the body velocity
+into NED by `dcm_rows`.  `horizontal_control` and `altitude_control` read
+those terms and `OuterGains.loop_constants(params)`, the gains and plant
+values they use as one tuple of Python floats, built once per run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .dynamics import body_to_ned_rows
+from .dynamics import _check_theta, clamp, dcm_rows
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
 
@@ -27,55 +33,75 @@ class OuterGains:
 
     def validate(self) -> "OuterGains":
         for name in ("kp_z", "kd_z", "kp_x", "kd_x", "kp_y", "kd_y"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"outer gain {name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"outer gain {name} must be finite and >= 0")
         if not 0.0 < self.tilt_limit < math.pi / 2:
             raise ValueError("tilt_limit must lie in (0, pi/2)")
         if not 0.0 < self.col_limit <= 1.0:
             raise ValueError("col_limit must lie in (0, 1]")
         return self
 
+    def loop_constants(self, params: HelicopterParams) -> tuple:
+        """What `horizontal_control` and `altitude_control` read each step,
+        as Python floats: kp_x, kd_x, kp_y, kd_y, kp_z, kd_z, m g,
+        thrust_trim, k_col, col_limit and sin(tilt_limit).  The altitude law
+        adds m g last, so binding the product once changes no bit."""
+        return tuple(map(float, (
+            self.kp_x, self.kd_x, self.kp_y, self.kd_y, self.kp_z, self.kd_z,
+            params.m * params.g, params.thrust_trim, params.k_col,
+            self.col_limit, math.sin(self.tilt_limit))))
 
-def ned_velocity(x) -> list:
-    """Body velocity of the flat state `x` rotated into the NED frame.
 
-    Each row is summed left to right over Python floats, as the position
-    rows of the state derivative are, so the two agree bit for bit.
+def attitude_terms(x) -> tuple:
+    """(vn, ve, vd, cphi, cth, spsi, cpsi) of the flat state `x`: its body
+    velocity rotated into NED, the cosines of phi and theta, and the sine and
+    cosine of psi.
+
+    Raises SingularAttitudeError at |theta| >= pi/2.  Each NED row is summed
+    left to right over Python floats, as the position rows of the state
+    derivative are, so the two agree bit for bit.
     """
+    phi, theta, psi = x[6], x[7], x[8]
+    _check_theta(theta)
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
+    spsi, cpsi = math.sin(psi), math.cos(psi)
     vx, vy, vz = x[3], x[4], x[5]
-    return [r[0] * vx + r[1] * vy + r[2] * vz
-            for r in body_to_ned_rows(x[6], x[7], x[8])]
+    r_n, r_e, r_d = dcm_rows(sphi, cphi, sth, cth, spsi, cpsi)
+    return (r_n[0] * vx + r_n[1] * vy + r_n[2] * vz,
+            r_e[0] * vx + r_e[1] * vy + r_e[2] * vz,
+            r_d[0] * vx + r_d[1] * vy + r_d[2] * vz,
+            cphi, cth, spsi, cpsi)
 
 
-def altitude_control(p_ref, v_ref, x, v_ned, gains: OuterGains,
-                     params: HelicopterParams) -> tuple[float, bool]:
+def altitude_control(p_ref, v_ref, x, att, consts) -> tuple[float, bool]:
     """Collective command from the altitude PD law with tilt compensation.
 
     `p_ref` and `v_ref` are the NED reference position and velocity, `x` the
-    flat state and `v_ned` its NED velocity (`ned_velocity(x)`).  Returns
+    flat state, `att` its `attitude_terms(x)` (which checked theta) and
+    `consts` is `OuterGains.loop_constants(params)`.  Returns
     (delta_col, saturated).  At zero error and level attitude the commanded
     thrust equals the vehicle weight exactly.
     """
-    phi, theta = x[6], x[7]
-    cphi, cth = math.cos(phi), math.cos(theta)
-    if abs(theta) >= math.pi / 2 or abs(phi) >= math.pi / 2:
+    _, _, vd, cphi, cth, _, _ = att
+    _, _, _, _, kp_z, kd_z, mg, thrust_trim, k_col, col_limit, _ = consts
+    if abs(x[6]) >= math.pi / 2:
         raise SingularAttitudeError("tilt compensation undefined at 90 deg")
 
     e_z = x[2] - p_ref[2]                           # up-positive altitude error
-    h_dot = -v_ned[2]
+    h_dot = -vd
     h_dot_ref = -v_ref[2]
     e_z_dot = h_dot_ref - h_dot
 
-    t_cmd = (gains.kp_z * e_z + gains.kd_z * e_z_dot + params.m * params.g) \
-        / (cphi * cth)
-    delta_col = (t_cmd - params.thrust_trim) / params.k_col
-    saturated = abs(delta_col) > gains.col_limit
+    t_cmd = (kp_z * e_z + kd_z * e_z_dot + mg) / (cphi * cth)
+    delta_col = (t_cmd - thrust_trim) / k_col
+    saturated = abs(delta_col) > col_limit
     if saturated:
-        delta_col = math.copysign(gains.col_limit, delta_col)
+        delta_col = math.copysign(col_limit, delta_col)
     return delta_col, saturated
 
 
-def horizontal_control(p_ref, v_ref, x, v_ned, gains: OuterGains
+def horizontal_control(p_ref, v_ref, x, att, consts
                        ) -> tuple[float, float, bool]:
     """Attitude references (theta_ref, phi_ref) from horizontal position error.
 
@@ -84,25 +110,24 @@ def horizontal_control(p_ref, v_ref, x, v_ned, gains: OuterGains
     nose-down pitch, rightward error commands positive roll.  The arcsin
     argument is clamped so references never exceed the tilt limit.
     """
+    vn, ve, _, _, _, spsi, cpsi = att
+    kp_x, kd_x, kp_y, kd_y, _, _, _, _, _, _, limit = consts
     e_n = p_ref[0] - x[0]
     e_e = p_ref[1] - x[1]
-    ev_n = v_ref[0] - v_ned[0]
-    ev_e = v_ref[1] - v_ned[1]
+    ev_n = v_ref[0] - vn
+    ev_e = v_ref[1] - ve
 
-    psi = x[8]
-    cpsi, spsi = math.cos(psi), math.sin(psi)
     e_fwd = cpsi * e_n + spsi * e_e
     e_rgt = -spsi * e_n + cpsi * e_e
     ev_fwd = cpsi * ev_n + spsi * ev_e
     ev_rgt = -spsi * ev_n + cpsi * ev_e
 
-    s_fwd = gains.kp_x * e_fwd + gains.kd_x * ev_fwd
-    s_rgt = gains.kp_y * e_rgt + gains.kd_y * ev_rgt
+    s_fwd = kp_x * e_fwd + kd_x * ev_fwd
+    s_rgt = kp_y * e_rgt + kd_y * ev_rgt
 
-    limit = math.sin(gains.tilt_limit)
     saturated = abs(s_fwd) > limit or abs(s_rgt) > limit
-    s_fwd = min(max(s_fwd, -limit), limit)
-    s_rgt = min(max(s_rgt, -limit), limit)
+    s_fwd = clamp(s_fwd, -limit, limit)
+    s_rgt = clamp(s_rgt, -limit, limit)
 
     theta_ref = -math.asin(s_fwd)
     phi_ref = math.asin(s_rgt)

@@ -7,26 +7,29 @@ log to hover-precision metrics.  Runs are deterministic given the scenario
 configuration and seed.
 
 Everything a step reads is bound once per run: the plant constants, the
-gain rows of the controller and the observer, the measured-state indices,
-and the wind table as an array.  A step's wind and reference rows come as
-Python floats from `_step_rows`, which converts the wind table and builds
-the reference rows one block of `CSV_BLOCK_ROWS` steps at a time, so a run
-holds no reference table and never holds its wind table as Python floats.
-The arithmetic of a step then runs on Python floats alone, written out over
-the model's fixed sizes: `rk4_step` integrates the 15-vector plant state
-element by element, and the control law, the observer and the measurement
-deviations name every term, with each matrix-vector product an explicit
-left-to-right sum.  What a step need not know is found after the run from
-the log: the yaw-gyro clamp flag, by the same law on the logged columns,
-and the metrics, from reference and rotation rows rebuilt one block at a
-time.  Beyond its log, a run thus holds a few arrays of one row per step
-and the scratch of one block.  The loop reaches each layer by its
-module-level name in this module at call time (`_state_derivative_flat`
-through `rk4_step`, `control_law`, `assemble_state_estimate`,
-`observer_step`, `horizontal_control`, `altitude_control`), so wrapping
-those names from outside traces every call; a layer reached through any
-other reference, such as an alias or a closure over the physics, would not
-be seen.
+gain rows of the controller and the observer, the outer loop's gains
+(`OuterGains.loop_constants`), the measured-state indices, the reference
+segments as arrays (`_segment_arrays`) and the wind table as an array.  A
+step's wind and reference rows come as Python floats from `_step_rows`,
+which converts the wind table and builds the reference rows one block of
+`CSV_BLOCK_ROWS` steps at a time, so a run holds no reference table and
+never holds its wind table as Python floats.  The arithmetic of a step then
+runs on Python floats alone, written out over the model's fixed sizes:
+`rk4_step` integrates the 15-vector plant state element by element, the
+outer loop takes the attitude's sines and cosines once (`attitude_terms`),
+each min/max clamp is two comparisons (`dynamics.clamp`), and the control
+law, the observer and the measurement deviations name every term, with each
+matrix-vector product an explicit left-to-right sum.  What a step need not
+know is found after the run from the log: the yaw-gyro clamp flag, by the
+same law on the logged columns with the lane clamp, and the metrics, from
+reference and rotation rows rebuilt one block at a time.  Beyond its log, a
+run thus holds a few arrays of one row per step and the scratch of one
+block.  The loop reaches each layer by its module-level name in this module
+at call time (`_state_derivative_flat` through `rk4_step`, `control_law`,
+`assemble_state_estimate`, `observer_step`, `horizontal_control`,
+`altitude_control`), so wrapping those names from outside traces every
+call; a layer reached through any other reference, such as an alias or a
+closure over the physics, would not be seen.
 
 Two calls split their work with one child made by `os.fork()`, through
 `_in_forked_child`: `compare_controllers` runs its first controller in the
@@ -46,6 +49,8 @@ import numpy as np
 
 from .dynamics import (
     _state_derivative_flat,
+    clamp,
+    clamp_lanes,
     dcm_rows,
     plant_constants,
     yaw_gyro_law,
@@ -61,8 +66,8 @@ from .observer import (
 from .outer import (
     OuterGains,
     altitude_control,
+    attitude_terms,
     horizontal_control,
-    ned_velocity,
 )
 from .params import HelicopterParams
 from .state import (
@@ -165,6 +170,10 @@ class PidGains:
     int_limit: float = 0.35
 
     def validate(self) -> "PidGains":
+        for name in ("roll_kp", "roll_ki", "roll_kd", "pitch_kp", "pitch_ki",
+                     "pitch_kd", "yaw_kp", "yaw_ki"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"pid gain {name} must be finite")
         # a negative limit would pin every integrator at -|int_limit|
         if not self.int_limit >= 0.0:
             raise ValueError("int_limit must be >= 0")
@@ -197,9 +206,9 @@ class PidAttitudeController:
         e_psi = att_ref[2] - x[8]
 
         lim = g.int_limit
-        self.int_roll = min(max(self.int_roll + e_phi * dt, -lim), lim)
-        self.int_pitch = min(max(self.int_pitch + e_theta * dt, -lim), lim)
-        self.int_yaw = min(max(self.int_yaw + e_psi * dt, -lim), lim)
+        self.int_roll = clamp(self.int_roll + e_phi * dt, -lim, lim)
+        self.int_pitch = clamp(self.int_pitch + e_theta * dt, -lim, lim)
+        self.int_yaw = clamp(self.int_yaw + e_psi * dt, -lim, lim)
 
         lat0, lon0, ped0 = self.u_trim
         dlat = lat0 + g.roll_kp * e_phi + g.roll_ki * self.int_roll \
@@ -237,19 +246,38 @@ def reference_table(segments, t: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p_ref and v_ref rows and psi_ref at every time in `t`, each equal to
     what `reference_at` returns there."""
-    t = np.asarray(t, dtype=float)
-    active = np.zeros(t.size, dtype=int)
-    started = np.ones(t.size, dtype=bool)
-    for k, seg in enumerate(segments):
-        started &= seg.t_start <= t
-        active[started] = k
+    return _reference_rows(_segment_arrays(segments), t)
+
+
+def _segment_arrays(segments) -> tuple:
+    """The segments as the arrays `_reference_rows` reads, built once per
+    run: the running maximum of the start times, then the start times, p0
+    and v rows and psi.  Segment k is active from the running maximum's
+    k-th entry, as `reference_at` stops at the first segment not yet
+    started."""
     t_start = np.array([seg.t_start for seg in segments], dtype=float)
-    p0 = np.array([seg.p0 for seg in segments], dtype=float)
-    v = np.array([seg.v for seg in segments], dtype=float)
-    psi = np.array([seg.psi for seg in segments], dtype=float)
+    return (np.maximum.accumulate(t_start), t_start,
+            np.array([seg.p0 for seg in segments], dtype=float),
+            np.array([seg.v for seg in segments], dtype=float),
+            np.array([seg.psi for seg in segments], dtype=float))
+
+
+def _reference_rows(arrays, t):
+    """`reference_table` at the finite times `t`, from `_segment_arrays`."""
+    reached, t_start, p0, v, psi = arrays
+    t = np.asarray(t, dtype=float)
+    active = np.maximum(np.searchsorted(reached, t, side="right") - 1, 0)
     dt = t - t_start[active]
     v_ref = v[active]
     return p0[active] + v_ref * dt[:, None], v_ref, psi[active]
+
+
+def _run_segments(config: ScenarioConfig):
+    """`_segment_arrays` of the references the outer loop follows, or None
+    when it is off or has none."""
+    if not (config.use_outer and config.references):
+        return None
+    return _segment_arrays(config.references)
 
 
 def _row_blocks(start, stop):
@@ -261,10 +289,10 @@ def _row_blocks(start, stop):
 def _step_rows(wind, times, segments):
     """Step k's wind row, then its p_ref and v_ref rows and psi_ref at
     `times[k]` (None each when `segments` is None), as Python floats, for
-    k = 0, 1, ...
+    k = 0, 1, ...; `segments` is `_segment_arrays` of the references.
 
     A block of `CSV_BLOCK_ROWS` steps at a time, the wind rows are converted
-    and the reference rows built by `reference_table` at the block's times;
+    and the reference rows built by `_reference_rows` at the block's times;
     a block's 3-vector rows are zipped from its column lists, as per-row
     lists set off a full collection during the loop.  Steps are drawn by
     `itertools.chain` over one `zip` per block, so no Python frame is
@@ -273,7 +301,7 @@ def _step_rows(wind, times, segments):
     def blocks():
         for block in _row_blocks(0, len(times)):
             refs = ((None, None, None) if segments is None
-                    else reference_table(segments, times[block]))
+                    else _reference_rows(segments, times[block]))
             yield zip(*(repeat(None) if a is None
                         else a.tolist() if a.ndim == 1
                         else zip(*a.T.tolist())
@@ -478,11 +506,13 @@ def compute_metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport
     built one block of `CSV_BLOCK_ROWS` rows at a time.
     """
     return _metrics(np.asarray(t), np.asarray(states), np.asarray(att_ref),
-                    config)
+                    config, _run_segments(config))
 
 
-def _metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport:
-    """`compute_metrics` on arrays.
+def _metrics(t, states, att_ref, config: ScenarioConfig,
+             segments) -> MetricsReport:
+    """`compute_metrics` on arrays, with `segments` the run's
+    `_run_segments(config)`.
 
     With the outer loop, each block of `CSV_BLOCK_ROWS` rows gets its
     reference rows and body-to-NED rotations, and writes its velocity and
@@ -495,7 +525,7 @@ def _metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport:
         * 180.0 / math.pi
     max_theta = float(np.max(np.abs(states[:, 7] - att_ref[:, 1]))) \
         * 180.0 / math.pi
-    if not (config.use_outer and config.references):
+    if segments is None:
         return MetricsReport(max_phi_err_deg=max_phi,
                              max_theta_err_deg=max_theta,
                              rms_vel_err=np.zeros(3), max_vel_err=np.zeros(3),
@@ -505,7 +535,7 @@ def _metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport:
     pos_err = np.empty((t.size, 3))
     still = np.empty(t.size, dtype=bool)  # hover segment: zero v_ref
     for block in _row_blocks(0, t.size):
-        p_ref, v_ref, _ = reference_table(config.references, t[block])
+        p_ref, v_ref, _ = _reference_rows(segments, t[block])
         x = states[block]
         rot = _rotation_rows(x[:, 6], x[:, 7], x[:, 8])
         np.subtract(np.einsum("nij,nj->ni", rot, x[:, 3:6]), v_ref,
@@ -559,12 +589,13 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     par = params
     trim = artifacts.trim
     controller = config.controller
-    gains = artifacts.outer_gains
+    outer = artifacts.outer_gains.loop_constants(par)
     n_steps = int(round(config.duration / config.dt))
     dt = config.dt
     times = np.arange(n_steps + 1) * dt
 
     winds = config.wind.realize(config.duration, config.seed).table(times)
+    segments = _run_segments(config)
 
     x = trim.state.as_vector()
     x[0:3] += config.initial_offset
@@ -604,9 +635,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
     carry_flags = 0
     try:
-        for k, (wind, p_ref, v_ref, psi_ref) in enumerate(_step_rows(
-                winds, times, config.references if config.use_outer
-                else None)):
+        for k, (wind, p_ref, v_ref, psi_ref) in enumerate(
+                _step_rows(winds, times, segments)):
             # the sum is finite unless an element is not or the sum overflows
             if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
                 raise SimulationAbort(k, times[k])
@@ -616,13 +646,13 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             # outer loop; tilt commands are deviations about the trim attitude
             stage = "outer loop"
             if config.use_outer:
-                v_ned = ned_velocity(x)
+                att = attitude_terms(x)
                 theta_dev, phi_dev, tilt_sat = horizontal_control(
-                    p_ref, v_ref, x, v_ned, gains)
+                    p_ref, v_ref, x, att, outer)
                 if tilt_sat:
                     step_flags |= SAT_TILT
                 delta_col, col_sat = altitude_control(
-                    p_ref, v_ref, x, v_ned, gains, par)
+                    p_ref, v_ref, x, att, outer)
                 if col_sat:
                     step_flags |= SAT_DCOL
                 att_ref = [h_trim[0] + phi_dev, h_trim[1] + theta_dev,
@@ -684,13 +714,12 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
         estimates += z_trim
     # the tail servo clamp, from the logged states and pedal commands
     _, _, gyro_sat = yaw_gyro_law(states[:, 14], inputs[:, 2], states[:, 11],
-                                  par.ka_g, par.kp_g, par.ki_g,
-                                  np.minimum, np.maximum)
+                                  par.ka_g, par.kp_g, par.ki_g, clamp_lanes)
     flags[gyro_sat] |= SAT_GYRO
     log = ScenarioLog(t=times, states=states, inputs=inputs, wind=winds,
                       att_ref=att_refs, estimates=estimates, sat_flags=flags,
                       config=config)
-    metrics = _metrics(times, states, att_refs, config)
+    metrics = _metrics(times, states, att_refs, config, segments)
     return log, metrics
 
 

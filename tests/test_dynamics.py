@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -19,10 +20,12 @@ from heli.sim import LOG_COLUMNS, _rotation_rows, rk4_step
 from heli.dynamics import (
     LANE_OPS,
     _state_derivative_flat,
+    clamp,
+    clamp_lanes,
     plant_constants,
     yaw_gyro_law,
 )
-from heli.outer import ned_velocity
+from heli.outer import attitude_terms
 from heli.state import STATE_LABELS, clamp_servos
 
 
@@ -195,12 +198,61 @@ class TestYawGyro:
         # both sides of the clamp, at kp_g where it fires
         rng = np.random.default_rng(17)
         xi, dped, r = rng.uniform(-1.5, 1.5, (3, 200))
-        lanes = yaw_gyro_law(xi, dped, r, 1.0, 3.0, 2.5, np.minimum, np.maximum)
+        lanes = yaw_gyro_law(xi, dped, r, 1.0, 3.0, 2.5, clamp_lanes)
         points = [yaw_gyro_law(*v, 1.0, 3.0, 2.5)
                   for v in zip(xi.tolist(), dped.tolist(), r.tolist())]
         assert 0 < np.count_nonzero(lanes[2]) < 200
         for lane, column in zip(lanes, zip(*points)):
             assert lane.tolist() == list(column)
+
+
+class TestClamp:
+    # every float: NaN, infinities, signed zeros and subnormals included
+    any_float = st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True)
+    bound = st.floats(allow_nan=False, allow_infinity=True,
+                      allow_subnormal=True)
+
+    @staticmethod
+    def _bits(v) -> bytes:
+        return struct.pack("<d", v)
+
+    @settings(deadline=None, max_examples=2000)
+    @given(any_float, bound, bound)
+    # int_limit = 0 clamps the PID integrators to [-0.0, 0.0]
+    @example(0.0, -0.0, 0.0)
+    @example(-0.0, -0.0, 0.0)
+    @example(-0.0, 0.0, 0.0)
+    @example(0.0, -0.0, -0.0)
+    @example(-0.0, 0.0, -0.0)
+    @example(math.nan, -0.0, 0.0)
+    @example(5e-324, -0.0, 0.0)
+    @example(-5e-324, -0.0, 0.0)
+    def test_float_clamp_is_min_of_max(self, v, a, b):
+        # sorted keeps the order of -0.0 and 0.0, so lo == hi == +-0 in
+        # either order comes through
+        lo, hi = sorted((a, b))
+        want = min(max(v, lo), hi)
+        assert self._bits(clamp(v, lo, hi)) == self._bits(want)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(any_float, min_size=1, max_size=20), bound, bound)
+    def test_lane_clamp_is_minimum_of_maximum(self, values, a, b):
+        lo, hi = sorted((a, b))
+        v = np.array(values)
+        got = clamp_lanes(v, lo, hi)
+        assert got.tobytes() == np.minimum(np.maximum(v, lo), hi).tobytes()
+        # lane by lane the float clamp, but where a tie between signed
+        # zeros keeps the other operand (numpy keeps the second, Python the
+        # first); a NaN lane stays NaN
+        for g, x in zip(got.tolist(), values):
+            if math.isnan(x):
+                assert math.isnan(g)
+            elif not (x == 0.0 and (lo == 0.0 or hi == 0.0)):
+                assert self._bits(g) == self._bits(clamp(x, lo, hi))
+
+    def test_lane_ops_end_with_lane_clamp(self):
+        assert len(LANE_OPS) == 4 and LANE_OPS[3] is clamp_lanes
 
 
 class TestForcesAndMoments:
@@ -308,7 +360,7 @@ class TestStateDerivative:
             xdot = state_derivative(x, np.zeros(4), np.zeros(3), params)
             assert np.max(np.abs(xdot[0:3] - rot @ v)) < 1e-14
             # the outer loop's NED velocity sums each row in the same order
-            v_ned = ned_velocity(x.tolist())
+            v_ned = attitude_terms(x.tolist())[0:3]
             assert np.array(v_ned).tobytes() == xdot[0:3].tobytes()
 
     def test_array_edge_equals_list_core(self, params):

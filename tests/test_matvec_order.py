@@ -1,10 +1,10 @@
 """The per-step matrix-vector products sum each row left to right.
 
-`control_law`, `observer_step` and `ned_velocity` multiply small fixed
-matrices by vectors of Python floats.  Their results are part of every
-scenario log, so the summation order is pinned bit for bit against a
-written-out left-to-right oracle, and each is checked against numpy's
-matvec to 1e-12 of the size of its terms.
+`control_law`, `observer_step` and the NED velocity of `attitude_terms`
+multiply small fixed matrices by vectors of Python floats.  Their results
+are part of every scenario log, so the summation order is pinned bit for
+bit against a written-out left-to-right oracle, and each is checked against
+numpy's matvec to 1e-12 of the size of its terms.
 """
 import math
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from heli.dynamics import rotation_body_to_ned
 from heli.hinf import control_law
 from heli.observer import observer_step
-from heli.outer import ned_velocity
+from heli.outer import attitude_terms
 
 REL = 1e-12
 
@@ -96,6 +96,6 @@ def test_ned_velocity_sums_left_to_right(phi, theta, psi, v):
     x[3:6] = v
     x[6:9] = phi, theta, psi
     rot = rotation_body_to_ned(phi, theta, psi)
-    got = ned_velocity(x)
+    got = list(attitude_terms(x)[0:3])
     assert _bits(got) == _bits([_dot(row, v) for row in rot.tolist()])
     assert _near(got, rot @ np.array(v), np.abs(rot) @ np.abs(v))

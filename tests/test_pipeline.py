@@ -116,3 +116,20 @@ def test_unusable_parameter_names_itself(field, value, message):
     cfg = ToolkitConfig(params=HelicopterParams(**{field: value}))
     with pytest.raises(ConfigError, match=f"^{message}$"):
         build_design(cfg)
+
+
+@pytest.mark.parametrize("section, gains, message", [
+    ("outer", OuterGains(kp_z=float("inf")),
+     "outer gain kp_z must be finite and >= 0"),
+    ("outer", OuterGains(kd_x=float("inf")),
+     "outer gain kd_x must be finite and >= 0"),
+    ("pid", PidGains(roll_kp=float("nan")), "pid gain roll_kp must be finite"),
+    ("pid", PidGains(pitch_kd=float("inf")),
+     "pid gain pitch_kd must be finite"),
+])
+def test_non_finite_gain_names_itself(section, gains, message):
+    # a config file rejects these values when it is read; a ToolkitConfig
+    # built in code gets the same check before the first stage
+    cfg = replace(ToolkitConfig(), **{section: gains})
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {message}$"):
+        build_design(cfg)

@@ -17,13 +17,14 @@ PUBLIC_NAMES = [
     "SingularAttitudeError", "SynthesisError", "SynthesisResult",
     "TrimConvergenceError", "TrimPoint", "UnobservablePairError",
     "UnstableSystemError", "WindModel", "WindSequence", "altitude_control",
-    "assemble_state_estimate", "build_design", "build_output_map",
-    "builtin_names", "builtin_scenario", "check_feasibility",
-    "compare_controllers", "compute_gains", "compute_metrics", "control_law",
-    "design_reduced_observer", "find_trim", "flap_coupling", "gamma_star",
-    "hinf_norm", "horizontal_control", "linearize", "observer_init",
-    "observer_step", "rk4_step", "rotation_body_to_ned", "run_scenario",
-    "solve_riccati", "state_derivative", "synthesize", "verify_linearization",
+    "assemble_state_estimate", "attitude_terms", "build_design",
+    "build_output_map", "builtin_names", "builtin_scenario",
+    "check_feasibility", "compare_controllers", "compute_gains",
+    "compute_metrics", "control_law", "design_reduced_observer", "find_trim",
+    "flap_coupling", "gamma_star", "hinf_norm", "horizontal_control",
+    "linearize", "observer_init", "observer_step", "rk4_step",
+    "rotation_body_to_ned", "run_scenario", "solve_riccati",
+    "state_derivative", "synthesize", "verify_linearization",
     "yaw_gyro_output",
 ]
 

@@ -43,6 +43,7 @@ from heli.sim import (
     LOG_COLUMNS,
     ScenarioConfig,
     ScenarioLog,
+    _segment_arrays,
     _step_rows,
     read_log_csv,
     reference_at,
@@ -239,7 +240,7 @@ class TestStepRows:
                                    2 * B + 1, 4 * B + 1, 30001])
     def test_rows_are_each_tables_rows(self, n):
         wind, times, segments = _step_inputs(n)
-        rows = list(_step_rows(wind, times, segments))
+        rows = list(_step_rows(wind, times, _segment_arrays(segments)))
         assert len(rows) == n
         tables = (wind, *reference_table(segments, times))
         for column, table in zip(zip(*rows), tables):
@@ -264,7 +265,7 @@ class TestStepRows:
             block_bytes = tracemalloc.get_traced_memory()[0]
             del block
             tracemalloc.reset_peak()
-            rows = _step_rows(wind, times, segments)
+            rows = _step_rows(wind, times, _segment_arrays(segments))
             for _ in range(5):
                 next(rows)
             held, peak = tracemalloc.get_traced_memory()
@@ -403,6 +404,16 @@ class TestScenarioValidation:
         # every PID integrator would sit at -0.35 after one step
         ("gust-attitude-hold", "pid", "pid_gains",
          PidGains(int_limit=-0.35)),
+        # an infinite or NaN gain would stop the run as a SimulationAbort on
+        # the first non-finite state
+        ("paper-hover-climb", "hinf", "outer_gains",
+         OuterGains(kp_z=math.inf)),
+        ("paper-hover-climb", "hinf", "outer_gains",
+         OuterGains(kd_x=math.inf)),
+        ("gust-attitude-hold", "pid", "pid_gains",
+         PidGains(roll_kp=math.nan)),
+        ("gust-attitude-hold", "pid", "pid_gains",
+         PidGains(pitch_kd=math.inf)),
     ])
     def test_bad_artifact_gains_rejected(self, params, artifacts, scenario,
                                          controller, field, gains):
@@ -426,6 +437,11 @@ class TestScenarioValidation:
         for bad in (-0.35, math.nan):
             with pytest.raises(ValueError, match="int_limit"):
                 PidGains(int_limit=bad).validate()
+        for field in fields(PidGains)[:-1]:  # every gain before int_limit
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError,
+                                   match=f"^pid gain {field.name} must be finite$"):
+                    PidGains(**{field.name: bad}).validate()
 
 
 class TestRunScenario:
@@ -679,15 +695,22 @@ class TestRunScenario:
 
     def test_reference_rows_built_one_block_at_a_time(self, params,
                                                       artifacts, monkeypatch):
-        # the loop and then the metrics each cover the run's times once
-        calls = []
-        table = heli.sim.reference_table
+        # the loop and then the metrics each cover the run's times once,
+        # from segment arrays built once for both
+        calls, built = [], []
+        rows = heli.sim._reference_rows
+        arrays = heli.sim._segment_arrays
 
         def recorded(segments, t):
             calls.append(np.array(t))
-            return table(segments, t)
+            return rows(segments, t)
 
-        monkeypatch.setattr(heli.sim, "reference_table", recorded)
+        def counted(segments):
+            built.append(segments)
+            return arrays(segments)
+
+        monkeypatch.setattr(heli.sim, "_reference_rows", recorded)
+        monkeypatch.setattr(heli.sim, "_segment_arrays", counted)
         cfg = builtin_scenario("step-offset", seed=3)
         cfg.duration = 3.0
         log, _ = run_scenario(cfg, params, artifacts)
@@ -695,6 +718,7 @@ class TestRunScenario:
         assert max(c.size for c in calls) <= CSV_BLOCK_ROWS
         assert (np.concatenate(calls).tobytes()
                 == np.concatenate([log.t, log.t]).tobytes())
+        assert built == [cfg.references]
 
 
 class TestCompare:
@@ -1080,6 +1104,21 @@ def reference_runs(draw):
 @given(reference_runs())
 def test_reference_table_equals_reference_at(run):
     segments, times = run
+    _assert_table_is_reference_at(segments, times)
+
+
+@settings(deadline=None, max_examples=60)
+@given(reference_runs(), st.randoms(use_true_random=False))
+def test_reference_table_equals_reference_at_out_of_order(run, rnd):
+    # `reference_at` stops at the first segment not yet started, whatever
+    # the order; the table searches the running maximum of the starts
+    segments, times = run
+    segments = list(segments)
+    rnd.shuffle(segments)
+    _assert_table_is_reference_at(segments, times)
+
+
+def _assert_table_is_reference_at(segments, times):
     p_ref, v_ref, psi_ref = reference_table(segments, times)
     for k, t in enumerate(times):
         p_at, v_at, psi_at = reference_at(segments, t)
