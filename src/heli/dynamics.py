@@ -14,7 +14,9 @@ It reads the parameters from `plant_constants(params)`, one tuple built once
 per scenario run, trim solve, linearization, or call of `state_derivative`,
 the array edge that checks shapes and returns an ndarray.  Two helpers are
 shared with other modules: the body-to-NED rotation rows (`dcm_rows`), used
-by the outer loop on floats and by the scenario metrics on arrays, and the
+by `rotation_body_to_ned` on floats and by the scenario metrics on arrays
+(the derivative and the outer loop's `attitude_terms` write the same rows
+inline, which saves building their tuples each call), and the
 yaw-gyro law, which the derivative, `yaw_gyro_output` (trim) and the
 scenario's saturation flag (on the logged columns, after the run, with
 `clamp_lanes`) call.  All functions are pure; repeated evaluation with
@@ -158,9 +160,10 @@ def _state_derivative_flat(x, u, w, consts: tuple, sin=math.sin, cos=math.cos,
         + (cphi * sth * spsi - sphi * cpsi) * vz
     pd_dot = -sth * vx + sphi * cth * vy + cphi * cth * vz
 
-    phi_dot = p + tth * (sphi * q + cphi * r)
+    sq_cr = sphi * q + cphi * r
+    phi_dot = p + tth * sq_cr
     theta_dot = cphi * q - sphi * r
-    psi_dot = (sphi * q + cphi * r) / cth
+    psi_dot = sq_cr / cth
 
     # forces and moments (body axes): rotor thrust tilted by the flap angles,
     # tail-rotor side force, linear drag on the wind-relative airspeed acting

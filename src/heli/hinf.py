@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SynthesisError, UnstableSystemError
-from .state import TRACKED_ROWS, clamp_servos
+from .state import INPUT_LIMIT, TRACKED_ROWS, clamp_servos
 
 
 def linalg_extension():
@@ -449,18 +449,23 @@ def control_law(gains, x, r, u_trim,
     ut0, ut1, ut2 = u_trim
     e0, e1, e2 = r[0] - h0, r[1] - h1, r[2] - h2
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
-    u = [f00 * x0 + f01 * x1 + f02 * x2 + f03 * x3 + f04 * x4 + f05 * x5
-         + f06 * x6 + f07 * x7 + f08 * x8
-         + (g00 * e0 + g01 * e1 + g02 * e2) + ut0,
-         f10 * x0 + f11 * x1 + f12 * x2 + f13 * x3 + f14 * x4 + f15 * x5
-         + f16 * x6 + f17 * x7 + f18 * x8
-         + (g10 * e0 + g11 * e1 + g12 * e2) + ut1,
-         f20 * x0 + f21 * x1 + f22 * x2 + f23 * x3 + f24 * x4 + f25 * x5
-         + f26 * x6 + f27 * x7 + f28 * x8
-         + (g20 * e0 + g21 * e1 + g22 * e2) + ut2]
-    flags = clamp_servos(u)
-    u.append(delta_col)
-    return u, flags
+    u0 = (f00 * x0 + f01 * x1 + f02 * x2 + f03 * x3 + f04 * x4 + f05 * x5
+          + f06 * x6 + f07 * x7 + f08 * x8
+          + (g00 * e0 + g01 * e1 + g02 * e2) + ut0)
+    u1 = (f10 * x0 + f11 * x1 + f12 * x2 + f13 * x3 + f14 * x4 + f15 * x5
+          + f16 * x6 + f17 * x7 + f18 * x8
+          + (g10 * e0 + g11 * e1 + g12 * e2) + ut1)
+    u2 = (f20 * x0 + f21 * x1 + f22 * x2 + f23 * x3 + f24 * x4 + f25 * x5
+          + f26 * x6 + f27 * x7 + f28 * x8
+          + (g20 * e0 + g21 * e1 + g22 * e2) + ut2)
+    # a channel within the range (or NaN) passes the clamp unchanged
+    if abs(u0) > INPUT_LIMIT or abs(u1) > INPUT_LIMIT \
+            or abs(u2) > INPUT_LIMIT:
+        u = [u0, u1, u2]
+        flags = clamp_servos(u)
+        u.append(delta_col)
+        return u, flags
+    return [u0, u1, u2, delta_col], 0
 
 
 def hinf_norm(a_cl, e, c_cl) -> float:

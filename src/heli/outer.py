@@ -6,7 +6,8 @@ the heading frame and turned into bounded attitude references.
 
 A step evaluates the attitude once: `attitude_terms(x)` checks theta, takes
 the sines and cosines of phi, theta and psi, and rotates the body velocity
-into NED by `dcm_rows`.  `horizontal_control` and `altitude_control` read
+into NED with the rows of `dynamics.dcm_rows` written inline, as the state
+derivative writes them.  `horizontal_control` and `altitude_control` read
 those terms and `OuterGains.loop_constants(params)`, the gains and plant
 values they use as one tuple of Python floats, built once per run.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import _check_theta, clamp, dcm_rows
+from .dynamics import _check_theta, clamp
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
 
@@ -57,9 +58,9 @@ def attitude_terms(x) -> tuple:
     velocity rotated into NED, the cosines of phi and theta, and the sine and
     cosine of psi.
 
-    Raises SingularAttitudeError at |theta| >= pi/2.  Each NED row is summed
-    left to right over Python floats, as the position rows of the state
-    derivative are, so the two agree bit for bit.
+    Raises SingularAttitudeError at |theta| >= pi/2.  Each NED row is the
+    state derivative's position row, written out and summed left to right
+    over Python floats in the same way, so the two agree bit for bit.
     """
     phi, theta, psi = x[6], x[7], x[8]
     _check_theta(theta)
@@ -67,10 +68,11 @@ def attitude_terms(x) -> tuple:
     sth, cth = math.sin(theta), math.cos(theta)
     spsi, cpsi = math.sin(psi), math.cos(psi)
     vx, vy, vz = x[3], x[4], x[5]
-    r_n, r_e, r_d = dcm_rows(sphi, cphi, sth, cth, spsi, cpsi)
-    return (r_n[0] * vx + r_n[1] * vy + r_n[2] * vz,
-            r_e[0] * vx + r_e[1] * vy + r_e[2] * vz,
-            r_d[0] * vx + r_d[1] * vy + r_d[2] * vz,
+    return (cth * cpsi * vx + (sphi * sth * cpsi - cphi * spsi) * vy
+            + (cphi * sth * cpsi + sphi * spsi) * vz,
+            cth * spsi * vx + (sphi * sth * spsi + cphi * cpsi) * vy
+            + (cphi * sth * spsi - sphi * cpsi) * vz,
+            -sth * vx + sphi * cth * vy + cphi * cth * vz,
             cphi, cth, spsi, cpsi)
 
 
@@ -126,8 +128,9 @@ def horizontal_control(p_ref, v_ref, x, att, consts
     s_rgt = kp_y * e_rgt + kd_y * ev_rgt
 
     saturated = abs(s_fwd) > limit or abs(s_rgt) > limit
-    s_fwd = clamp(s_fwd, -limit, limit)
-    s_rgt = clamp(s_rgt, -limit, limit)
+    if saturated:  # else each lies within the limits, or is NaN
+        s_fwd = clamp(s_fwd, -limit, limit)
+        s_rgt = clamp(s_rgt, -limit, limit)
 
     theta_ref = -math.asin(s_fwd)
     phi_ref = math.asin(s_rgt)

@@ -17,15 +17,24 @@ never holds its wind table as Python floats.  The arithmetic of a step then
 runs on Python floats alone, written out over the model's fixed sizes:
 `rk4_step` integrates the 15-vector plant state element by element, the
 outer loop takes the attitude's sines and cosines once (`attitude_terms`),
-each min/max clamp is two comparisons (`dynamics.clamp`), and the control
-law, the observer and the measurement deviations name every term, with each
-matrix-vector product an explicit left-to-right sum.  What a step need not
-know is found after the run from the log: the yaw-gyro clamp flag, by the
-same law on the logged columns with the lane clamp, and the metrics, from
-reference and rotation rows rebuilt one block at a time.  Beyond its log, a
-run thus holds a few arrays of one row per step and the scratch of one
-block.  The loop reaches each layer by its module-level name in this module
-at call time (`_state_derivative_flat` through `rk4_step`, `control_law`,
+each min/max clamp is two comparisons (`dynamics.clamp`), the servo, tilt
+and flap clamps run only on a step where a value is out of range, and the
+control law, the observer and the measurement deviations name every term,
+with each matrix-vector product an explicit left-to-right sum.
+
+The log is one `(n, LOG_WIDTH)` float table with its columns in
+`LOG_COLUMNS` order, its times and wind rows filled before the loop; a step
+stores its whole row, `t, *x, *u, *wind, *att_ref, *z_est`, with one
+`struct.pack_into` into the table's bytes, and its flag bits only when some
+are set.  `ScenarioLog` names
+views of the table's columns.  What a step need not know is found after the
+run from the log: the yaw-gyro clamp flag, by the same law on the logged
+columns with the lane clamp, and the metrics, from reference and rotation
+rows rebuilt one block at a time.  Beyond its log, a run thus holds a few
+arrays of one row per step and the scratch of one block.
+
+The loop reaches each layer by its module-level name in this module at call
+time (`_state_derivative_flat` through `rk4_step`, `control_law`,
 `assemble_state_estimate`, `observer_step`, `horizontal_control`,
 `altitude_control`), so wrapping those names from outside traces every
 call; a layer reached through any other reference, such as an alias or a
@@ -35,13 +44,15 @@ Two calls split their work with one child made by `os.fork()`, through
 `_in_forked_child`: `compare_controllers` runs its first controller in the
 child, and `ScenarioLog.to_csv` has the child format the second half of the
 rows.  When the child fails, the calling process does its share itself, so
-the logs, files and errors are those of one process.
+the logs, files and errors are those of one process.  A forked run sends
+its log as two buffers, the table and the flags.
 """
 from __future__ import annotations
 
 import math
 import os
 import signal
+import struct
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 
@@ -80,7 +91,6 @@ from .state import (
     SAT_GYRO,
     SAT_TILT,
     STATE_LABELS,
-    N_STATES,
     UNMEASURED_IDX,
     clamp_servos,
 )
@@ -96,9 +106,12 @@ LOG_COLUMNS = ",".join((
     *REFERENCE_LABELS,
     *("est_" + MODEL_STATE_LABELS[i] for i in UNMEASURED_IDX), "sat_flags"))
 CSV_HEADER = (LOG_COLUMNS + "\n").encode("utf-8")
-# the array fields of ScenarioLog, in the order a forked run sends them
-LOG_ARRAYS = ("t", "states", "inputs", "wind", "att_ref", "estimates",
-              "sat_flags")
+# the float columns of a log table, in LOG_COLUMNS order; the last column,
+# sat_flags, is kept apart as integers
+LOG_WIDTH = 29
+_T, _STATES, _INPUTS, _WIND, _ATT_REF, _ESTIMATES = (
+    0, slice(1, 16), slice(16, 20), slice(20, 23), slice(23, 26),
+    slice(26, 29))
 
 
 def rk4_step(derivative, state, inputs, wind, dt: float) -> list:
@@ -287,12 +300,14 @@ def _row_blocks(start, stop):
 
 
 def _step_rows(wind, times, segments):
-    """Step k's wind row, then its p_ref and v_ref rows and psi_ref at
-    `times[k]` (None each when `segments` is None), as Python floats, for
-    k = 0, 1, ...; `segments` is `_segment_arrays` of the references.
+    """Step k's time `times[k]` and wind row, then its p_ref and v_ref rows
+    and psi_ref at that time (None each when `segments` is None), as Python
+    floats, for k = 0, 1, ...; `segments` is `_segment_arrays` of the
+    references.
 
-    A block of `CSV_BLOCK_ROWS` steps at a time, the wind rows are converted
-    and the reference rows built by `_reference_rows` at the block's times;
+    A block of `CSV_BLOCK_ROWS` steps at a time, the times and wind rows are
+    converted and the reference rows built by `_reference_rows` at the
+    block's times;
     a block's 3-vector rows are zipped from its column lists, as per-row
     lists set off a full collection during the loop.  Steps are drawn by
     `itertools.chain` over one `zip` per block, so no Python frame is
@@ -305,7 +320,7 @@ def _step_rows(wind, times, segments):
             yield zip(*(repeat(None) if a is None
                         else a.tolist() if a.ndim == 1
                         else zip(*a.T.tolist())
-                        for a in (wind[block], *refs)))
+                        for a in (times[block], wind[block], *refs)))
     return chain.from_iterable(blocks())
 
 
@@ -364,16 +379,27 @@ class SimArtifacts:
     outer_gains: OuterGains = field(default_factory=OuterGains)
 
 
+def _log_columns(cols, doc):
+    return property(lambda self: self.table[:, cols], doc=doc)
+
+
 @dataclass
 class ScenarioLog:
-    t: np.ndarray
-    states: np.ndarray       # (n, 15)
-    inputs: np.ndarray       # (n, 4)
-    wind: np.ndarray         # (n, 3)
-    att_ref: np.ndarray      # (n, 3)
-    estimates: np.ndarray    # (n, 3) deviation estimates
+    """One row per step: `table` holds the float columns of `LOG_COLUMNS`
+    in order, and `sat_flags` the last, as integer bit masks.  `t`,
+    `states`, `inputs`, `wind`, `att_ref` and `estimates` name views of the
+    table's columns."""
+
+    table: np.ndarray        # (n, LOG_WIDTH), C-contiguous
     sat_flags: np.ndarray    # (n,) integer bit masks
     config: ScenarioConfig
+
+    t = _log_columns(_T, "(n,) step times")
+    states = _log_columns(_STATES, "(n, 15) flat states")
+    inputs = _log_columns(_INPUTS, "(n, 4) servo inputs")
+    wind = _log_columns(_WIND, "(n, 3) body-axis wind")
+    att_ref = _log_columns(_ATT_REF, "(n, 3) attitude references")
+    estimates = _log_columns(_ESTIMATES, "(n, 3) observer estimates")
 
     def to_csv(self, path):
         """Write one row per step: every float as its shortest round-trip
@@ -391,7 +417,7 @@ class ScenarioLog:
         either way.  A fork copies only the calling thread, so call this
         from a process that runs no other Python threads.
         """
-        n = self.t.size
+        n = len(self.table)
         mid = CSV_BLOCK_ROWS * round(n / (2 * CSV_BLOCK_ROWS))
         if mid == 0:
             with open(path, "wb") as fh:
@@ -428,10 +454,8 @@ class ScenarioLog:
         `CSV_BLOCK_ROWS` rows at a time from `start`: Python floats for
         every row at once would take several times the memory of the log
         itself."""
-        columns = (self.t, self.states, self.inputs, self.wind, self.att_ref,
-                   self.estimates)
         for block in _row_blocks(start, stop):
-            rows = np.column_stack([c[block] for c in columns]).tolist()
+            rows = self.table[block].tolist()
             flags = self.sat_flags[block].astype(int).tolist()
             yield "".join(f"{','.join(map(repr, row))},{bits}\n"
                           for row, bits in zip(rows, flags)).encode("utf-8")
@@ -592,9 +616,14 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     outer = artifacts.outer_gains.loop_constants(par)
     n_steps = int(round(config.duration / config.dt))
     dt = config.dt
-    times = np.arange(n_steps + 1) * dt
-
-    winds = config.wind.realize(config.duration, config.seed).table(times)
+    # the log, one row per step; its times and wind rows are filled here,
+    # and the loop rewrites each row whole, as one store
+    table = np.empty((n_steps + 1, LOG_WIDTH))
+    times = table[:, _T]
+    times[:] = np.arange(n_steps + 1) * dt
+    table[:, _WIND] = config.wind.realize(config.duration,
+                                          config.seed).table(times)
+    flags = np.zeros(n_steps + 1, dtype=int)
     segments = _run_segments(config)
 
     x = trim.state.as_vector()
@@ -619,13 +648,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     if observing:
         obs_step = artifacts.observer.discretize(dt)
         x_obs, z_est = observer_init(artifacts.observer, np.zeros(6))
+    else:
+        z_est = [0.0, 0.0, 0.0]
     z_trim = np.array([trim.state.a_s, trim.state.b_s, trim.dped_prime])
-
-    states = np.empty((n_steps + 1, N_STATES))
-    inputs = np.empty((n_steps + 1, 4))
-    att_refs = np.empty((n_steps + 1, 3))
-    estimates = np.zeros((n_steps + 1, 3))
-    flags = np.zeros(n_steps + 1, dtype=int)
 
     consts = plant_constants(par)
     flap_limit = par.flap_limit
@@ -633,10 +658,15 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     def deriv(xv, uv, wv):
         return _state_derivative_flat(xv, uv, wv, consts)
 
+    # a step's row goes into the table in one store, its floats packed
+    # straight into the table's bytes (half the cost of `table[k] = row`)
+    store_row = struct.Struct(f"={LOG_WIDTH}d").pack_into
+    row_bytes = table.strides[0]
+    log_bytes = memoryview(table).cast("B")
     carry_flags = 0
     try:
-        for k, (wind, p_ref, v_ref, psi_ref) in enumerate(
-                _step_rows(winds, times, segments)):
+        for k, (t_k, wind, p_ref, v_ref, psi_ref) in enumerate(
+                _step_rows(table[:, _WIND], times, segments)):
             # the sum is finite unless an element is not or the sum overflows
             if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
                 raise SimulationAbort(k, times[k])
@@ -678,22 +708,22 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             else:  # open loop at trim
                 u = u_open
 
-            states[k] = x
-            inputs[k] = u
-            att_refs[k] = att_ref
-            if observing:
-                estimates[k] = z_est
-            flags[k] = step_flags
+            store_row(log_bytes, k * row_bytes,
+                      t_k, *x, *u, *wind, *att_ref, *z_est)
+            if step_flags:
+                flags[k] = step_flags
 
             if k == n_steps:
                 break
 
             stage = "plant RK4"
             x = rk4_step(deriv, x, u, wind, dt)
-            for idx in (12, 13):  # mechanical flapping stops
-                if abs(x[idx]) > flap_limit:
-                    x[idx] = math.copysign(flap_limit, x[idx])
-                    carry_flags |= SAT_FLAP
+            # mechanical flapping stops
+            if abs(x[12]) > flap_limit or abs(x[13]) > flap_limit:
+                for idx in (12, 13):
+                    if abs(x[idx]) > flap_limit:
+                        x[idx] = math.copysign(flap_limit, x[idx])
+                        carry_flags |= SAT_FLAP
             if observing:
                 stage = "observer"
                 x_obs, z_est = observer_step(
@@ -710,16 +740,17 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             raise
         raise SimulationAbort(k, times[k], stage, exc) from exc
 
+    log = ScenarioLog(table, flags, config)
     if observing:
+        estimates = log.estimates
         estimates += z_trim
     # the tail servo clamp, from the logged states and pedal commands
-    _, _, gyro_sat = yaw_gyro_law(states[:, 14], inputs[:, 2], states[:, 11],
-                                  par.ka_g, par.kp_g, par.ki_g, clamp_lanes)
+    states = log.states
+    _, _, gyro_sat = yaw_gyro_law(states[:, 14], log.inputs[:, 2],
+                                  states[:, 11], par.ka_g, par.kp_g, par.ki_g,
+                                  clamp_lanes)
     flags[gyro_sat] |= SAT_GYRO
-    log = ScenarioLog(t=times, states=states, inputs=inputs, wind=winds,
-                      att_ref=att_refs, estimates=estimates, sat_flags=flags,
-                      config=config)
-    metrics = _metrics(times, states, att_refs, config, segments)
+    metrics = _metrics(times, states, log.att_ref, config, segments)
     return log, metrics
 
 
@@ -803,8 +834,8 @@ def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
 
     The two runs share only their inputs, so they run in parallel: a forked
     child runs `controllers[0]` while this process runs `controllers[1]`,
-    then reads the child's log, sent as raw array bytes, into arrays it
-    allocates, and recomputes that run's metrics from it.  Raw bytes rather
+    then reads the child's log, sent as the raw bytes of its table and its
+    flags, into arrays it allocates, and recomputes that run's metrics from it.  Raw bytes rather
     than pickle keep a second copy of the log out of memory, and the logs
     and metrics are bit for bit those of two `run_scenario` calls.  If the
     fork fails, the child fails or sends too few bytes, or the second run
@@ -817,12 +848,13 @@ def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
 
     def send_first(pipe):
         log, _ = run_scenario(cfg_a, params, artifacts)
-        for name in LOG_ARRAYS:
-            pipe.write(getattr(log, name))
+        pipe.write(log.table)
+        pipe.write(log.sat_flags)
 
     def run_second_then_receive(pipe):
         run_b = run_scenario(cfg_b, params, artifacts)
-        arrays = [np.empty_like(getattr(run_b[0], name)) for name in LOG_ARRAYS]
+        arrays = [np.empty_like(run_b[0].table),
+                  np.empty_like(run_b[0].sat_flags)]
         received = all(pipe.readinto(a) == a.nbytes for a in arrays)
         return (arrays if received else None), run_b
 
@@ -837,7 +869,7 @@ def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
     if arrays is None:
         log_a, met_a = run_scenario(cfg_a, params, artifacts)
     else:
-        log_a = ScenarioLog(**dict(zip(LOG_ARRAYS, arrays)), config=cfg_a)
+        log_a = ScenarioLog(*arrays, config=cfg_a)
         met_a = compute_metrics(log_a.t, log_a.states, log_a.att_ref, cfg_a)
     if run_b is None:
         run_b = run_scenario(cfg_b, params, artifacts)

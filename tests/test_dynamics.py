@@ -237,19 +237,24 @@ class TestClamp:
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(any_float, min_size=1, max_size=20), bound, bound)
+    # lo = +0.0 and hi = -0.0: the float clamp gives lo, the lane clamp hi
+    @example([-1.0], 0.0, -0.0)
     def test_lane_clamp_is_minimum_of_maximum(self, values, a, b):
         lo, hi = sorted((a, b))
         v = np.array(values)
         got = clamp_lanes(v, lo, hi)
         assert got.tobytes() == np.minimum(np.maximum(v, lo), hi).tobytes()
-        # lane by lane the float clamp, but where a tie between signed
-        # zeros keeps the other operand (numpy keeps the second, Python the
-        # first); a NaN lane stays NaN
+        # lane by lane the float clamp, but where the result is a zero tied
+        # with a zero bound the sign may differ (on a tie numpy keeps the
+        # second operand, Python the first); a NaN lane stays NaN
         for g, x in zip(got.tolist(), values):
+            want = clamp(x, lo, hi)
             if math.isnan(x):
                 assert math.isnan(g)
-            elif not (x == 0.0 and (lo == 0.0 or hi == 0.0)):
-                assert self._bits(g) == self._bits(clamp(x, lo, hi))
+            elif want == 0.0 and (lo == 0.0 or hi == 0.0):
+                assert g == want
+            else:
+                assert self._bits(g) == self._bits(want)
 
     def test_lane_ops_end_with_lane_clamp(self):
         assert len(LANE_OPS) == 4 and LANE_OPS[3] is clamp_lanes

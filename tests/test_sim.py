@@ -39,8 +39,8 @@ from heli.dynamics import (
 from heli.errors import HeliError
 from heli.sim import (
     CSV_BLOCK_ROWS,
-    LOG_ARRAYS,
     LOG_COLUMNS,
+    LOG_WIDTH,
     ScenarioConfig,
     ScenarioLog,
     _segment_arrays,
@@ -50,7 +50,15 @@ from heli.sim import (
     reference_table,
     settled_mask,
 )
-from heli.state import MEASURED_STATES, SAT_GYRO
+from heli.state import (
+    INPUT_LABELS,
+    MEASURED_STATES,
+    REFERENCE_LABELS,
+    SAT_DCOL,
+    SAT_GYRO,
+    SAT_TILT,
+    STATE_LABELS,
+)
 
 from rk4_reference import rk4_reference
 
@@ -242,7 +250,7 @@ class TestStepRows:
         wind, times, segments = _step_inputs(n)
         rows = list(_step_rows(wind, times, _segment_arrays(segments)))
         assert len(rows) == n
-        tables = (wind, *reference_table(segments, times))
+        tables = (times, wind, *reference_table(segments, times))
         for column, table in zip(zip(*rows), tables):
             assert np.array(column).tobytes() == table.tobytes()
             values = column if table.ndim == 1 else [v for r in column
@@ -253,15 +261,16 @@ class TestStepRows:
     def test_missing_tables_give_none(self, n):
         wind, times, _ = _step_inputs(n)
         rows = list(_step_rows(wind, times, None))
-        assert [r[1:] for r in rows] == [(None, None, None)] * n
-        assert np.array([r[0] for r in rows]).tobytes() == wind.tobytes()
+        assert [r[2:] for r in rows] == [(None, None, None)] * n
+        assert np.array([r[0] for r in rows]).tobytes() == times.tobytes()
+        assert np.array([r[1] for r in rows]).tobytes() == wind.tobytes()
 
     def test_holds_about_one_block(self):
         wind, times, segments = _step_inputs(30001)
         tracemalloc.start()
         try:
             block = [a.tolist() for a in (
-                wind[:B], *reference_table(segments, times[:B]))]
+                times[:B], wind[:B], *reference_table(segments, times[:B]))]
             block_bytes = tracemalloc.get_traced_memory()[0]
             del block
             tracemalloc.reset_peak()
@@ -537,10 +546,7 @@ class TestRunScenario:
         pick = rng.random((n, 29)) < 0.3
         vals[pick] = rng.choice(special, size=int(pick.sum()))
         flags = rng.integers(0, 128, n)
-        log = ScenarioLog(t=vals[:, 0], states=vals[:, 1:16],
-                          inputs=vals[:, 16:20], wind=vals[:, 20:23],
-                          att_ref=vals[:, 23:26], estimates=vals[:, 26:29],
-                          sat_flags=flags, config=ScenarioConfig())
+        log = ScenarioLog(vals, flags, ScenarioConfig())
         path = tmp_path / "log.csv"
         log.to_csv(path)
         expected = LOG_COLUMNS + "\n" + "".join(
@@ -753,7 +759,7 @@ def _assert_no_child_left():
 
 
 def _assert_same_log(log, expected):
-    for name in LOG_ARRAYS:
+    for name in ("table", "sat_flags"):
         got, want = getattr(log, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -796,6 +802,76 @@ def pid_fails_at_step_5(monkeypatch):
         return step(self, x, att_ref, dt)
 
     monkeypatch.setattr(PidAttitudeController, "step", failing_step)
+
+
+_LOG_FIELDS = {
+    "t": ["t"], "states": list(STATE_LABELS), "inputs": list(INPUT_LABELS),
+    "wind": ["wind_u", "wind_v", "wind_w"], "att_ref": list(REFERENCE_LABELS),
+    "estimates": ["est_a_s", "est_b_s", "est_dped"]}
+
+
+class TestLogTable:
+    """A log is one C-contiguous table of float columns in `LOG_COLUMNS`
+    order, and its named arrays are views of it."""
+
+    @pytest.mark.parametrize("controller", ["hinf", "pid", "open_loop"])
+    def test_arrays_are_views_of_one_table(self, params, artifacts,
+                                           tmp_path, controller):
+        cfg = builtin_scenario("paper-hover-climb", seed=11)
+        cfg.controller = controller
+        cfg.duration = 1.5
+        log, _ = run_scenario(cfg, params, artifacts)
+        n = log.t.size
+        header = LOG_COLUMNS.split(",")
+        assert header[-1] == "sat_flags" and len(header) == LOG_WIDTH + 1
+        assert log.table.shape == (n, LOG_WIDTH) == (751, 29)
+        assert log.table.dtype == np.float64
+        assert log.table.flags.c_contiguous
+        for name, labels in _LOG_FIELDS.items():
+            view = getattr(log, name)
+            assert view.base is log.table, name
+            cols = [header.index(label) for label in labels]
+            want = log.table[:, cols[0]] if name == "t" else log.table[:, cols]
+            assert cols == list(range(cols[0], cols[0] + len(cols))), name
+            assert view.shape == want.shape, name
+            assert view.tobytes() == want.tobytes(), name
+            with pytest.raises(AttributeError):
+                setattr(log, name, view)
+        assert log.sat_flags.shape == (n,)
+        assert log.t.tobytes() == (np.arange(n) * cfg.dt).tobytes()
+        _assert_csv_is_the_oracles(log, tmp_path)
+
+    def test_flags_are_those_of_each_step(self, params, artifacts,
+                                          monkeypatch):
+        # no clamp fires in this stretch of the run, but the tilt clamp
+        # reports saturation on every third step and the collective clamp
+        # on every fifth: a step's flags are stored when set, whichever
+        # bits they are, and stay zero when not
+        cfg = builtin_scenario("paper-hover-climb", seed=11)
+        cfg.duration = 0.2
+        log, _ = run_scenario(cfg, params, artifacts)
+        assert not np.any(log.sat_flags)
+
+        def reporting(law, every):
+            calls = []
+
+            def wrapped(*args):
+                *out, _ = law(*args)
+                calls.append(None)
+                return (*out, len(calls) % every == 1)
+            return wrapped
+
+        monkeypatch.setattr(heli.sim, "horizontal_control",
+                            reporting(heli.sim.horizontal_control, 3))
+        monkeypatch.setattr(heli.sim, "altitude_control",
+                            reporting(heli.sim.altitude_control, 5))
+        flagged, _ = run_scenario(cfg, params, artifacts)
+        steps = np.arange(log.t.size)
+        assert flagged.sat_flags.dtype == np.dtype(int)
+        assert np.array_equal(flagged.sat_flags,
+                              np.where(steps % 3 == 0, SAT_TILT, 0)
+                              | np.where(steps % 5 == 0, SAT_DCOL, 0))
+        assert flagged.table.tobytes() == log.table.tobytes()
 
 
 class TestParallelCompare:
@@ -857,6 +933,39 @@ class TestParallelCompare:
                                      artifacts)
         _assert_same_log(log_a, want_log)
         _assert_same_metrics(report.metrics_a, want_metrics)
+
+    @pytest.mark.parametrize("how", ["short table", "no flags", "raises"])
+    def test_bad_child_log_is_rerun_here(self, params, artifacts,
+                                         monkeypatch, how):
+        # the child's log is cut short, or its run fails after the loop;
+        # either way the first run is redone here
+        parent = os.getpid()
+        run = heli.sim.run_scenario
+
+        def bad_child(*args):
+            log, metrics = run(*args)
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise RuntimeError("injected child failure")
+                table, flags = log.table, log.sat_flags
+                if how == "short table":
+                    table = table[:-1]
+                else:
+                    flags = flags[:0]
+                log = ScenarioLog(table, flags, log.config)
+            return log, metrics
+
+        monkeypatch.setattr(heli.sim, "run_scenario", bad_child)
+        cfg = builtin_scenario("paper-hover-climb", seed=5)
+        cfg.duration = 0.5
+        report, log_a, log_b = compare_controllers(cfg, params, artifacts)
+        _assert_no_child_left()
+        for log, metrics, controller in ((log_a, report.metrics_a, "hinf"),
+                                         (log_b, report.metrics_b, "pid")):
+            want_log, want_metrics = run(replace(cfg, controller=controller),
+                                         params, artifacts)
+            _assert_same_log(log, want_log)
+            _assert_same_metrics(metrics, want_metrics)
 
     def test_fork_failure_runs_both_here(self, params, artifacts,
                                          monkeypatch):
@@ -943,10 +1052,7 @@ def _random_log(n, seed=3):
                         math.nan])
     pick = rng.random((n, 29)) < 0.2
     vals[pick] = rng.choice(special, size=int(pick.sum()))
-    return ScenarioLog(t=vals[:, 0], states=vals[:, 1:16],
-                       inputs=vals[:, 16:20], wind=vals[:, 20:23],
-                       att_ref=vals[:, 23:26], estimates=vals[:, 26:29],
-                       sat_flags=rng.integers(0, 128, n), config=ScenarioConfig())
+    return ScenarioLog(vals, rng.integers(0, 128, n), ScenarioConfig())
 
 
 def _assert_csv_is_the_oracles(log, tmp_path):
