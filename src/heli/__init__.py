@@ -8,12 +8,7 @@ scenario harness with a PID baseline for comparison.
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    flap_coupling,
-    rotation_body_to_ned,
-    state_derivative,
-    yaw_gyro_output,
-)
+from .dynamics import flap_coupling
 from .errors import (
     ConfigError,
     HeliError,

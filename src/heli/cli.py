@@ -147,7 +147,7 @@ def _scenario_from_args(args):
         scenario = builtin_scenario(name, seed=args.seed or 0)
     if args.seed is not None:
         scenario.seed = args.seed
-    return scenario
+    return scenario.validate()
 
 
 def cmd_simulate(args) -> int:

@@ -11,16 +11,17 @@ arrays) the same text runs on lanes, one `(N,)` array per element, each lane
 bit for bit the float result while numpy's sine and cosine match `math`'s;
 trim and linearization take all the points of a Jacobian in one such call.
 It reads the parameters from `plant_constants(params)`, one tuple built once
-per scenario run, trim solve, linearization, or call of `state_derivative`,
-the array edge that checks shapes and returns an ndarray.  Two helpers are
-shared with other modules: the body-to-NED rotation rows (`dcm_rows`), used
-by `rotation_body_to_ned` on floats and by the scenario metrics on arrays
-(the derivative and the outer loop's `attitude_terms` write the same rows
-inline, which saves building their tuples each call), and the
-yaw-gyro law, which the derivative, `yaw_gyro_output` (trim) and the
-scenario's saturation flag (on the logged columns, after the run, with
-`clamp_lanes`) call.  All functions are pure; repeated evaluation with
-identical arguments is bit-identical.
+per scenario run, trim solve or linearization.  Two helpers are shared with
+other modules: the body-to-NED rotation rows (`dcm_rows`), used by the
+scenario metrics on arrays (the derivative and the outer loop's
+`attitude_terms` write the same rows inline, which saves building their
+tuples each call), and the yaw-gyro law, which the derivative, the trim
+point's steady tail command and the scenario's saturation flag (on the
+logged columns, after the run, with `clamp_lanes`) call.  All functions are
+pure; repeated evaluation with identical arguments gives bit-identical
+finite results.  A NaN result is NaN again, but its sign bit can differ
+between calls, since CPython's specialized float addition may take its
+operands in another order than the generic one.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ import numpy as np
 
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
-from .state import as_input_vector, as_state_vector, as_wind_vector
 
 THETA_LIMIT = math.pi / 2.0
 
@@ -70,13 +70,6 @@ def dcm_rows(sphi, cphi, sth, cth, spsi, cpsi) -> tuple:
             (-sth,       sphi * cth,                      cphi * cth))
 
 
-def rotation_body_to_ned(phi: float, theta: float, psi: float) -> np.ndarray:
-    """ZYX (yaw-pitch-roll) direction cosine matrix mapping body vectors to NED."""
-    _check_theta(theta)
-    return np.array(dcm_rows(math.sin(phi), math.cos(phi), math.sin(theta),
-                             math.cos(theta), math.sin(psi), math.cos(psi)))
-
-
 def flap_coupling(params: HelicopterParams) -> float:
     """Longitudinal/lateral flap cross-coupling coefficient.
 
@@ -102,12 +95,6 @@ def yaw_gyro_law(xi, delta_ped, r, ka_g: float, kp_g: float, ki_g: float,
     return out, ki_g * err, saturated
 
 
-def yaw_gyro_output(xi: float, delta_ped: float, r: float,
-                    params: HelicopterParams) -> tuple[float, float, bool]:
-    """`yaw_gyro_law` with the gyro gains of `params`."""
-    return yaw_gyro_law(xi, delta_ped, r, params.ka_g, params.kp_g, params.ki_g)
-
-
 def plant_constants(params: HelicopterParams) -> tuple:
     """Everything `_state_derivative_flat` reads of `params`, as one tuple.
 
@@ -124,15 +111,6 @@ def plant_constants(params: HelicopterParams) -> tuple:
             p.l_tr * p.k_ped, p.nr, 1.0 / p.m, p.jx, p.jy, p.jz,
             p.jz - p.jy, p.jx - p.jz, p.jy - p.jx, flap_coupling(p), inv_tau,
             inv_tau * p.k_lon, inv_tau * p.k_lat, p.ka_g, p.kp_g, p.ki_g)
-
-
-def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarray:
-    """Flat 15-element time derivative of the full nonlinear state; `wind`
-    may be None for still air."""
-    x = as_state_vector(state).tolist()
-    u = as_input_vector(inputs).tolist()
-    w = as_wind_vector(wind).tolist()
-    return np.array(_state_derivative_flat(x, u, w, plant_constants(params)))
 
 
 def _state_derivative_flat(x, u, w, consts: tuple, sin=math.sin, cos=math.cos,

@@ -12,26 +12,30 @@ gain rows of the controller and the observer, the outer loop's gains
 segments as arrays (`_segment_arrays`) and the wind table as an array.  A
 step's wind and reference rows come as Python floats from `_step_rows`,
 which converts the wind table and builds the reference rows one block of
-`CSV_BLOCK_ROWS` steps at a time, so a run holds no reference table and
-never holds its wind table as Python floats.  The arithmetic of a step then
-runs on Python floats alone, written out over the model's fixed sizes:
-`rk4_step` integrates the 15-vector plant state element by element, the
-outer loop takes the attitude's sines and cosines once (`attitude_terms`),
-each min/max clamp is two comparisons (`dynamics.clamp`), the servo, tilt
-and flap clamps run only on a step where a value is out of range, and the
-control law, the observer and the measurement deviations name every term,
-with each matrix-vector product an explicit left-to-right sum.
+`CSV_BLOCK_ROWS` steps at a time (`_reference_rows`, each row what
+`reference_at` returns at its step's time), so a run holds no reference
+table and never holds its wind table as Python floats.  The arithmetic of a
+step then runs on Python floats alone, written out over the model's fixed
+sizes: `rk4_step` integrates the 15-vector plant state element by element,
+the outer loop takes the attitude's sines and cosines once
+(`attitude_terms`), each min/max clamp is two comparisons
+(`dynamics.clamp`), the servo, tilt and flap clamps run only on a step
+where a value is out of range, and the control law, the observer and the
+measurement deviations name every term, with each matrix-vector product an
+explicit left-to-right sum.
 
 The log is one `(n, LOG_WIDTH)` float table with its columns in
 `LOG_COLUMNS` order, its times and wind rows filled before the loop; a step
 stores its whole row, `t, *x, *u, *wind, *att_ref, *z_est`, with one
 `struct.pack_into` into the table's bytes, and its flag bits only when some
-are set.  `ScenarioLog` names
-views of the table's columns.  What a step need not know is found after the
-run from the log: the yaw-gyro clamp flag, by the same law on the logged
-columns with the lane clamp, and the metrics, from reference and rotation
-rows rebuilt one block at a time.  Beyond its log, a run thus holds a few
-arrays of one row per step and the scratch of one block.
+are set.  `ScenarioLog` names views of the table's columns, and its
+`to_csv` writes each float as its shortest round-trip `repr` under the
+header `LOG_COLUMNS`, so the file parses back to the same bits.  What a
+step need not know is found after the run from the log: the yaw-gyro clamp
+flag, by the same law on the logged columns with the lane clamp, and the
+metrics, from reference and rotation rows rebuilt one block at a time.
+Beyond its log, a run thus holds a few arrays of one row per step and the
+scratch of one block.
 
 The loop reaches each layer by its module-level name in this module at call
 time (`_state_derivative_flat` through `rk4_step`, `control_law`,
@@ -243,7 +247,8 @@ class ReferenceSegment:
 
 
 def reference_at(segments, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """p_ref, v_ref and psi_ref at time `t`: one row of `reference_table`."""
+    """p_ref, v_ref and psi_ref at time `t`, from the last segment before
+    the first one not yet started (the first segment when none has)."""
     active = segments[0]
     for seg in segments:
         if seg.t_start <= t:
@@ -253,13 +258,6 @@ def reference_at(segments, t: float) -> tuple[np.ndarray, np.ndarray, float]:
     dt = t - active.t_start
     p = active.p0 + active.v * dt
     return p, active.v.copy(), active.psi
-
-
-def reference_table(segments, t: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p_ref and v_ref rows and psi_ref at every time in `t`, each equal to
-    what `reference_at` returns there."""
-    return _reference_rows(_segment_arrays(segments), t)
 
 
 def _segment_arrays(segments) -> tuple:
@@ -276,7 +274,8 @@ def _segment_arrays(segments) -> tuple:
 
 
 def _reference_rows(arrays, t):
-    """`reference_table` at the finite times `t`, from `_segment_arrays`."""
+    """p_ref and v_ref rows and psi_ref at each of the finite times `t`, from
+    `_segment_arrays`: row k is what `reference_at` returns at `t[k]`."""
     reached, t_start, p0, v, psi = arrays
     t = np.asarray(t, dtype=float)
     active = np.maximum(np.searchsorted(reached, t, side="right") - 1, 0)
@@ -344,6 +343,8 @@ class ScenarioConfig:
             raise ConfigError("dt must lie in (0, 0.02]")
         if self.controller not in ("hinf", "pid", "open_loop"):
             raise ConfigError(f"unknown controller '{self.controller}'")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         _check_shape3(self.initial_offset, "initial_offset")
         if not np.all(np.isfinite(self.initial_offset)):
             raise ConfigError("initial_offset must be finite")
@@ -461,17 +462,6 @@ class ScenarioLog:
                           for row, bits in zip(rows, flags)).encode("utf-8")
 
 
-def read_log_csv(path) -> dict:
-    """Read a scenario log back into named column arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = np.array([[float(v) for v in line.strip().split(",")]
-                         for line in fh if line.strip()])
-    if header != LOG_COLUMNS.split(","):
-        raise ConfigError("unexpected log header")
-    return {name: data[:, k] for k, name in enumerate(header)}
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     max_phi_err_deg: float
@@ -505,12 +495,12 @@ def _event_times(config: ScenarioConfig) -> list[float]:
     return sorted(set(e for e in events if 0.0 <= e < config.duration))
 
 
-def settled_mask(t: np.ndarray, config: ScenarioConfig,
-                 window: float = SETTLE_WINDOW) -> np.ndarray:
-    """True where t is at least `window` past every reference or gust event."""
+def settled_mask(t: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    """True where t is at least `SETTLE_WINDOW` past every reference or gust
+    event."""
     mask = np.ones_like(t, dtype=bool)
     for ev in _event_times(config):
-        mask &= ~((t >= ev - 1e-12) & (t < ev + window))
+        mask &= ~((t >= ev - 1e-12) & (t < ev + SETTLE_WINDOW))
     return mask
 
 

@@ -134,7 +134,3 @@ def as_input_vector(inputs) -> np.ndarray:
     """A ControlInputs or any 4-sequence as the flat input array."""
     return _flat(inputs, 4, "input")
 
-
-def as_wind_vector(wind) -> np.ndarray:
-    """None (still air) or any 3-sequence as the body-axis wind array."""
-    return np.zeros(3) if wind is None else _flat(wind, 3, "wind")

@@ -22,7 +22,7 @@ from .dynamics import (
     LANE_OPS,
     _state_derivative_flat,
     plant_constants,
-    yaw_gyro_output,
+    yaw_gyro_law,
 )
 from .errors import TrimConvergenceError
 from .params import HelicopterParams
@@ -40,6 +40,7 @@ _NONPOS = tuple(range(3, N_STATES))   # flat-state indices past position
 
 # trim unknowns: delta_col, delta_lat, delta_lon, xi, phi, theta, a_s, b_s
 _UNKNOWN_LABELS = ("dcol", "dlat", "dlon", "xi", "phi", "theta", "a_s", "b_s")
+TRIM_TOL = 1e-10   # residual norm at which the Newton iteration stops
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,8 @@ class TrimPoint:
     def from_vectors(x: np.ndarray, u: np.ndarray,
                      params: HelicopterParams) -> "TrimPoint":
         """Trim point at flat state `x` and inputs `u`, with its hover residual."""
-        dped_prime, _, _ = yaw_gyro_output(x[14], u[2], x[11], params)
+        dped_prime, _, _ = yaw_gyro_law(x[14], u[2], x[11], params.ka_g,
+                                        params.kp_g, params.ki_g)
         residual = _hover_residual(x, u, plant_constants(params))
         return TrimPoint(
             state=FullState.from_vector(x), inputs=ControlInputs.from_vector(u),
@@ -101,14 +103,14 @@ def _assemble(unknowns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, u
 
 
-def find_trim(params: HelicopterParams, max_iter: int = 100,
-              tol: float = 1e-10) -> TrimPoint:
+def find_trim(params: HelicopterParams, max_iter: int = 100) -> TrimPoint:
     """Solve the hover equilibrium with a damped Newton iteration.
 
     Unknowns are (delta_col, delta_lat, delta_lon, xi, phi, theta, a_s, b_s);
     velocities, rates, position, heading, and the pedal input are zero by
     convention.  Starts from the all-zero guess with the collective set so the
-    rotor carries the full weight.
+    rotor carries the full weight, and stops once the residual norm is below
+    `TRIM_TOL`.
     """
     consts = plant_constants(params)
     z = np.zeros(len(_UNKNOWN_LABELS))
@@ -118,7 +120,7 @@ def find_trim(params: HelicopterParams, max_iter: int = 100,
     res = _residual(z, consts)
     norm = np.linalg.norm(res)
     for _ in range(max_iter):
-        if norm < tol:
+        if norm < TRIM_TOL:
             break
         jac = _fd_jacobian(lambda v: _residual(v, consts), z, 1e-7)
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -133,7 +135,7 @@ def find_trim(params: HelicopterParams, max_iter: int = 100,
             alpha *= 0.5
         else:
             break  # no descent direction left; report non-convergence below
-    if norm >= tol:
+    if norm >= TRIM_TOL:
         raise TrimConvergenceError(max_iter, norm)
 
     return TrimPoint.from_vectors(*_assemble(z), params)

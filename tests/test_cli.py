@@ -4,7 +4,8 @@ import pytest
 from heli.cli import main
 from heli.config import ToolkitConfig
 from heli.pipeline import linear_plant
-from heli.sim import read_log_csv
+
+from oracles import read_log_csv
 
 
 def _read_matrix(path):
@@ -163,6 +164,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+
+    # a built-in scenario with --seed, a file's seed, and --seed over a file
+    @pytest.mark.parametrize("scenario, file_seed, seed_args", [
+        ("gust-attitude-hold", None, ["--seed", "-1"]),
+        ("short.cfg", -1, []),
+        ("short.cfg", 3, ["--seed", "-1"]),
+    ])
+    def test_negative_seed_fails_with_one_line(self, tmp_path, capsys,
+                                               scenario, file_seed, seed_args):
+        if file_seed is not None:
+            scenario = tmp_path / scenario
+            scenario.write_text(
+                "[scenario]\nduration = 1\nuse_outer = off\n"
+                f"seed = {file_seed}\n[wind]\nsigma = 0.4\n", encoding="utf-8")
+        code = main(["simulate", "--scenario", str(scenario), *seed_args,
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed ")
+        assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_bad_config_fails_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

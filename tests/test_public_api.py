@@ -23,9 +23,7 @@ PUBLIC_NAMES = [
     "compute_metrics", "control_law", "design_reduced_observer", "find_trim",
     "flap_coupling", "gamma_star", "hinf_norm", "horizontal_control",
     "linearize", "observer_init", "observer_step", "rk4_step",
-    "rotation_body_to_ned", "run_scenario", "solve_riccati",
-    "state_derivative", "synthesize", "verify_linearization",
-    "yaw_gyro_output",
+    "run_scenario", "solve_riccati", "synthesize", "verify_linearization",
 ]
 
 

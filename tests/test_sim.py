@@ -33,7 +33,6 @@ from heli import (
 from heli.dynamics import (
     _state_derivative_flat,
     plant_constants,
-    state_derivative,
     yaw_gyro_law,
 )
 from heli.errors import HeliError
@@ -43,11 +42,10 @@ from heli.sim import (
     LOG_WIDTH,
     ScenarioConfig,
     ScenarioLog,
+    _reference_rows,
     _segment_arrays,
     _step_rows,
-    read_log_csv,
     reference_at,
-    reference_table,
     settled_mask,
 )
 from heli.state import (
@@ -60,6 +58,7 @@ from heli.state import (
     STATE_LABELS,
 )
 
+from oracles import read_log_csv, reference_table, state_derivative
 from rk4_reference import rk4_reference
 
 
@@ -250,7 +249,10 @@ class TestStepRows:
         wind, times, segments = _step_inputs(n)
         rows = list(_step_rows(wind, times, _segment_arrays(segments)))
         assert len(rows) == n
-        tables = (times, wind, *reference_table(segments, times))
+        refs = _reference_rows(_segment_arrays(segments), times)
+        for got, want in zip(refs, reference_table(segments, times)):
+            assert got.tobytes() == want.tobytes()
+        tables = (times, wind, *refs)
         for column, table in zip(zip(*rows), tables):
             assert np.array(column).tobytes() == table.tobytes()
             values = column if table.ndim == 1 else [v for r in column
@@ -270,7 +272,8 @@ class TestStepRows:
         tracemalloc.start()
         try:
             block = [a.tolist() for a in (
-                times[:B], wind[:B], *reference_table(segments, times[:B]))]
+                times[:B], wind[:B],
+                *_reference_rows(_segment_arrays(segments), times[:B]))]
             block_bytes = tracemalloc.get_traced_memory()[0]
             del block
             tracemalloc.reset_peak()
@@ -1225,7 +1228,7 @@ def test_reference_table_equals_reference_at_out_of_order(run, rnd):
 
 
 def _assert_table_is_reference_at(segments, times):
-    p_ref, v_ref, psi_ref = reference_table(segments, times)
+    p_ref, v_ref, psi_ref = _reference_rows(_segment_arrays(segments), times)
     for k, t in enumerate(times):
         p_at, v_at, psi_at = reference_at(segments, t)
         assert list(p_ref[k]) == list(p_at)

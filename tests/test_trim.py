@@ -9,12 +9,13 @@ from heli import (
     TrimConvergenceError,
     find_trim,
     linearize,
-    state_derivative,
     verify_linearization,
 )
 import heli.trim
 from heli.dynamics import plant_constants
 from heli.state import MODEL_STATE_LABELS
+
+from oracles import state_derivative
 
 IDX = {name: k for k, name in enumerate(MODEL_STATE_LABELS)}
 
