@@ -2,7 +2,9 @@
 
 One file can carry the plant parameters, controller settings, and weights;
 scenario files use the same format.  Unknown sections or keys are rejected
-so typos fail loudly.
+so typos fail loudly.  The key tables below are the one description of the
+toolkit format: `configs/default.cfg` is that format written out with every
+default, and a test checks it against `ToolkitConfig()` and these tables.
 """
 from __future__ import annotations
 
@@ -12,18 +14,22 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError
-from .hinf import OutputWeights
+from .hinf import GAMMA_MARGIN, GAMMA_TOL, OutputWeights
 from .observer import DEFAULT_POLES, check_poles
 from .outer import OuterGains
 from .params import HelicopterParams, PARAM_SECTIONS
 from .sim import PidGains, ReferenceSegment, ScenarioConfig
 from .wind import Gust
 
-_OUTER_KEYS = tuple(f.name for f in fields(OuterGains))
-_PID_KEYS = tuple(f.name for f in fields(PidGains))
-_WEIGHT_KEYS = ("c11_diag", "c22_r", "c22_psi", "d11_diag")
-_OBSERVER_KEYS = ("poles",)
-_HINF_KEYS = ("gamma_tol", "gamma_margin")
+# the keys of each toolkit section, in the order configs/default.cfg has them
+_TOOLKIT_KEYS = {
+    **PARAM_SECTIONS,
+    "outer": tuple(f.name for f in fields(OuterGains)),
+    "pid": tuple(f.name for f in fields(PidGains)),
+    "weights": ("c11_diag", "c22_r", "c22_psi", "d11_diag"),
+    "observer": ("poles",),
+    "hinf": ("gamma_tol", "gamma_margin"),
+}
 
 _SCENARIO_KEYS = ("duration", "dt", "controller", "use_outer", "seed",
                   "initial_offset", "att_ref")
@@ -37,8 +43,8 @@ class ToolkitConfig:
     pid: PidGains = field(default_factory=PidGains)
     weights: OutputWeights = field(default_factory=OutputWeights.default)
     observer_poles: tuple = DEFAULT_POLES
-    gamma_tol: float = 1e-4
-    gamma_margin: float = 0.05
+    gamma_tol: float = GAMMA_TOL
+    gamma_margin: float = GAMMA_MARGIN
 
     def validate(self) -> "ToolkitConfig":
         """This config, or a ConfigError that names the first setting no
@@ -108,14 +114,11 @@ def load_toolkit_config(path) -> ToolkitConfig:
     cfg = ToolkitConfig()
 
     param_values = {}
-    known = {**PARAM_SECTIONS, "outer": _OUTER_KEYS, "pid": _PID_KEYS,
-             "weights": _WEIGHT_KEYS, "observer": _OBSERVER_KEYS,
-             "hinf": _HINF_KEYS}
     for section in parser.sections():
-        if section not in known:
+        if section not in _TOOLKIT_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in known[section]:
+            if key not in _TOOLKIT_KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             if section in PARAM_SECTIONS:
                 param_values[key] = _float(section, key, raw)
@@ -236,30 +239,3 @@ def _parse_segment(raw: str) -> ReferenceSegment:
     return ReferenceSegment(t_start=float(vals[0]), p0=vals[1:4].copy(),
                             v=vals[4:7].copy(), psi=float(vals[7]))
 
-
-def write_default_config(path):
-    """Write the full default configuration in the on-disk format."""
-    cfg = ToolkitConfig()
-
-    def assignments(record, keys) -> list:
-        return [f"{key} = {getattr(record, key)!r}" for key in keys]
-
-    def numbers(values) -> str:
-        return ", ".join(repr(float(v)) for v in values)
-
-    sections = {
-        **{section: assignments(cfg.params, keys)
-           for section, keys in PARAM_SECTIONS.items()},
-        "outer": assignments(cfg.outer, _OUTER_KEYS),
-        "pid": assignments(cfg.pid, _PID_KEYS),
-        "weights": [f"c11_diag = {numbers(np.diag(cfg.weights.c11))}",
-                    f"c22_r = {float(cfg.weights.c22[0, 2])!r}",
-                    f"c22_psi = {float(cfg.weights.c22[1, 4])!r}",
-                    f"d11_diag = {numbers(np.diag(cfg.weights.d11))}"],
-        "observer": [f"poles = {numbers(cfg.observer_poles)}"],
-        "hinf": assignments(cfg, _HINF_KEYS),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(
-            f"[{section}]\n" + "".join(f"{line}\n" for line in body)
-            for section, body in sections.items()))

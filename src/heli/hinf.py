@@ -59,6 +59,8 @@ def linalg_extension():
 
 dgees = linalg_extension().dgees
 
+GAMMA_TOL = 1e-4         # gamma_star: relative width of the final bracket
+GAMMA_MARGIN = 0.05      # gamma used = (1 + margin) * gamma*, or above
 _NORM_TOL = 1e-10        # hinf_norm: relative accuracy of the peak
 _AXIS_TOL = 1e-8         # |Re l| / max |l| under which l is on the j-axis
 _RANK_TOL = 1e-10        # check_feasibility: rank cut-off for D and C_res
@@ -118,8 +120,12 @@ _VERDICTS = ("", "imaginary_axis", "singular_subspace", "verification_failed")
 class SynthesisResult:
     f: np.ndarray            # 3x9 state feedback gain
     g: np.ndarray            # 3x3 reference feedforward gain
-    gamma: float
     riccati: RiccatiSolution
+
+    @property
+    def gamma(self) -> float:
+        """The attenuation level the gains were designed for."""
+        return self.riccati.gamma
 
     def gain_rows(self, h_out_trim) -> tuple[tuple, tuple, tuple]:
         """The gains about a trim point whose tracked outputs are
@@ -314,7 +320,8 @@ def solve_riccati(a, b, c, d, e, gamma: float):
     return _RiccatiGame(a, b, c, d, e).solve(gamma)
 
 
-def gamma_star(a, b, c, d, e, tol: float = 1e-4, margin: float = 0.05,
+def gamma_star(a, b, c, d, e, tol: float = GAMMA_TOL,
+               margin: float = GAMMA_MARGIN,
                gamma_hi: float = 1e6, max_iter: int = 200
                ) -> tuple[GammaSearchResult, RiccatiSolution]:
     """Smallest feasible attenuation level, by bisection on [0, gamma_hi].
@@ -425,7 +432,7 @@ def compute_gains(riccati: RiccatiSolution, a, b, c, d,
     if abs(np.linalg.det(dc)) < 1e-12:
         raise SynthesisError("tracked-output DC gain is singular")
     g = -np.linalg.inv(dc)
-    return SynthesisResult(f=f, g=g, gamma=riccati.gamma, riccati=riccati)
+    return SynthesisResult(f=f, g=g, riccati=riccati)
 
 
 def control_law(gains, x, r, u_trim,
@@ -558,7 +565,7 @@ def check_feasibility(a, b, c, d) -> np.ndarray:
 
 
 def synthesize(plant, weights: OutputWeights | None = None,
-               tol: float = 1e-4, margin: float = 0.05
+               tol: float = GAMMA_TOL, margin: float = GAMMA_MARGIN
                ) -> tuple[SynthesisResult, GammaSearchResult, np.ndarray]:
     """Full inner-loop synthesis pipeline for a linearized plant.
 

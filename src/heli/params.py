@@ -6,6 +6,7 @@ exact numbers, only on their signs and rough magnitudes.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, fields
 
@@ -70,9 +71,7 @@ class HelicopterParams:
         return self
 
     def replace(self, **changes) -> "HelicopterParams":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(changes)
-        return HelicopterParams(**values).validate()
+        return dataclasses.replace(self, **changes).validate()
 
 
 # Section layout of the on-disk parameter file (`key = value` lines under

@@ -37,7 +37,8 @@ PLANT_FILES = (
 
 
 def _read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
-    """A matrix CSV; ConfigError unless readable, numeric and of `shape`."""
+    """A matrix CSV; ConfigError unless readable, numeric, finite and of
+    `shape`: a NaN or inf would only fail later, inside synthesis."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             skip = int(fh.readline().startswith(","))
@@ -49,7 +50,10 @@ def _read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
         raise ConfigError(f"{path}: not a numeric CSV ({exc})") from exc
     if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
         raise ConfigError(f"{path}: expected a {shape[0]}x{shape[1]} matrix")
-    return np.array(rows)
+    matrix = np.array(rows)
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"{path}: expected finite numbers")
+    return matrix
 
 
 def linear_plant(cfg, plant_dir=None) -> LinearPlant:

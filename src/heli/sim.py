@@ -99,10 +99,10 @@ from .state import (
     clamp_servos,
 )
 from .trim import TrimPoint
-from .wind import WindModel, _check_shape3
+from .wind import WindModel, _check_shape3, _check_vector3
 
 SETTLE_WINDOW = 2.0  # seconds excluded after each reference or wind event
-CSV_BLOCK_ROWS = 512  # rows per block of _step_rows, _metrics and to_csv
+CSV_BLOCK_ROWS = 512  # rows per block of _step_rows, compute_metrics, to_csv
 CSV_COPY_BYTES = 1 << 20  # largest chunk to_csv copies from its child at once
 
 LOG_COLUMNS = ",".join((
@@ -345,13 +345,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown controller '{self.controller}'")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        _check_shape3(self.initial_offset, "initial_offset")
-        if not np.all(np.isfinite(self.initial_offset)):
-            raise ConfigError("initial_offset must be finite")
+        _check_vector3(self.initial_offset, "initial_offset")
         if self.att_ref is not None:
-            _check_shape3(self.att_ref, "att_ref")
-            if not np.all(np.isfinite(self.att_ref)):
-                raise ConfigError("att_ref must be finite")
+            _check_vector3(self.att_ref, "att_ref")
         if self.use_outer:
             if not self.references:
                 raise ConfigError("outer loop requires reference segments")
@@ -516,25 +512,16 @@ def compute_metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport
 
     Attitude errors are taken over the whole run; velocity and position
     envelopes only over settled windows (2 s past every reference change or
-    gust edge).  The reference rows and rotations behind the envelopes are
-    built one block of `CSV_BLOCK_ROWS` rows at a time.
+    gust edge).  With the outer loop, each block of `CSV_BLOCK_ROWS` rows
+    gets its reference rows and body-to-NED rotations, and writes its
+    velocity and position errors into (n, 3) arrays and its
+    zero-velocity-reference rows into an (n,) mask.  The means and maxima
+    then run over those whole arrays, so the metrics are bit for bit those
+    of full-length tables, while the rotations never take more than one
+    block.
     """
-    return _metrics(np.asarray(t), np.asarray(states), np.asarray(att_ref),
-                    config, _run_segments(config))
-
-
-def _metrics(t, states, att_ref, config: ScenarioConfig,
-             segments) -> MetricsReport:
-    """`compute_metrics` on arrays, with `segments` the run's
-    `_run_segments(config)`.
-
-    With the outer loop, each block of `CSV_BLOCK_ROWS` rows gets its
-    reference rows and body-to-NED rotations, and writes its velocity and
-    position errors into (n, 3) arrays and its zero-velocity-reference rows
-    into an (n,) mask.  The means and maxima then run over those whole
-    arrays, so the metrics are bit for bit those of full-length tables,
-    while the rotations never take more than one block.
-    """
+    t, states, att_ref = np.asarray(t), np.asarray(states), np.asarray(att_ref)
+    segments = _run_segments(config)
     max_phi = float(np.max(np.abs(states[:, 6] - att_ref[:, 0]))) \
         * 180.0 / math.pi
     max_theta = float(np.max(np.abs(states[:, 7] - att_ref[:, 1]))) \
@@ -586,8 +573,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     integrate the plant one RK4 step with everything held, then step the
     observer on the same held measurements.  After the loop, the yaw-gyro
     clamp flag is set from the logged columns, and the metrics are taken
-    from the log by `_metrics`.  A toolkit error raised by any stage, or a
-    ValueError or OverflowError raised by the plant RK4, stops the run as a
+    from the log by `compute_metrics`, which builds the run's segment
+    arrays again.  A toolkit error raised by any stage, or a ValueError or
+    OverflowError raised by the plant RK4, stops the run as a
     SimulationAbort that names the stage, the step and the simulated time.
     """
     config.validate()
@@ -614,7 +602,6 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     table[:, _WIND] = config.wind.realize(config.duration,
                                           config.seed).table(times)
     flags = np.zeros(n_steps + 1, dtype=int)
-    segments = _run_segments(config)
 
     x = trim.state.as_vector()
     x[0:3] += config.initial_offset
@@ -656,7 +643,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     carry_flags = 0
     try:
         for k, (t_k, wind, p_ref, v_ref, psi_ref) in enumerate(
-                _step_rows(table[:, _WIND], times, segments)):
+                _step_rows(table[:, _WIND], times, _run_segments(config))):
             # the sum is finite unless an element is not or the sum overflows
             if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
                 raise SimulationAbort(k, times[k])
@@ -740,8 +727,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                                   states[:, 11], par.ka_g, par.kp_g, par.ki_g,
                                   clamp_lanes)
     flags[gyro_sat] |= SAT_GYRO
-    metrics = _metrics(times, states, log.att_ref, config, segments)
-    return log, metrics
+    return log, compute_metrics(times, states, log.att_ref, config)
 
 
 @dataclass(frozen=True)

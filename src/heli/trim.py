@@ -45,14 +45,24 @@ TRIM_TOL = 1e-10   # residual norm at which the Newton iteration stops
 
 @dataclass(frozen=True)
 class TrimPoint:
-    """Hover equilibrium: state, inputs, and measured outputs at trim."""
+    """Hover equilibrium: state, inputs, the hover residual and the steady
+    tail command; the measured and tracked outputs at trim are read from
+    the state."""
 
     state: FullState
     inputs: ControlInputs
-    y_trim: np.ndarray        # measured states at trim (MEASURED_STATES)
-    h_out_trim: np.ndarray    # tracked outputs at trim (TRACKED_STATES)
     residual: float
     dped_prime: float         # steady tail command
+
+    @property
+    def y_trim(self) -> np.ndarray:
+        """Measured states at trim (`MEASURED_STATES`)."""
+        return self.state.as_vector()[MEASURED_STATES]
+
+    @property
+    def h_out_trim(self) -> np.ndarray:
+        """Tracked outputs at trim (`TRACKED_STATES`)."""
+        return self.state.as_vector()[TRACKED_STATES]
 
     @staticmethod
     def from_vectors(x: np.ndarray, u: np.ndarray,
@@ -63,7 +73,6 @@ class TrimPoint:
         residual = _hover_residual(x, u, plant_constants(params))
         return TrimPoint(
             state=FullState.from_vector(x), inputs=ControlInputs.from_vector(u),
-            y_trim=x[MEASURED_STATES], h_out_trim=x[TRACKED_STATES],
             residual=np.linalg.norm(residual), dped_prime=dped_prime)
 
 

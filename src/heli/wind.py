@@ -24,6 +24,14 @@ def _check_shape3(value, what: str):
                           f"{np.shape(value)}")
 
 
+def _check_vector3(value, what: str):
+    """`_check_shape3`, then ConfigError unless every element is finite: a
+    NaN or inf would only stop the run later, as a non-finite state."""
+    _check_shape3(value, what)
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class Gust:
     start: float
@@ -33,9 +41,7 @@ class Gust:
     def validate(self) -> "Gust":
         if not self.end > self.start:
             raise ConfigError(f"gust interval [{self.start}, {self.end}] is empty")
-        _check_shape3(self.delta, "gust delta")
-        if not np.all(np.isfinite(self.delta)):
-            raise ConfigError("gust delta must be finite")
+        _check_vector3(self.delta, "gust delta")
         return self
 
 
@@ -47,9 +53,7 @@ class WindModel:
     tau_c: float = 2.0       # turbulence correlation time (s)
 
     def validate(self) -> "WindModel":
-        _check_shape3(self.mean, "wind mean")
-        if not np.all(np.isfinite(self.mean)):
-            raise ConfigError("wind mean must be finite")
+        _check_vector3(self.mean, "wind mean")
         if not 0.0 <= self.sigma < np.inf:
             raise ConfigError("turbulence intensity must be finite and >= 0")
         if not self.tau_c > 0.0:

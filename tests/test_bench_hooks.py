@@ -50,8 +50,9 @@ def test_plant_calls_pass_through_the_hooks(params, artifacts, controller):
 @pytest.mark.parametrize("controller", ["hinf", "pid"])
 def test_every_layer_passes_through_its_hook(params, artifacts, controller):
     # the loop evaluates the controller on each of the n + 1 logged steps and
-    # steps the observer after each of the n plant steps; a layer reached by
-    # another name would read as zero calls in its per-layer metric
+    # steps the observer after each of the n plant steps, and the run takes
+    # its metrics once; a layer reached by another name would read as zero
+    # calls in its per-layer metric
     tracing = _tracing()
     cfg = builtin_scenario("paper-hover-climb", seed=4)
     cfg.controller = controller
@@ -69,6 +70,7 @@ def test_every_layer_passes_through_its_hook(params, artifacts, controller):
         "hinf.control_law": n + 1 if hinf else 0,
         "observer.assemble_state_estimate": n + 1 if hinf else 0,
         "observer.observer_step": n,
+        "sim.compute_metrics": 1,
     }
     got = {name: int(counts[tracing.SPAN_NAMES.index(name)])
            for name in expected}

@@ -90,11 +90,14 @@ class TestCli:
         assert loaded.residual < 1e-8
         assert loaded.residual == trim.residual
 
-    @pytest.mark.parametrize("damage", [
-        "missing-dir", "truncated-A", "unparsable-B", "short-trim-state",
-        "long-trim-inputs",
+    @pytest.mark.parametrize("damage, command", [
+        *(pytest.param(damage, "synthesize", id=damage) for damage in (
+            "missing-dir", "truncated-A", "unparsable-B", "short-trim-state",
+            "long-trim-inputs", "nan-A", "inf-trim-state")),
+        pytest.param("nan-A", "gamma-search", id="nan-A-gamma-search"),
     ])
-    def test_bad_plant_dir_fails_with_one_line(self, tmp_path, capsys, damage):
+    def test_bad_plant_dir_fails_with_one_line(self, tmp_path, capsys, damage,
+                                               command):
         lin = tmp_path / "lin"
         assert main(["linearize", "--out", str(lin)]) == 0
         if damage == "missing-dir":
@@ -110,11 +113,19 @@ class TestCli:
             header, row = (lin / "trim_state.csv").read_text().splitlines()
             (lin / "trim_state.csv").write_text(
                 header + "\n" + row.rsplit(",", 1)[0] + "\n")
-        else:
+        elif damage == "long-trim-inputs":
             header, row = (lin / "trim_inputs.csv").read_text().splitlines()
             (lin / "trim_inputs.csv").write_text(header + "\n" + row + ",0.0\n")
+        elif damage == "nan-A":
+            text = (lin / "A.csv").read_text().splitlines()
+            text[3] = text[3].rsplit(",", 1)[0] + ",nan"
+            (lin / "A.csv").write_text("\n".join(text) + "\n")
+        else:  # pn, the first value, parses but no trim state means it
+            header, row = (lin / "trim_state.csv").read_text().splitlines()
+            (lin / "trim_state.csv").write_text(
+                header + "\n" + "inf," + row.split(",", 1)[1] + "\n")
         capsys.readouterr()
-        code = main(["synthesize", "--plant", str(lin),
+        code = main([command, "--plant", str(lin),
                      "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err

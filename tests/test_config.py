@@ -1,6 +1,8 @@
 import configparser
+import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,35 +12,42 @@ from heli import (ConfigError, Gust, HelicopterParams, ReferenceSegment,
                   ScenarioConfig, WindModel)
 from heli.config import (
     _SCENARIO_KEYS,
+    _TOOLKIT_KEYS,
     _WIND_KEYS,
     ToolkitConfig,
     load_scenario_file,
     load_toolkit_config,
-    write_default_config,
 )
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+
+def _file_keys(path) -> list:
+    """Every (section, key) of a config file, in file order."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read(path, encoding="utf-8")
+    return [(section, key) for section in parser.sections()
+            for key in parser[section]]
 
 
 class TestToolkitConfig:
-    def test_default_file_round_trips(self, tmp_path):
-        path = tmp_path / "default.cfg"
-        write_default_config(path)
-        cfg = load_toolkit_config(path)
-        assert cfg.params == HelicopterParams()
-        assert cfg.outer == ToolkitConfig().outer
-        assert cfg.pid == ToolkitConfig().pid
-        assert np.array_equal(cfg.weights.d11, np.diag([12.0, 11.0, 31.0]))
-        # the bytes written before each section became a loop over its
-        # record's fields; configs/default.cfg holds the same bytes
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "47e1b869611182b3d4cd01f8ddd729fbf9e35bc79b7b1e362a8fb8007e45d2ca")
-
     def test_shipped_default_config_matches_code(self):
-        # keeps configs/default.cfg in sync with the dataclass defaults
-        from pathlib import Path
-        shipped = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
-        cfg = load_toolkit_config(shipped)
-        assert cfg.params == HelicopterParams()
-        assert cfg.outer == ToolkitConfig().outer
+        # configs/default.cfg is every default of ToolkitConfig, under every
+        # key the reader knows, in the reader's order
+        cfg, want = load_toolkit_config(DEFAULT_CFG), ToolkitConfig()
+        for f in dataclasses.fields(ToolkitConfig):
+            if f.name == "weights":
+                for block in ("c11", "c22", "d11"):
+                    assert np.array_equal(getattr(cfg.weights, block),
+                                          getattr(want.weights, block)), block
+            else:
+                assert getattr(cfg, f.name) == getattr(want, f.name), f.name
+        assert _file_keys(DEFAULT_CFG) == [
+            (section, key) for section, keys in _TOOLKIT_KEYS.items()
+            for key in keys]
+        assert hashlib.sha256(DEFAULT_CFG.read_bytes()).hexdigest() == (
+            "47e1b869611182b3d4cd01f8ddd729fbf9e35bc79b7b1e362a8fb8007e45d2ca")
 
     def test_override_parameter(self, tmp_path):
         path = tmp_path / "heavy.cfg"
@@ -243,15 +252,9 @@ LINE_TEXT = st.one_of(
 
 
 @pytest.fixture(scope="module")
-def toolkit_keys(tmp_path_factory):
+def toolkit_keys():
     """Every (section, key) of the toolkit config, as the default file has it."""
-    path = tmp_path_factory.mktemp("default") / "default.cfg"
-    write_default_config(path)
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser.read(path, encoding="utf-8")
-    return [(section, key) for section in parser.sections()
-            for key in parser[section]]
+    return _file_keys(DEFAULT_CFG)
 
 
 @pytest.fixture(scope="module")

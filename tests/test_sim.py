@@ -705,7 +705,7 @@ class TestRunScenario:
     def test_reference_rows_built_one_block_at_a_time(self, params,
                                                       artifacts, monkeypatch):
         # the loop and then the metrics each cover the run's times once,
-        # from segment arrays built once for both
+        # each from segment arrays it builds
         calls, built = [], []
         rows = heli.sim._reference_rows
         arrays = heli.sim._segment_arrays
@@ -727,7 +727,7 @@ class TestRunScenario:
         assert max(c.size for c in calls) <= CSV_BLOCK_ROWS
         assert (np.concatenate(calls).tobytes()
                 == np.concatenate([log.t, log.t]).tobytes())
-        assert built == [cfg.references]
+        assert built == [cfg.references, cfg.references]
 
 
 class TestCompare:
