@@ -32,9 +32,9 @@ def _file_keys(path) -> list:
 
 
 class TestToolkitConfig:
-    def test_shipped_default_config_matches_code(self):
-        # configs/default.cfg is every default of ToolkitConfig, under every
-        # key the reader knows, in the reader's order
+    def test_default_file_round_trips(self):
+        # loading configs/default.cfg gives back every default of
+        # ToolkitConfig, and the file's bytes are pinned
         cfg, want = load_toolkit_config(DEFAULT_CFG), ToolkitConfig()
         for f in dataclasses.fields(ToolkitConfig):
             if f.name == "weights":
@@ -43,11 +43,16 @@ class TestToolkitConfig:
                                           getattr(want.weights, block)), block
             else:
                 assert getattr(cfg, f.name) == getattr(want, f.name), f.name
+        assert np.array_equal(cfg.weights.d11, np.diag([12.0, 11.0, 31.0]))
+        assert hashlib.sha256(DEFAULT_CFG.read_bytes()).hexdigest() == (
+            "47e1b869611182b3d4cd01f8ddd729fbf9e35bc79b7b1e362a8fb8007e45d2ca")
+
+    def test_shipped_default_config_matches_code(self):
+        # configs/default.cfg has every key the reader knows, in the
+        # reader's order
         assert _file_keys(DEFAULT_CFG) == [
             (section, key) for section, keys in _TOOLKIT_KEYS.items()
             for key in keys]
-        assert hashlib.sha256(DEFAULT_CFG.read_bytes()).hexdigest() == (
-            "47e1b869611182b3d4cd01f8ddd729fbf9e35bc79b7b1e362a8fb8007e45d2ca")
 
     def test_override_parameter(self, tmp_path):
         path = tmp_path / "heavy.cfg"
