@@ -8,8 +8,7 @@ default, and a test checks it against `ToolkitConfig()` and these tables.
 """
 from __future__ import annotations
 
-import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .wind import Gust
 # the keys of each toolkit section, in the order configs/default.cfg has them
 _TOOLKIT_KEYS = {
     **PARAM_SECTIONS,
-    "outer": tuple(f.name for f in fields(OuterGains)),
-    "pid": tuple(f.name for f in fields(PidGains)),
+    "outer": OuterGains._fields,
+    "pid": PidGains._fields,
     "weights": ("c11_diag", "c22_r", "c22_psi", "d11_diag"),
     "observer": ("poles",),
     "hinf": ("gamma_tol", "gamma_margin"),
@@ -38,9 +37,15 @@ _WIND_KEYS = ("mean", "sigma", "tau_c", "gusts")
 
 @dataclass
 class ToolkitConfig:
-    params: HelicopterParams = field(default_factory=HelicopterParams)
-    outer: OuterGains = field(default_factory=OuterGains)
-    pid: PidGains = field(default_factory=PidGains)
+    """Every setting of a design and its controllers: the plant parameters,
+    the outer and PID gains, the output weights, the observer poles and the
+    gamma search's tolerance and margin.  A dataclass, not a NamedTuple, so
+    `dataclasses.replace` makes variants and the loader sets one section
+    at a time."""
+
+    params: HelicopterParams = HelicopterParams()
+    outer: OuterGains = OuterGains()
+    pid: PidGains = PidGains()
     weights: OutputWeights = field(default_factory=OutputWeights.default)
     observer_poles: tuple = DEFAULT_POLES
     gamma_tol: float = GAMMA_TOL
@@ -69,7 +74,12 @@ class ToolkitConfig:
         return self
 
 
-def _read_sections(path) -> configparser.ConfigParser:
+def _read_sections(path):
+    """The file at `path` parsed as a `configparser.ConfigParser`, or a
+    ConfigError.  configparser is imported here, so a command that reads no
+    file does not load it."""
+    import configparser
+
     # no interpolation: a '%' in a value is text, not a reference
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
@@ -123,8 +133,8 @@ def load_toolkit_config(path) -> ToolkitConfig:
             if section in PARAM_SECTIONS:
                 param_values[key] = _float(section, key, raw)
             elif section in ("outer", "pid"):
-                setattr(cfg, section, replace(getattr(cfg, section),
-                                              **{key: _float(section, key, raw)}))
+                setattr(cfg, section, getattr(cfg, section)._replace(
+                    **{key: _float(section, key, raw)}))
             elif section == "weights":
                 cfg.weights = _apply_weight(cfg.weights, key, raw)
             elif section == "observer":
@@ -215,9 +225,9 @@ def _apply_scenario_key(cfg: ScenarioConfig, key: str, raw: str):
 
 def _apply_wind_key(cfg: ScenarioConfig, key: str, raw: str):
     if key == "mean":
-        cfg.wind = replace(cfg.wind, mean=_floats(raw, 3, "wind mean"))
+        cfg.wind = cfg.wind._replace(mean=_floats(raw, 3, "wind mean"))
     elif key in ("sigma", "tau_c"):
-        cfg.wind = replace(cfg.wind, **{key: _float("wind", key, raw)})
+        cfg.wind = cfg.wind._replace(**{key: _float("wind", key, raw)})
     elif key == "gusts":
         gusts = []
         for chunk in raw.split(";"):
@@ -231,7 +241,7 @@ def _apply_wind_key(cfg: ScenarioConfig, key: str, raw: str):
             delta = _floats(parts[2], 3, f"gust delta in '{chunk}'")
             gusts.append(Gust(_float("wind", "gust start", parts[0]),
                               _float("wind", "gust end", parts[1]), delta))
-        cfg.wind = replace(cfg.wind, gusts=tuple(gusts))
+        cfg.wind = cfg.wind._replace(gusts=tuple(gusts))
 
 
 def _parse_segment(raw: str) -> ReferenceSegment:

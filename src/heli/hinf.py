@@ -29,7 +29,7 @@ import importlib.util
 import math
 import os
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def _stable(re, im):
     return re < 0.0
 
 
-@dataclass(frozen=True)
-class OutputWeights:
+class OutputWeights(NamedTuple):
     """Weighting blocks of the controlled output h = C x + D u."""
 
     c11: np.ndarray   # 4x4, weights on (phi, theta, p, q)
@@ -90,23 +89,20 @@ class OutputWeights:
         )
 
 
-@dataclass(frozen=True)
-class ControlledOutputMap:
+class ControlledOutputMap(NamedTuple):
     """Stacked output matrices: 3 pure-input rows, then the state weights."""
 
     c: np.ndarray  # 9x9
     d: np.ndarray  # 9x3
 
 
-@dataclass(frozen=True)
-class RiccatiSolution:
+class RiccatiSolution(NamedTuple):
     p: np.ndarray
     gamma: float
     residual_norm: float
 
 
-@dataclass(frozen=True)
-class RiccatiInfeasible:
+class RiccatiInfeasible(NamedTuple):
     gamma: float
     reason: str     # imaginary_axis | singular_subspace | verification_failed
     detail: str = ""
@@ -116,8 +112,7 @@ class RiccatiInfeasible:
 _VERDICTS = ("", "imaginary_axis", "singular_subspace", "verification_failed")
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     f: np.ndarray            # 3x9 state feedback gain
     g: np.ndarray            # 3x3 reference feedforward gain
     riccati: RiccatiSolution
@@ -137,8 +132,7 @@ class SynthesisResult:
                 tuple(map(float, h_out_trim)))
 
 
-@dataclass(frozen=True)
-class GammaSearchResult:
+class GammaSearchResult(NamedTuple):
     gamma_star: float
     gamma_used: float
     gammas: array       # the gamma of each search solve, in the order made

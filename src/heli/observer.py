@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class ObserverDesign:
+class ObserverDesign(NamedTuple):
     a_obs: np.ndarray    # 3x3 estimator dynamics, Hurwitz
     b_obs: np.ndarray    # 3x6 measurement drive
     h_obs: np.ndarray    # 3x3 input drive

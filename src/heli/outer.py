@@ -14,15 +14,14 @@ values they use as one tuple of Python floats, built once per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import _check_theta, clamp
 from .errors import SingularAttitudeError
 from .params import HelicopterParams
 
 
-@dataclass(frozen=True)
-class OuterGains:
+class OuterGains(NamedTuple):
     kp_z: float = 22.0       # vertical thrust per metre of altitude error (N/m)
     kd_z: float = 30.0       # vertical thrust per m/s of climb-rate error
     kp_x: float = 0.11       # tilt per metre of along-heading error

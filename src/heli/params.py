@@ -6,15 +6,13 @@ exact numbers, only on their signs and rough magnitudes.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigError
 
 
-@dataclass
-class HelicopterParams:
+class HelicopterParams(NamedTuple):
     # mass / inertia
     m: float = 9.0            # vehicle mass (kg)
     jx: float = 0.36          # roll inertia (kg m^2)
@@ -56,9 +54,9 @@ class HelicopterParams:
     def validate(self) -> "HelicopterParams":
         # NaN fails every test below; a NaN or inf anywhere would only fail
         # later, inside trim
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"parameter {f.name} must be finite")
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise ConfigError(f"parameter {name} must be finite")
         positive = ("m", "jx", "jy", "jz", "tau_mr", "omega_mr", "i_beta")
         for name in positive:
             if not getattr(self, name) > 0.0:
@@ -71,7 +69,9 @@ class HelicopterParams:
         return self
 
     def replace(self, **changes) -> "HelicopterParams":
-        return dataclasses.replace(self, **changes).validate()
+        """A validated copy with `changes`; TypeError names an unknown key,
+        as the constructor does (`_replace` would raise ValueError)."""
+        return HelicopterParams(**{**self._asdict(), **changes}).validate()
 
 
 # Section layout of the on-disk parameter file (`key = value` lines under

@@ -34,6 +34,10 @@ PLANT_FILES = (
     ("trim_state.csv", STATE_LABELS, None),
     ("trim_inputs.csv", INPUT_LABELS, None),
 )
+# largest hover residual a read trim point may have: `heli linearize` writes
+# one below `trim.TRIM_TOL` (1e-10), a trim state rounded to 6 significant
+# digits gives ~4e-6, and 0.3 rad added to phi gives 2.93
+PLANT_TRIM_RESIDUAL = 1e-4
 
 
 def _read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
@@ -58,15 +62,23 @@ def _read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
 
 def linear_plant(cfg, plant_dir=None) -> LinearPlant:
     """The linear design model: read from the CSV files `heli linearize`
-    wrote to `plant_dir`, else trim -> linearize on `cfg.params`."""
+    wrote to `plant_dir`, else trim -> linearize on `cfg.params`.  A read
+    trim point whose hover residual under `cfg.params` is above
+    `PLANT_TRIM_RESIDUAL` is no equilibrium, and raises a ConfigError that
+    names its trim_state.csv."""
     if plant_dir is None:
         return linearize(cfg.params, find_trim(cfg.params))
     a, b, e, x, u = (
         _read_matrix_csv(Path(plant_dir) / name,
                          (1 if rows is None else len(rows), len(cols)))
         for name, cols, rows in PLANT_FILES)
-    return LinearPlant(a=a, b=b, e=e,
-                       trim=TrimPoint.from_vectors(x[0], u[0], cfg.params))
+    trim = TrimPoint.from_vectors(x[0], u[0], cfg.params)
+    if not trim.residual <= PLANT_TRIM_RESIDUAL:
+        raise ConfigError(
+            f"{Path(plant_dir) / 'trim_state.csv'}: not a hover equilibrium "
+            f"of these parameters (residual {trim.residual:.3g} > "
+            f"{PLANT_TRIM_RESIDUAL:g})")
+    return LinearPlant(a=a, b=b, e=e, trim=trim)
 
 
 def build_design(cfg, plant_dir=None):

@@ -59,6 +59,7 @@ import signal
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,8 +175,7 @@ def rk4_step(derivative, state, inputs, wind, dt: float) -> list:
             x14 + sixth * (((a14 + 2.0 * b14) + 2.0 * c14) + d14)]
 
 
-@dataclass
-class PidGains:
+class PidGains(NamedTuple):
     roll_kp: float = 0.14
     roll_ki: float = 0.15
     roll_kd: float = 0.05
@@ -236,8 +236,7 @@ class PidAttitudeController:
         return dlat, dlon, dped
 
 
-@dataclass(frozen=True)
-class ReferenceSegment:
+class ReferenceSegment(NamedTuple):
     """Position reference active from t_start; ramps from p0 at rate v."""
 
     t_start: float
@@ -325,12 +324,19 @@ def _step_rows(wind, times, segments):
 
 @dataclass
 class ScenarioConfig:
+    """One closed-loop run: its length and step, the controller, whether
+    the outer loop follows `references`, the wind, the seed of its
+    turbulence, the start offset from trim and, with the outer loop off,
+    a fixed attitude reference (trim's when None).  A dataclass, not a
+    NamedTuple, so `dataclasses.replace` makes variants and the loaders
+    set one key at a time."""
+
     name: str = "scenario"
     duration: float = 30.0
     dt: float = 0.002
     controller: str = "hinf"          # hinf | pid | open_loop
     use_outer: bool = True
-    wind: WindModel = field(default_factory=WindModel)
+    wind: WindModel = WindModel()
     references: tuple = ()
     seed: int = 0
     initial_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -365,23 +371,21 @@ class ScenarioConfig:
         return self
 
 
-@dataclass
-class SimArtifacts:
+class SimArtifacts(NamedTuple):
     """Everything a scenario needs beyond its configuration."""
 
     trim: TrimPoint
     synthesis: SynthesisResult | None = None
     observer: ObserverDesign | None = None
-    pid_gains: PidGains = field(default_factory=PidGains)
-    outer_gains: OuterGains = field(default_factory=OuterGains)
+    pid_gains: PidGains = PidGains()
+    outer_gains: OuterGains = OuterGains()
 
 
 def _log_columns(cols, doc):
     return property(lambda self: self.table[:, cols], doc=doc)
 
 
-@dataclass
-class ScenarioLog:
+class ScenarioLog(NamedTuple):
     """One row per step: `table` holds the float columns of `LOG_COLUMNS`
     in order, and `sat_flags` the last, as integer bit masks.  `t`,
     `states`, `inputs`, `wind`, `att_ref` and `estimates` name views of the
@@ -458,8 +462,7 @@ class ScenarioLog:
                           for row, bits in zip(rows, flags)).encode("utf-8")
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     max_phi_err_deg: float
     max_theta_err_deg: float
     rms_vel_err: np.ndarray      # per NED axis, settled windows (m/s)
@@ -730,8 +733,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     return log, compute_metrics(times, states, log.att_ref, config)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     metrics_a: MetricsReport
     metrics_b: MetricsReport
     label_a: str

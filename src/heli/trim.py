@@ -14,7 +14,7 @@ the plant derivative on lanes that hold all its central-difference points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ _UNKNOWN_LABELS = ("dcol", "dlat", "dlon", "xi", "phi", "theta", "a_s", "b_s")
 TRIM_TOL = 1e-10   # residual norm at which the Newton iteration stops
 
 
-@dataclass(frozen=True)
-class TrimPoint:
+class TrimPoint(NamedTuple):
     """Hover equilibrium: state, inputs, the hover residual and the steady
     tail command; the measured and tracked outputs at trim are read from
     the state."""
@@ -76,8 +75,7 @@ class TrimPoint:
             residual=np.linalg.norm(residual), dped_prime=dped_prime)
 
 
-@dataclass(frozen=True)
-class LinearPlant:
+class LinearPlant(NamedTuple):
     """Matrices of the linearized attitude model about a trim point."""
 
     a: np.ndarray

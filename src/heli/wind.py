@@ -7,13 +7,18 @@ the same wind history regardless of the simulation step size.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 
 TURBULENCE_GRID_DT = 0.01  # internal realization step (s)
+
+# the default mean wind, one array for every WindModel that takes it, so it
+# is read-only
+_STILL_AIR = np.zeros(3)
+_STILL_AIR.flags.writeable = False
 
 
 def _check_shape3(value, what: str):
@@ -32,8 +37,7 @@ def _check_vector3(value, what: str):
         raise ConfigError(f"{what} must be finite")
 
 
-@dataclass(frozen=True)
-class Gust:
+class Gust(NamedTuple):
     start: float
     end: float
     delta: np.ndarray  # body-axis wind step (m/s)
@@ -45,9 +49,8 @@ class Gust:
         return self
 
 
-@dataclass(frozen=True)
-class WindModel:
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
+class WindModel(NamedTuple):
+    mean: np.ndarray = _STILL_AIR
     gusts: tuple = ()
     sigma: float = 0.0       # turbulence intensity (m/s)
     tau_c: float = 2.0       # turbulence correlation time (s)
@@ -90,8 +93,7 @@ class WindModel:
         return WindSequence(model=self, turbulence=noise)
 
 
-@dataclass(frozen=True)
-class WindSequence:
+class WindSequence(NamedTuple):
     model: WindModel
     turbulence: np.ndarray
 

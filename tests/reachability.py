@@ -5,7 +5,7 @@ one process under `sys.setprofile`, with `heli` imported after the profile
 is set, so that what runs at import counts.  It then prints every function
 and method defined in `src/heli/*.py` whose code was never entered, as
 `module.qualname  path:line`.  Lambdas, comprehensions and the methods
-`dataclasses` generates are not listed.
+`dataclasses` and `NamedTuple` generate are not listed.
 
 A body that runs only in a child made by `os.fork()` (the half of
 `ScenarioLog.to_csv` its child formats, the run `compare_controllers` hands

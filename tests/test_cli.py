@@ -93,7 +93,8 @@ class TestCli:
     @pytest.mark.parametrize("damage, command", [
         *(pytest.param(damage, "synthesize", id=damage) for damage in (
             "missing-dir", "truncated-A", "unparsable-B", "short-trim-state",
-            "long-trim-inputs", "nan-A", "inf-trim-state")),
+            "long-trim-inputs", "nan-A", "inf-trim-state",
+            "tilted-trim-state")),
         pytest.param("nan-A", "gamma-search", id="nan-A-gamma-search"),
     ])
     def test_bad_plant_dir_fails_with_one_line(self, tmp_path, capsys, damage,
@@ -120,6 +121,15 @@ class TestCli:
             text = (lin / "A.csv").read_text().splitlines()
             text[3] = text[3].rsplit(",", 1)[0] + ",nan"
             (lin / "A.csv").write_text("\n".join(text) + "\n")
+        elif damage == "tilted-trim-state":
+            # 0.3 rad added to phi: every value is finite, but the point is
+            # no hover equilibrium (residual 2.93)
+            header, row = (lin / "trim_state.csv").read_text().splitlines()
+            values = row.split(",")
+            phi = header.split(",").index("phi")
+            values[phi] = repr(float(values[phi]) + 0.3)
+            (lin / "trim_state.csv").write_text(
+                header + "\n" + ",".join(values) + "\n")
         else:  # pn, the first value, parses but no trim state means it
             header, row = (lin / "trim_state.csv").read_text().splitlines()
             (lin / "trim_state.csv").write_text(

@@ -1,6 +1,5 @@
 import math
 import struct
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -451,7 +450,7 @@ def _parent_derivative(x, u, w, par):
             a_s_dot, b_s_dot, xi_dot]
 
 
-_PARAM_NAMES = tuple(f.name for f in fields(HelicopterParams))
+_PARAM_NAMES = HelicopterParams._fields
 
 
 @st.composite

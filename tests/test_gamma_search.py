@@ -263,10 +263,15 @@ def test_perturbed_design_verdicts_match_plain_solve(seed, output_map):
 
 
 def _holds_array(value) -> bool:
+    """Whether `value` is an ndarray, or a record (a dataclass or a
+    NamedTuple) with a field that holds one at any depth."""
     if isinstance(value, np.ndarray):
         return True
-    return dataclasses.is_dataclass(value) and any(
-        _holds_array(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+    else:
+        names = getattr(value, "_fields", ())
+    return any(_holds_array(getattr(value, name)) for name in names)
 
 
 def _kept_bytes(obj) -> int:

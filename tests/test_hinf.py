@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import sys
@@ -68,7 +67,7 @@ class TestBuildOutputMap:
         bad = np.array(getattr(w, block))
         bad[1, 1] = math.nan
         with pytest.raises(SynthesisError, match=f"weight block {block}"):
-            build_output_map(dataclasses.replace(w, **{block: bad}))
+            build_output_map(w._replace(**{block: bad}))
 
 
 def _failing_dgees(info):

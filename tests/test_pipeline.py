@@ -34,8 +34,8 @@ def cfg(params):
         params=params.replace(m=params.m * 1.05, jx=params.jx * 0.95),
         outer=OuterGains(kp_z=20.0, kd_x=0.2),
         pid=PidGains(roll_kp=0.2, yaw_ki=0.4),
-        weights=replace(weights, c11=weights.c11 * 1.5,
-                        d11=weights.d11 * 0.8),
+        weights=weights._replace(c11=weights.c11 * 1.5,
+                                 d11=weights.d11 * 0.8),
         observer_poles=(-40.0, -45.0, -70.0),
         gamma_tol=1e-3,
         gamma_margin=0.1)
@@ -64,9 +64,9 @@ def test_matches_the_stages_called_one_by_one(cfg, built):
     plant = linearize(cfg.params, find_trim(cfg.params))
     result, search, zeros = synthesize(plant, cfg.weights, tol=cfg.gamma_tol,
                                        margin=cfg.gamma_margin)
-    artifacts = replace(built[1], trim=plant.trim, synthesis=result,
-                        observer=design_reduced_observer(plant,
-                                                         cfg.observer_poles))
+    artifacts = built[1]._replace(trim=plant.trim, synthesis=result,
+                                  observer=design_reduced_observer(
+                                      plant, cfg.observer_poles))
     assert _same_bits(_design_arrays(*built),
                       _design_arrays(plant, artifacts, search, zeros))
 

@@ -2,7 +2,7 @@ import math
 import os
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,9 +341,9 @@ class TestBlockMetrics:
     def _assert_oracles_bits(t, states, att_ref, cfg):
         got = compute_metrics(t, states, att_ref, cfg)
         want = _full_array_metrics(t, states, att_ref, cfg)
-        for f in fields(want):
-            assert (np.asarray(getattr(got, f.name)).tobytes()
-                    == np.asarray(getattr(want, f.name)).tobytes()), f.name
+        for name in want._fields:
+            assert (np.asarray(getattr(got, name)).tobytes()
+                    == np.asarray(getattr(want, name)).tobytes()), name
 
     @pytest.mark.parametrize("still", [2, 3])
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 30001])
@@ -433,7 +433,7 @@ class TestScenarioValidation:
         cfg.controller = controller
         cfg.duration = 0.1
         with pytest.raises(ConfigError, match=f"artifacts.{field}"):
-            run_scenario(cfg, params, replace(artifacts, **{field: gains}))
+            run_scenario(cfg, params, artifacts._replace(**{field: gains}))
 
     def test_nan_outer_gain_rejected_before_run(self, params, artifacts):
         # a NaN gain would pass a `< 0.0` test and stop the run as a
@@ -442,18 +442,18 @@ class TestScenarioValidation:
         cfg.duration = 0.1
         with pytest.raises(ConfigError, match="artifacts.outer_gains"):
             run_scenario(cfg, params,
-                         replace(artifacts, outer_gains=OuterGains(kp_z=math.nan)))
+                         artifacts._replace(outer_gains=OuterGains(kp_z=math.nan)))
 
     def test_pid_gains_validate(self):
         assert PidGains(int_limit=0.0).validate() == PidGains(int_limit=0.0)
         for bad in (-0.35, math.nan):
             with pytest.raises(ValueError, match="int_limit"):
                 PidGains(int_limit=bad).validate()
-        for field in fields(PidGains)[:-1]:  # every gain before int_limit
+        for name in PidGains._fields[:-1]:  # every gain before int_limit
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError,
-                                   match=f"^pid gain {field.name} must be finite$"):
-                    PidGains(**{field.name: bad}).validate()
+                                   match=f"^pid gain {name} must be finite$"):
+                    PidGains(**{name: bad}).validate()
 
 
 class TestRunScenario:
@@ -1020,9 +1020,9 @@ class TestParallelCompare:
                                    pid_fails_at_step_5):
         # the forked hinf run goes non-finite at step 1 while the PID run
         # here fails at step 5; sequential runs raise the hinf error
-        nan_gains = replace(artifacts.synthesis,
-                            g=artifacts.synthesis.g * math.nan)
-        broken = replace(artifacts, synthesis=nan_gains)
+        nan_gains = artifacts.synthesis._replace(
+            g=artifacts.synthesis.g * math.nan)
+        broken = artifacts._replace(synthesis=nan_gains)
         cfg = builtin_scenario("gust-attitude-hold", seed=5)
         cfg.duration = 0.5
         want = _sequential_error(cfg, params, broken, ("hinf", "pid"))
