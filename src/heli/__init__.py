@@ -38,7 +38,6 @@ from .observer import (
     ObserverDesign,
     assemble_state_estimate,
     design_reduced_observer,
-    observer_init,
     observer_step,
 )
 from .outer import (

@@ -162,19 +162,6 @@ def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
     return ObserverDesign(a_obs=a_obs, b_obs=b_obs, h_obs=h_obs, k_obs=k_obs)
 
 
-def observer_init(design: ObserverDesign, y: np.ndarray,
-                  estimate: np.ndarray | None = None) -> tuple[list, list]:
-    """Internal state x_obs that makes the initial estimate equal
-    `estimate` (zero if None), and that estimate: (x_obs, estimate) as
-    lists of Python floats."""
-    y = np.asarray(y, dtype=float)
-    if estimate is None:
-        estimate = np.zeros(3)
-    estimate = np.asarray(estimate, dtype=float)
-    x_obs = estimate - design.k_obs @ y
-    return x_obs.tolist(), estimate.tolist()
-
-
 def observer_step(disc, x_obs, y, u) -> tuple[list, list]:
     """One exact zero-order-hold step of the estimator from internal state
     `x_obs`, with the six measurements `y` and three inputs `u` held over

@@ -76,7 +76,6 @@ from .hinf import SynthesisResult, control_law
 from .observer import (
     ObserverDesign,
     assemble_state_estimate,
-    observer_init,
     observer_step,
 )
 from .outer import (
@@ -201,16 +200,14 @@ class PidAttitudeController:
     """Independent per-axis PID on roll/pitch plus PI on heading.
 
     Derivative action uses the measured body rates; integrators are clamped
-    as anti-windup.  Outputs are deviations added to the trim inputs and
-    clamped to the servo range.
+    as anti-windup.  `step` returns the trim inputs plus the PID deviations,
+    unclamped: `run_scenario` clamps the three channels to the servo range,
+    as `control_law` does for the H-infinity loop.
     """
 
     def __init__(self, gains: PidGains, trim: TrimPoint):
         self.gains = gains
         self.u_trim = trim.inputs[0:3]  # trim cyclic and pedal inputs
-        self.reset()
-
-    def reset(self):
         self.int_roll = 0.0
         self.int_pitch = 0.0
         self.int_yaw = 0.0
@@ -393,7 +390,6 @@ class ScenarioLog(NamedTuple):
 
     table: np.ndarray        # (n, LOG_WIDTH), C-contiguous
     sat_flags: np.ndarray    # (n,) integer bit masks
-    config: ScenarioConfig
 
     t = _log_columns(_T, "(n,) step times")
     states = _log_columns(_STATES, "(n, 15) flat states")
@@ -574,7 +570,15 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     Loop order per step, on Python floats: evaluate the outer loop, form the
     inner-loop command from measurements plus observer estimates, log,
     integrate the plant one RK4 step with everything held, then step the
-    observer on the same held measurements.  After the loop, the yaw-gyro
+    observer on the same held measurements.  The observer's state and its
+    estimate start at zero deviation from trim.
+
+    Each servo channel has one clamp.  The hinf and pid inner loops
+    (`control_law`, and the pid branch here) clamp the cyclic and pedal
+    channels to the servo range; the outer loop's `altitude_control` clamps
+    the collective to `OuterGains.col_limit`.  With the outer loop off every
+    controller flies the trim collective as it is, and open loop flies all
+    four trim inputs as they are.  After the loop, the yaw-gyro
     clamp flag is set from the logged columns, and the metrics are taken
     from the log by `compute_metrics`, which builds the run's segment
     arrays again.  A toolkit error raised by any stage, or a ValueError or
@@ -591,10 +595,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                                         or artifacts.observer is None):
         raise ConfigError("hinf controller requires synthesis and observer artifacts")
 
-    par = params
     trim = artifacts.trim
     controller = config.controller
-    outer = artifacts.outer_gains.loop_constants(par)
+    outer = artifacts.outer_gains.loop_constants(params)
     n_steps = int(round(config.duration / config.dt))
     dt = config.dt
     # the log, one row per step; its times and wind rows are filled here,
@@ -627,13 +630,12 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     observing = artifacts.observer is not None
     if observing:
         obs_step = artifacts.observer.discretize(dt)
-        x_obs, z_est = observer_init(artifacts.observer, np.zeros(6))
-    else:
-        z_est = [0.0, 0.0, 0.0]
+        x_obs = [0.0, 0.0, 0.0]
+    z_est = [0.0, 0.0, 0.0]
     z_trim = np.array([trim.state.a_s, trim.state.b_s, trim.dped_prime])
 
-    consts = plant_constants(par)
-    flap_limit = par.flap_limit
+    consts = plant_constants(params)
+    flap_limit = params.flap_limit
 
     def deriv(xv, uv, wv):
         return _state_derivative_flat(xv, uv, wv, consts)
@@ -683,8 +685,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                                      delta_col=delta_col)
                 step_flags |= sat
             elif controller == "pid":
-                u = [*pid.step(x, att_ref, dt), delta_col]
+                u = list(pid.step(x, att_ref, dt))
                 step_flags |= clamp_servos(u)
+                u.append(delta_col)
             else:  # open loop at trim
                 u = u_open
 
@@ -720,15 +723,15 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             raise
         raise SimulationAbort(k, times[k], stage, exc) from exc
 
-    log = ScenarioLog(table, flags, config)
+    log = ScenarioLog(table, flags)
     if observing:
         estimates = log.estimates
         estimates += z_trim
     # the tail servo clamp, from the logged states and pedal commands
     states = log.states
     _, _, gyro_sat = yaw_gyro_law(states[:, 14], log.inputs[:, 2],
-                                  states[:, 11], par.ka_g, par.kp_g, par.ki_g,
-                                  clamp_lanes)
+                                  states[:, 11], params.ka_g, params.kp_g,
+                                  params.ki_g, clamp_lanes)
     flags[gyro_sat] |= SAT_GYRO
     return log, compute_metrics(times, states, log.att_ref, config)
 
@@ -847,7 +850,7 @@ def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
     if arrays is None:
         log_a, met_a = run_scenario(cfg_a, params, artifacts)
     else:
-        log_a = ScenarioLog(*arrays, config=cfg_a)
+        log_a = ScenarioLog(*arrays)
         met_a = compute_metrics(log_a.t, log_a.states, log_a.att_ref, cfg_a)
     if run_b is None:
         run_b = run_scenario(cfg_b, params, artifacts)

@@ -1,19 +1,20 @@
 """Byte-identity gate for the command line.
 
-Runs 20 `heli` commands, each in a fresh interpreter with its own output
-directory: trim, linearize, synthesize, gamma-search, `simulate --seed 2026`
-for every built-in scenario under each controller, and `compare --seed
-2026` for every built-in scenario.  It compares the exit code and the
-sha256 of every file a command writes, of its stdout and of its stderr
-against the table in `cli_golden.json`, with the output directory replaced
-by `<out>` in stdout and stderr.
+Runs 21 `heli` commands, each in a fresh interpreter in the repository's
+root with its own output directory: trim, linearize, synthesize (also with
+`--config configs/default.cfg`, which must write what the defaults write),
+gamma-search, `simulate --seed 2026` for every built-in scenario under each
+controller, and `compare --seed 2026` for every built-in scenario.  It
+compares the exit code and the sha256 of every file a command writes, of
+its stdout and of its stderr against the table in `cli_golden.json`, with
+the output directory replaced by `<out>` in stdout and stderr.
 
     python tests/cli_golden.py            # exit 1 on any difference
     python tests/cli_golden.py --write    # re-pin the table
 
 The table records the numpy and scipy versions it was taken with; on other
 versions the script fails with a message that names both.  pytest does not
-collect this file (it is not named test_*.py): the 20 commands take ~35 s
+collect this file (it is not named test_*.py): the 21 commands take ~35 s
 on a 2-vCPU host.
 """
 import hashlib
@@ -30,7 +31,8 @@ TABLE = Path(__file__).resolve().parent / "cli_golden.json"
 SCENARIOS = ("gust-attitude-hold", "hover-hold", "paper-hover-climb",
              "step-offset")
 COMMANDS = (
-    ("trim",), ("linearize",), ("synthesize",), ("gamma-search",),
+    ("trim",), ("linearize",), ("synthesize",),
+    ("synthesize", "--config", "configs/default.cfg"), ("gamma-search",),
     *(("simulate", "--scenario", s, "--seed", "2026", "--controller", c)
       for s in SCENARIOS for c in ("hinf", "pid", "open_loop")),
     *(("compare", "--scenario", s, "--seed", "2026") for s in SCENARIOS),
@@ -49,7 +51,8 @@ def run(args: tuple, out: Path) -> dict:
         [str(ROOT / "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     proc = subprocess.run([sys.executable, "-m", "heli.cli", *args,
-                           "--out", str(out)], env=env, capture_output=True)
+                           "--out", str(out)], env=env, capture_output=True,
+                          cwd=ROOT)
     tag = str(out).encode()
     command = " ".join(args)
     return {

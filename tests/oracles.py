@@ -4,7 +4,9 @@
   of an API edge, built on `heli.dynamics._state_derivative_flat`;
 - `rotation_body_to_ned`: the body-to-NED rotation of one attitude;
 - `reference_table`: `heli.sim.reference_at`, one row per time, stacked;
-- `read_log_csv`: a scenario log file read back into named columns.
+- `read_log_csv`: a scenario log file read back into named columns;
+- `observer_loop_matrix`: the continuous closed loop of the linear plant,
+  the state feedback and the reduced observer.
 """
 import math
 
@@ -19,7 +21,13 @@ from heli.dynamics import (
 from heli.errors import ConfigError
 from heli.params import HelicopterParams
 from heli.sim import LOG_COLUMNS, reference_at
-from heli.state import _flat, as_input_vector, as_state_vector
+from heli.state import (
+    MEASURED_IDX,
+    UNMEASURED_IDX,
+    _flat,
+    as_input_vector,
+    as_state_vector,
+)
 
 
 def state_derivative(state, inputs, wind, params: HelicopterParams) -> np.ndarray:
@@ -57,3 +65,27 @@ def read_log_csv(path) -> dict:
     if header != LOG_COLUMNS.split(","):
         raise ConfigError("unexpected log header")
     return {name: data[:, k] for k, name in enumerate(header)}
+
+
+def observer_loop_matrix(plant, f, design) -> np.ndarray:
+    """The 12x12 matrix of the continuous loop in [x; x_obs]: the linear
+    plant `plant` under u = F x_hat, where x_hat takes the measurements
+    y = C_m x in `MEASURED_IDX` and the estimate x_obs + K y of the reduced
+    observer `design` in `UNMEASURED_IDX`."""
+    c_m = np.zeros((6, 9))
+    for k, idx in enumerate(MEASURED_IDX):
+        c_m[k, idx] = 1.0
+    p_y = np.zeros((9, 6))
+    for k, idx in enumerate(MEASURED_IDX):
+        p_y[idx, k] = 1.0
+    p_z = np.zeros((9, 3))
+    for k, idx in enumerate(UNMEASURED_IDX):
+        p_z[idx, k] = 1.0
+
+    # u = F (P_y y + P_z (x' + K y)) with y = C_m x
+    feed = p_y @ c_m + p_z @ design.k_obs @ c_m
+    return np.block([
+        [plant.a + plant.b @ f @ feed, plant.b @ f @ p_z],
+        [design.b_obs @ c_m + design.h_obs @ f @ feed,
+         design.a_obs + design.h_obs @ f @ p_z],
+    ])

@@ -1,11 +1,12 @@
 """Which functions of `src/heli` the command line never enters.
 
 Runs `heli.cli.main` for each command of `cli_golden.COMMANDS`, all in this
-one process under `sys.setprofile`, with `heli` imported after the profile
-is set, so that what runs at import counts.  It then prints every function
-and method defined in `src/heli/*.py` whose code was never entered, as
-`module.qualname  path:line`.  Lambdas, comprehensions and the methods
-`dataclasses` and `NamedTuple` generate are not listed.
+one process in the repository's root under `sys.setprofile`, with `heli`
+imported after the profile is set, so that what runs at import counts.  It
+then prints every function and method defined in `src/heli/*.py` whose code
+was never entered, as `module.qualname  path:line`.  Lambdas,
+comprehensions and the methods `dataclasses` and `NamedTuple` generate are
+not listed.
 
 A body that runs only in a child made by `os.fork()` (the half of
 `ScenarioLog.to_csv` its child formats, the run `compare_controllers` hands
@@ -16,7 +17,7 @@ is listed although the commands run it.
 
 It is for information: the exit code is 1 only when a command fails.  It
 needs Python 3.11 or later (`co_qualname`).
-pytest does not collect this file (it is not named test_*.py); the 20
+pytest does not collect this file (it is not named test_*.py); the 21
 commands take ~40 s under the profile on a 2-vCPU host.
 """
 import contextlib
@@ -26,7 +27,8 @@ import tempfile
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
+ROOT = TESTS.parent
+SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(TESTS)]
 
 from cli_golden import COMMANDS  # noqa: E402  (imports no part of heli)
@@ -58,7 +60,7 @@ def main() -> int:
     sys.setprofile(profile)
     try:
         from heli.cli import main as heli_main
-        with tempfile.TemporaryDirectory() as scratch:
+        with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(ROOT):
             for k, args in enumerate(COMMANDS):
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):

@@ -15,7 +15,6 @@ from heli import (
     builtin_scenario,
     gamma_star,
     hinf_norm,
-    observer_init,
     observer_step,
     rk4_step,
     run_scenario,
@@ -24,7 +23,9 @@ from heli import (
 )
 from heli.hinf import feedback_gain
 from heli.sim import reference_at, settled_mask, _rotation_rows
-from heli.state import MEASURED_IDX, MODEL_STATE_LABELS, UNMEASURED_IDX
+from heli.state import MODEL_STATE_LABELS
+
+from oracles import observer_loop_matrix
 
 IDX = {name: k for k, name in enumerate(MODEL_STATE_LABELS)}
 SQRT2 = math.sqrt(2.0)
@@ -191,29 +192,15 @@ class TestA8Observer:
     def test_a8_observer(self, plant, synthesis, observer_design):
         result, _, _ = synthesis
         des = observer_design
-        c_m = np.zeros((6, 9))
-        for k, idx in enumerate(MEASURED_IDX):
-            c_m[k, idx] = 1.0
-        p_y = np.zeros((9, 6))
-        for k, idx in enumerate(MEASURED_IDX):
-            p_y[idx, k] = 1.0
-        p_z = np.zeros((9, 3))
-        for k, idx in enumerate(UNMEASURED_IDX):
-            p_z[idx, k] = 1.0
-        feed = p_y @ c_m + p_z @ des.k_obs @ c_m
-        a_big = np.block([
-            [plant.a + plant.b @ result.f @ feed, plant.b @ result.f @ p_z],
-            [des.b_obs @ c_m + des.h_obs @ result.f @ feed,
-             des.a_obs + des.h_obs @ result.f @ p_z],
-        ])
+        a_big = observer_loop_matrix(plant, result.f, des)
         got = np.sort_complex(np.linalg.eigvals(a_big))
         expect = np.sort_complex(np.concatenate([
             np.linalg.eigvals(plant.a + plant.b @ result.f),
             np.linalg.eigvals(des.a_obs)]))
         union_err = np.max(np.abs(got - expect))
 
-        x_obs, estimate = observer_init(des, np.zeros(6),
-                                        estimate=np.array([0.05, 0.0, 0.0]))
+        # the estimate starts at (0.05, 0, 0): x_obs = estimate - K y, y = 0
+        x_obs = [0.05, 0.0, 0.0]
         dt = 0.002
         disc = des.discretize(dt)
         for _ in range(int(1.0 / dt)):

@@ -12,7 +12,6 @@ from heli import (
     design_reduced_observer,
     find_trim,
     linearize,
-    observer_init,
     observer_step,
 )
 from heli import observer
@@ -23,6 +22,7 @@ from heli.observer import (
 )
 from heli.state import MEASURED_IDX, UNMEASURED_IDX
 
+from oracles import observer_loop_matrix
 from rk4_reference import rk4_reference
 from test_gamma_search import _perturbed_params
 
@@ -104,17 +104,17 @@ class TestDesign:
 
 class TestStep:
     def test_origin_is_fixed_point(self, observer_design):
-        x_obs, _ = observer_init(observer_design, np.zeros(6))
         x_obs, estimate = observer_step(observer_design.discretize(0.002),
-                                        x_obs, np.zeros(6), np.zeros(3))
+                                        [0.0, 0.0, 0.0], np.zeros(6),
+                                        np.zeros(3))
         assert x_obs == [0.0, 0.0, 0.0]
         assert estimate == [0.0, 0.0, 0.0]
 
     def test_estimate_definition_holds(self, observer_design):
         rng = np.random.default_rng(5)
         y = rng.standard_normal(6)
-        x_obs, _ = observer_init(observer_design, y,
-                                 estimate=rng.standard_normal(3))
+        # x_obs = estimate - K y
+        x_obs = (rng.standard_normal(3) - observer_design.k_obs @ y).tolist()
         disc = observer_design.discretize(0.002)
         for _ in range(20):
             x_obs, estimate = observer_step(disc, x_obs, y,
@@ -124,7 +124,8 @@ class TestStep:
 
     def test_constant_measurement_steady_state(self, observer_design):
         y = np.array([0.01, -0.02, 0.0, 0.03, 0.0, 0.01])
-        x_obs, _ = observer_init(observer_design, y)
+        # a zero estimate: x_obs = 0 - K y
+        x_obs = (0.0 - observer_design.k_obs @ y).tolist()
         disc = observer_design.discretize(0.002)
         for _ in range(5000):
             x_obs, _ = observer_step(disc, x_obs, y, np.zeros(3))
@@ -151,8 +152,7 @@ class TestStep:
         x0 = rng.standard_normal(3)
         y = rng.standard_normal(6)
         u = rng.standard_normal(3)
-        x_obs, _ = observer_init(des, y, estimate=x0 + des.k_obs @ y)
-        x_obs, _ = observer_step(des.discretize(dt), x_obs, y, u)
+        x_obs, _ = observer_step(des.discretize(dt), x0.tolist(), y, u)
 
         drive = des.b_obs @ y + des.h_obs @ u
         x = x0.copy()
@@ -264,8 +264,8 @@ class TestErrorDynamics:
     def test_error_decays_from_flap_offset(self, params, trim, plant,
                                            observer_design):
         # plant parked at trim: estimation error follows the design dynamics
-        x_obs, estimate = observer_init(observer_design, np.zeros(6),
-                                        estimate=np.array([0.05, 0.0, 0.0]))
+        # the estimate starts at (0.05, 0, 0): x_obs = estimate - K y, y = 0
+        estimate = x_obs = [0.05, 0.0, 0.0]
         dt = 0.002
         disc = observer_design.discretize(dt)
         err = [np.linalg.norm(estimate)]
@@ -321,23 +321,7 @@ class TestErrorDynamics:
         result, _, _ = synthesis
         f = result.f
         des = observer_design
-        c_m = np.zeros((6, 9))
-        for k, idx in enumerate(MEASURED_IDX):
-            c_m[k, idx] = 1.0
-        p_y = np.zeros((9, 6))
-        for k, idx in enumerate(MEASURED_IDX):
-            p_y[idx, k] = 1.0
-        p_z = np.zeros((9, 3))
-        for k, idx in enumerate(UNMEASURED_IDX):
-            p_z[idx, k] = 1.0
-
-        # u = F (P_y y + P_z (x' + K y)) with y = C_m x
-        feed = p_y @ c_m + p_z @ des.k_obs @ c_m
-        a_big = np.block([
-            [plant.a + plant.b @ f @ feed, plant.b @ f @ p_z],
-            [des.b_obs @ c_m + des.h_obs @ f @ feed,
-             des.a_obs + des.h_obs @ f @ p_z],
-        ])
+        a_big = observer_loop_matrix(plant, f, des)
         got = np.sort_complex(np.linalg.eigvals(a_big))
         expect = np.sort_complex(np.concatenate([
             np.linalg.eigvals(plant.a + plant.b @ f),

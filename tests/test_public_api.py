@@ -22,8 +22,8 @@ PUBLIC_NAMES = [
     "check_feasibility", "compare_controllers", "compute_gains",
     "compute_metrics", "control_law", "design_reduced_observer", "find_trim",
     "flap_coupling", "gamma_star", "hinf_norm", "horizontal_control",
-    "linearize", "observer_init", "observer_step", "rk4_step",
-    "run_scenario", "solve_riccati", "synthesize", "verify_linearization",
+    "linearize", "observer_step", "rk4_step", "run_scenario",
+    "solve_riccati", "synthesize", "verify_linearization",
 ]
 
 

@@ -34,7 +34,7 @@ RECORDS = {
         ("trim", "synthesis", "observer", "pid_gains", "outer_gains"),
         {"synthesis": None, "observer": None, "pid_gains": heli.PidGains(),
          "outer_gains": heli.OuterGains()}),
-    heli.ScenarioLog: (("table", "sat_flags", "config"), {}),
+    heli.ScenarioLog: (("table", "sat_flags"), {}),
     heli.MetricsReport: (
         ("max_phi_err_deg", "max_theta_err_deg", "rms_vel_err", "max_vel_err",
          "horizontal_envelope", "altitude_envelope"), {}),

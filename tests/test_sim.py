@@ -22,6 +22,7 @@ from heli import (
     SingularAttitudeError,
     TrimPoint,
     WindModel,
+    build_design,
     builtin_names,
     find_trim,
     builtin_scenario,
@@ -30,6 +31,7 @@ from heli import (
     rk4_step,
     run_scenario,
 )
+from heli.config import ToolkitConfig
 from heli.dynamics import (
     _state_derivative_flat,
     plant_constants,
@@ -549,7 +551,7 @@ class TestRunScenario:
         pick = rng.random((n, 29)) < 0.3
         vals[pick] = rng.choice(special, size=int(pick.sum()))
         flags = rng.integers(0, 128, n)
-        log = ScenarioLog(vals, flags, ScenarioConfig())
+        log = ScenarioLog(vals, flags)
         path = tmp_path / "log.csv"
         log.to_csv(path)
         expected = LOG_COLUMNS + "\n" + "".join(
@@ -755,6 +757,22 @@ class TestCompare:
         _, log_a, log_b = compare_controllers(cfg, params, artifacts)
         assert np.array_equal(log_a.wind, log_b.wind)
 
+    def test_both_controllers_fly_the_trim_collective(self):
+        # a 20 kg design trims at a collective of ~1.62, outside the servo
+        # range; with the outer loop off no clamp owns the collective, so
+        # the pid run flies it unclamped, as the hinf run does
+        params = HelicopterParams(m=20.0)
+        _, artifacts, _, _ = build_design(ToolkitConfig(params=params))
+        col_trim = artifacts.trim.inputs.delta_col
+        assert col_trim > 1.0
+        cfg = builtin_scenario("gust-attitude-hold", seed=2026)
+        cfg.duration = 2.0
+        assert not cfg.use_outer
+        _, log_a, log_b = compare_controllers(cfg, params, artifacts)
+        for log in (log_a, log_b):
+            assert np.all(log.inputs[:, 3] == col_trim)
+            assert not np.any(log.sat_flags & SAT_DCOL)
+
 
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -766,7 +784,6 @@ def _assert_same_log(log, expected):
         got, want = getattr(log, name), getattr(expected, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
-    assert log.config == expected.config
 
 
 def _assert_same_metrics(metrics, expected):
@@ -955,7 +972,7 @@ class TestParallelCompare:
                     table = table[:-1]
                 else:
                     flags = flags[:0]
-                log = ScenarioLog(table, flags, log.config)
+                log = ScenarioLog(table, flags)
             return log, metrics
 
         monkeypatch.setattr(heli.sim, "run_scenario", bad_child)
@@ -1055,7 +1072,7 @@ def _random_log(n, seed=3):
                         math.nan])
     pick = rng.random((n, 29)) < 0.2
     vals[pick] = rng.choice(special, size=int(pick.sum()))
-    return ScenarioLog(vals, rng.integers(0, 128, n), ScenarioConfig())
+    return ScenarioLog(vals, rng.integers(0, 128, n))
 
 
 def _assert_csv_is_the_oracles(log, tmp_path):
