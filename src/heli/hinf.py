@@ -183,18 +183,15 @@ def _check_dims(a, b, c, d, e):
 
 
 def _square(gamma) -> float:
-    """gamma ** 2 as a Python float, and inf, with no warning, where it
-    overflows: the E E'/gamma^2 = 0 limit.
+    """float(gamma) ** 2, and inf where it overflows: the E E'/gamma^2 = 0
+    limit.
 
-    Each type keeps its own rounding (a Python float squares by `pow`, a
-    numpy float by `x * x`; they differ in the last bit on ~0.1 % of
-    values, and on one perturbed design that bit moves a search verdict).
+    Squaring by `** 2`, not `x * x`: the two differ in the last bit on
+    ~0.1 % of values, and on one perturbed design that bit moves a search
+    verdict.  A numpy float64 squared by `** 2` rounds as this does.
     """
-    if isinstance(gamma, np.generic):
-        with np.errstate(over="ignore"):
-            return float(gamma ** 2)
     try:
-        return float(gamma ** 2)
+        return float(gamma) ** 2
     except OverflowError:
         return math.inf
 
@@ -429,8 +426,7 @@ def compute_gains(riccati: RiccatiSolution, a, b, c, d,
     return SynthesisResult(f=f, g=g, riccati=riccati)
 
 
-def control_law(gains, x, r, u_trim,
-                delta_col: float = 0.0) -> tuple[list, int]:
+def control_law(gains, x, r, u_trim, delta_col: float) -> tuple[list, int]:
     """Servo inputs for a deviation state and attitude reference.
 
     Computes u = (F x + G (r - h_out_trim)) + u_trim from `gains`, the

@@ -118,15 +118,11 @@ def check_poles(poles) -> np.ndarray:
 def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
     """Place the estimation-error poles and assemble the estimator matrices.
 
-    `plant` is a LinearPlant or an (A, B) pair; `poles` must pass
-    `check_poles`.
+    `plant` is a LinearPlant, of which the observer reads `a` and `b`;
+    `poles` must pass `check_poles`.
     """
-    if hasattr(plant, "a"):
-        a, b = plant.a, plant.b
-    else:
-        a, b = plant
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.asarray(plant.a, dtype=float)
+    b = np.asarray(plant.b, dtype=float)
 
     poles = check_poles(poles)
     a_yy, a_yz, a_zy, a_zz, b_y, b_z = partition_plant(a, b)

@@ -18,6 +18,7 @@ from .observer import design_reduced_observer
 from .sim import SimArtifacts
 from .state import (
     INPUT_LABELS,
+    INPUT_LIMIT,
     MODEL_INPUT_LABELS,
     MODEL_STATE_LABELS,
     STATE_LABELS,
@@ -88,9 +89,16 @@ def build_design(cfg, plant_dir=None):
     with its trim, the synthesis (`cfg.weights`, `gamma_tol`, `gamma_margin`),
     the observer (`cfg.observer_poles`), `cfg.pid` and `cfg.outer`; `search`
     and `zeros` as `heli.synthesize` returns them.  `cfg.validate()` runs
-    first, so a setting no design can use raises a ConfigError naming it."""
+    first, so a setting no design can use raises a ConfigError naming it,
+    and a trim input outside the servo range raises one naming its
+    channel: no scenario can fly that trim."""
     cfg.validate()
     plant = linear_plant(cfg, plant_dir)
+    for label, u in zip(INPUT_LABELS, plant.trim.inputs):
+        if abs(u) > INPUT_LIMIT:
+            raise ConfigError(f"hover trim needs {label} = {u:.3f}, outside "
+                              f"the servo range ({-INPUT_LIMIT:g}, "
+                              f"{INPUT_LIMIT:g})")
     result, search, zeros = synthesize(plant, cfg.weights, tol=cfg.gamma_tol,
                                        margin=cfg.gamma_margin)
     observer = design_reduced_observer(plant, cfg.observer_poles)

@@ -369,11 +369,12 @@ class ScenarioConfig:
 
 
 class SimArtifacts(NamedTuple):
-    """Everything a scenario needs beyond its configuration."""
+    """Everything a scenario needs beyond its configuration: the whole
+    design, which every controller's run takes."""
 
     trim: TrimPoint
-    synthesis: SynthesisResult | None = None
-    observer: ObserverDesign | None = None
+    synthesis: SynthesisResult
+    observer: ObserverDesign
     pid_gains: PidGains = PidGains()
     outer_gains: OuterGains = OuterGains()
 
@@ -570,8 +571,10 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     Loop order per step, on Python floats: evaluate the outer loop, form the
     inner-loop command from measurements plus observer estimates, log,
     integrate the plant one RK4 step with everything held, then step the
-    observer on the same held measurements.  The observer's state and its
-    estimate start at zero deviation from trim.
+    observer on the same held measurements.  The observer runs under every
+    controller, so `artifacts` needs a synthesis and an observer whichever
+    one flies; its state and its estimate start at zero deviation from
+    trim.
 
     Each servo channel has one clamp.  The hinf and pid inner loops
     (`control_law`, and the pid branch here) clamp the cyclic and pedal
@@ -591,9 +594,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             getattr(artifacts, name).validate()
         except ValueError as exc:
             raise ConfigError(f"artifacts.{name}: {exc}") from exc
-    if config.controller == "hinf" and (artifacts.synthesis is None
-                                        or artifacts.observer is None):
-        raise ConfigError("hinf controller requires synthesis and observer artifacts")
+    if artifacts.synthesis is None or artifacts.observer is None:
+        raise ConfigError("a run requires synthesis and observer artifacts")
 
     trim = artifacts.trim
     controller = config.controller
@@ -627,10 +629,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     pid = PidAttitudeController(artifacts.pid_gains, trim)
     if controller == "hinf":
         gain_rows = artifacts.synthesis.gain_rows(trim.h_out_trim)
-    observing = artifacts.observer is not None
-    if observing:
-        obs_step = artifacts.observer.discretize(dt)
-        x_obs = [0.0, 0.0, 0.0]
+    obs_step = artifacts.observer.discretize(dt)
+    x_obs = [0.0, 0.0, 0.0]
     z_est = [0.0, 0.0, 0.0]
     z_trim = np.array([trim.state.a_s, trim.state.b_s, trim.dped_prime])
 
@@ -682,7 +682,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
             if controller == "hinf":
                 x_hat = assemble_state_estimate(y_dev, z_est)
                 u, sat = control_law(gain_rows, x_hat, att_ref, u_trim3,
-                                     delta_col=delta_col)
+                                     delta_col)
                 step_flags |= sat
             elif controller == "pid":
                 u = list(pid.step(x, att_ref, dt))
@@ -707,11 +707,9 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
                     if abs(x[idx]) > flap_limit:
                         x[idx] = math.copysign(flap_limit, x[idx])
                         carry_flags |= SAT_FLAP
-            if observing:
-                stage = "observer"
-                x_obs, z_est = observer_step(
-                    obs_step, x_obs, y_dev,
-                    [u[0] - ut0, u[1] - ut1, u[2] - ut2])
+            stage = "observer"
+            x_obs, z_est = observer_step(
+                obs_step, x_obs, y_dev, [u[0] - ut0, u[1] - ut1, u[2] - ut2])
     except SimulationAbort:
         raise
     except HeliError as exc:
@@ -724,9 +722,8 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
         raise SimulationAbort(k, times[k], stage, exc) from exc
 
     log = ScenarioLog(table, flags)
-    if observing:
-        estimates = log.estimates
-        estimates += z_trim
+    estimates = log.estimates
+    estimates += z_trim
     # the tail servo clamp, from the logged states and pedal commands
     states = log.states
     _, _, gyro_sat = yaw_gyro_law(states[:, 14], log.inputs[:, 2],
@@ -737,10 +734,11 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
 
 class ComparisonReport(NamedTuple):
+    """The metrics of one scenario flown under hinf (`metrics_a`) and under
+    pid (`metrics_b`), as `compare_controllers` returns them."""
+
     metrics_a: MetricsReport
     metrics_b: MetricsReport
-    label_a: str
-    label_b: str
 
     def ratios(self) -> dict:
         da, db = self.metrics_a.as_dict(), self.metrics_b.as_dict()
@@ -755,7 +753,7 @@ class ComparisonReport(NamedTuple):
     def table(self) -> str:
         da, db = self.metrics_a.as_dict(), self.metrics_b.as_dict()
         ratios = self.ratios()
-        lines = [f"{'metric':<24}{self.label_a:>14}{self.label_b:>14}{'ratio':>10}"]
+        lines = [f"{'metric':<24}{'hinf':>14}{'pid':>14}{'ratio':>10}"]
         for key in da:
             r = ratios[key]
             r_str = "n/a" if math.isnan(r) else f"{r:.3f}"
@@ -808,24 +806,24 @@ def _in_forked_child(child, parent):
 
 
 def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
-                        artifacts: SimArtifacts,
-                        controllers=("hinf", "pid")
+                        artifacts: SimArtifacts
                         ) -> tuple[ComparisonReport, ScenarioLog, ScenarioLog]:
-    """Run the same scenario (same wind, seed, references) under two controllers.
+    """Run the same scenario (same wind, seed, references) under hinf and
+    under pid: `(report, hinf log, pid log)`.
 
     The two runs share only their inputs, so they run in parallel: a forked
-    child runs `controllers[0]` while this process runs `controllers[1]`,
+    child runs hinf while this process runs pid,
     then reads the child's log, sent as the raw bytes of its table and its
     flags, into arrays it allocates, and recomputes that run's metrics from it.  Raw bytes rather
     than pickle keep a second copy of the log out of memory, and the logs
     and metrics are bit for bit those of two `run_scenario` calls.  If the
-    fork fails, the child fails or sends too few bytes, or the second run
-    raises, the runs are finished here in order, first then second, so the
+    fork fails, the child fails or sends too few bytes, or the pid run
+    raises, the runs are finished here in order, hinf then pid, so the
     error raised is the one sequential runs raise.  A fork copies only the calling thread, so
     call this from a process that runs no other Python threads.
     """
-    cfg_a = replace(config, controller=controllers[0])
-    cfg_b = replace(config, controller=controllers[1])
+    cfg_a = replace(config, controller="hinf")
+    cfg_b = replace(config, controller="pid")
 
     def send_first(pipe):
         log, _ = run_scenario(cfg_a, params, artifacts)
@@ -855,6 +853,4 @@ def compare_controllers(config: ScenarioConfig, params: HelicopterParams,
     if run_b is None:
         run_b = run_scenario(cfg_b, params, artifacts)
     log_b, met_b = run_b
-    report = ComparisonReport(metrics_a=met_a, metrics_b=met_b,
-                              label_a=controllers[0], label_b=controllers[1])
-    return report, log_a, log_b
+    return ComparisonReport(met_a, met_b), log_a, log_b

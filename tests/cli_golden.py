@@ -1,10 +1,12 @@
 """Byte-identity gate for the command line.
 
-Runs 21 `heli` commands, each in a fresh interpreter in the repository's
+Runs 22 `heli` commands, each in a fresh interpreter in the repository's
 root with its own output directory: trim, linearize, synthesize (also with
 `--config configs/default.cfg`, which must write what the defaults write),
 gamma-search, `simulate --seed 2026` for every built-in scenario under each
-controller, and `compare --seed 2026` for every built-in scenario.  It
+controller, `compare --seed 2026` for every built-in scenario, and
+`simulate` of the scenario file `tests/golden_scenario.cfg`, which sets
+every key the scenario-file reader knows.  It
 compares the exit code and the sha256 of every file a command writes, of
 its stdout and of its stderr against the table in `cli_golden.json`, with
 the output directory replaced by `<out>` in stdout and stderr.
@@ -14,7 +16,7 @@ the output directory replaced by `<out>` in stdout and stderr.
 
 The table records the numpy and scipy versions it was taken with; on other
 versions the script fails with a message that names both.  pytest does not
-collect this file (it is not named test_*.py): the 21 commands take ~35 s
+collect this file (it is not named test_*.py): the 22 commands take ~35 s
 on a 2-vCPU host.
 """
 import hashlib
@@ -36,6 +38,7 @@ COMMANDS = (
     *(("simulate", "--scenario", s, "--seed", "2026", "--controller", c)
       for s in SCENARIOS for c in ("hinf", "pid", "open_loop")),
     *(("compare", "--scenario", s, "--seed", "2026") for s in SCENARIOS),
+    ("simulate", "--scenario", "tests/golden_scenario.cfg"),
 )
 
 

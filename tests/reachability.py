@@ -17,7 +17,7 @@ is listed although the commands run it.
 
 It is for information: the exit code is 1 only when a command fails.  It
 needs Python 3.11 or later (`co_qualname`).
-pytest does not collect this file (it is not named test_*.py); the 21
+pytest does not collect this file (it is not named test_*.py); the 22
 commands take ~40 s under the profile on a 2-vCPU host.
 """
 import contextlib

@@ -226,6 +226,17 @@ class TestCli:
         assert err.startswith("error: [observer] ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_trim_outside_the_servo_range_fails_with_one_line(self, tmp_path,
+                                                              capsys):
+        heavy = tmp_path / "heavy.cfg"
+        heavy.write_text("[mass]\nm = 20\n", encoding="utf-8")
+        code = main(["synthesize", "--config", str(heavy), "--out",
+                     str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: hover trim needs dcol = 1.619, ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_custom_config_feeds_pipeline(self, tmp_path):
         cfgf = tmp_path / "heavy.cfg"
         cfgf.write_text("[mass]\nm = 10.5\n", encoding="utf-8")

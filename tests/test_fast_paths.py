@@ -51,7 +51,7 @@ def _outcome(call):
 
 # -- control_law ------------------------------------------------------------
 
-def _oracle_control_law(gains, x, r, u_trim, delta_col=0.0):
+def _oracle_control_law(gains, x, r, u_trim, delta_col):
     """`control_law` as it was: every call clamps through `clamp_servos`."""
     f_rows, g_rows, (h0, h1, h2) = gains
     (f00, f01, f02, f03, f04, f05, f06, f07, f08), \
@@ -137,7 +137,7 @@ def test_control_law_draws_reach_both_branches():
         _assert_control_law_is_the_oracles(gains, x, [0.1, -0.1, 0.0],
                                            [0.01, -0.02, 0.03], 0.4)
         seen.add(control_law(gains, x, [0.1, -0.1, 0.0],
-                             [0.01, -0.02, 0.03])[1] != 0)
+                             [0.01, -0.02, 0.03], 0.4)[1] != 0)
     assert seen == {False, True}
 
 

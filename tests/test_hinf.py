@@ -407,7 +407,8 @@ class TestControlLaw:
         u_trim = trim.inputs.as_vector()[0:3]
         big = 50.0 * np.ones(9)
         u, flags = control_law(result.gain_rows(trim.h_out_trim), big,
-                               trim.h_out_trim, u_trim)
+                               trim.h_out_trim, u_trim,
+                               trim.inputs.delta_col)
         assert set(np.abs(u[0:3])) == {1.0}
         assert flags == 1 | 2 | 4
 

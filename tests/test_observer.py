@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import place_poles
 
 from heli import (
+    LinearPlant,
     ObserverDesign,
     UnobservablePairError,
     design_reduced_observer,
@@ -56,7 +57,7 @@ class TestDesign:
     def test_toy_plant_hand_placement(self):
         a, b = _toy_plant()
         poles = (-2.0, -3.0, -4.0)
-        design = design_reduced_observer((a, b), poles)
+        design = design_reduced_observer(LinearPlant(a, b, None, None), poles)
         achieved = np.sort(np.linalg.eigvals(design.a_obs).real)
         assert np.allclose(achieved, sorted(poles), atol=1e-9)
         # hand solution: per-axis gains L[k, k] = pole_k magnitude - 1
@@ -92,14 +93,16 @@ class TestDesign:
         obs = np.vstack([a_yz, a_yz @ a_zz, a_yz @ a_zz @ a_zz])
         assert np.linalg.matrix_rank(obs) == 3
         with pytest.raises(UnobservablePairError, match="rank 2"):
-            design_reduced_observer((a, b), (-2.0, -3.0, -4.0))
+            design_reduced_observer(LinearPlant(a, b, None, None),
+                                    (-2.0, -3.0, -4.0))
 
     def test_unobservable_pair_rejected(self):
         a, b = _toy_plant()
         for idx in UNMEASURED_IDX:
             a[MEASURED_IDX, idx] = 0.0  # sever every measured coupling
         with pytest.raises(UnobservablePairError):
-            design_reduced_observer((a, b), (-2.0, -3.0, -4.0))
+            design_reduced_observer(LinearPlant(a, b, None, None),
+                                    (-2.0, -3.0, -4.0))
 
 
 class TestStep:
@@ -359,7 +362,7 @@ def placement_problems(draw):
 def test_gain_equals_place_poles(problem):
     a, b, poles = problem
     _, a_yz, _, a_zz, _, _ = partition_plant(a, b)
-    design = design_reduced_observer((a, b), poles)
+    design = design_reduced_observer(LinearPlant(a, b, None, None), poles)
     wanted = np.asarray(poles, dtype=complex)
     if np.all(wanted.imag == 0.0):
         wanted = wanted.real

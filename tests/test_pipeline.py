@@ -118,6 +118,14 @@ def test_unusable_parameter_names_itself(field, value, message):
         build_design(cfg)
 
 
+def test_trim_outside_the_servo_range_names_its_channel():
+    # a 20 kg machine trims at a collective of ~1.62: no scenario can fly it
+    cfg = ToolkitConfig(params=HelicopterParams(m=20.0))
+    with pytest.raises(ConfigError, match=r"^hover trim needs dcol = 1\.619, "
+                                          r"outside the servo range \(-1, 1\)$"):
+        build_design(cfg)
+
+
 @pytest.mark.parametrize("section, gains, message", [
     ("outer", OuterGains(kp_z=float("inf")),
      "outer gain kp_z must be finite and >= 0"),

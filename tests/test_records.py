@@ -32,13 +32,12 @@ RECORDS = {
     heli.ReferenceSegment: (("t_start", "p0", "v", "psi"), {"psi": 0.0}),
     heli.SimArtifacts: (
         ("trim", "synthesis", "observer", "pid_gains", "outer_gains"),
-        {"synthesis": None, "observer": None, "pid_gains": heli.PidGains(),
-         "outer_gains": heli.OuterGains()}),
+        {"pid_gains": heli.PidGains(), "outer_gains": heli.OuterGains()}),
     heli.ScenarioLog: (("table", "sat_flags"), {}),
     heli.MetricsReport: (
         ("max_phi_err_deg", "max_theta_err_deg", "rms_vel_err", "max_vel_err",
          "horizontal_envelope", "altitude_envelope"), {}),
-    ComparisonReport: (("metrics_a", "metrics_b", "label_a", "label_b"), {}),
+    ComparisonReport: (("metrics_a", "metrics_b"), {}),
     heli.TrimPoint: (("state", "inputs", "residual", "dped_prime"), {}),
     heli.LinearPlant: (("a", "b", "e", "trim"), {}),
     heli.Gust: (("start", "end", "delta"), {}),

@@ -28,8 +28,11 @@ from heli import (
     builtin_scenario,
     compare_controllers,
     compute_metrics,
+    design_reduced_observer,
+    linearize,
     rk4_step,
     run_scenario,
+    synthesize,
 )
 from heli.config import ToolkitConfig
 from heli.dynamics import (
@@ -42,6 +45,7 @@ from heli.sim import (
     CSV_BLOCK_ROWS,
     LOG_COLUMNS,
     LOG_WIDTH,
+    ComparisonReport,
     ScenarioConfig,
     ScenarioLog,
     _reference_rows,
@@ -409,7 +413,16 @@ class TestScenarioValidation:
         cfg = builtin_scenario("gust-attitude-hold", seed=0)
         cfg.duration = 0.1
         with pytest.raises(ConfigError):
-            run_scenario(cfg, params, SimArtifacts(trim=trim))
+            run_scenario(cfg, params, SimArtifacts(trim, None, None))
+
+    def test_every_controller_requires_the_whole_design(self, params, trim):
+        # the observer runs under pid and open loop too
+        cfg = builtin_scenario("gust-attitude-hold", seed=0)
+        cfg.duration = 0.1
+        for controller in ("pid", "open_loop"):
+            cfg.controller = controller
+            with pytest.raises(ConfigError, match="synthesis and observer"):
+                run_scenario(cfg, params, SimArtifacts(trim, None, None))
 
     @pytest.mark.parametrize("scenario, controller, field, gains", [
         # the collective would sit at -0.5 with SAT_DCOL on every step
@@ -648,7 +661,8 @@ class TestRunScenario:
         assert np.all(log.states[:, 0:2] == 1e308)
         assert log.states[:, 2:].tobytes() == base.states[:, 2:].tobytes()
 
-    def test_midrun_error_aborts_with_step_time_and_stage(self, params, trim):
+    def test_midrun_error_aborts_with_step_time_and_stage(self, params, trim,
+                                                          artifacts):
         # forced pitch-up: theta crosses pi/2 inside the second RK4 step
         x = trim.state.as_vector().copy()
         x[7], x[10] = 1.50, 20.0
@@ -657,7 +671,7 @@ class TestRunScenario:
         cfg.controller = "open_loop"
         cfg.duration = 2.0
         with pytest.raises(SimulationAbort) as info:
-            run_scenario(cfg, params, SimArtifacts(trim=pitched))
+            run_scenario(cfg, params, artifacts._replace(trim=pitched))
         err = info.value
         assert (err.step, err.stage) == (1, "plant RK4")
         assert err.time == pytest.approx(0.002, abs=1e-15)
@@ -692,11 +706,12 @@ class TestRunScenario:
         # PID toward a 1.5 rad heading: the pedal drives the tail servo
         # command into its clamp on a few steps
         par = HelicopterParams().replace(kp_g=kp_g)
-        trim = find_trim(par)
+        _, artifacts, _, _ = build_design(ToolkitConfig(params=par))
+        trim = artifacts.trim
         cfg = replace(builtin_scenario("gust-attitude-hold", seed=2026),
                       controller="pid", duration=5.0,
                       att_ref=np.array([*trim.h_out_trim[0:2], 1.5]))
-        log, _ = run_scenario(cfg, par, SimArtifacts(trim=trim))
+        log, _ = run_scenario(cfg, par, artifacts)
         logged = (log.sat_flags & SAT_GYRO) != 0
         law = [yaw_gyro_law(x[14], u[2], x[11], par.ka_g, par.kp_g,
                             par.ki_g)[2]
@@ -736,8 +751,8 @@ class TestCompare:
     def test_self_comparison_is_unity(self, params, artifacts):
         cfg = builtin_scenario("gust-attitude-hold", seed=21)
         cfg.duration = 5.0
-        report, _, _ = compare_controllers(cfg, params, artifacts,
-                                           controllers=("hinf", "hinf"))
+        _, metrics = run_scenario(cfg, params, artifacts)
+        report = ComparisonReport(metrics, metrics)
         for key, value in report.ratios().items():
             if not math.isnan(value):
                 assert value == pytest.approx(1.0, abs=1e-12)
@@ -745,10 +760,8 @@ class TestCompare:
     def test_degenerate_denominator_reported_na(self, params, artifacts):
         cfg = builtin_scenario("hover-hold", seed=1)
         cfg.duration = 2.0
-        report, _, _ = compare_controllers(cfg, params, artifacts,
-                                           controllers=("open_loop",
-                                                        "open_loop"))
-        table = report.table()
+        _, metrics = run_scenario(cfg, params, artifacts)
+        table = ComparisonReport(metrics, metrics).table()
         assert "n/a" in table
 
     def test_shared_wind_between_runs(self, params, artifacts):
@@ -760,9 +773,13 @@ class TestCompare:
     def test_both_controllers_fly_the_trim_collective(self):
         # a 20 kg design trims at a collective of ~1.62, outside the servo
         # range; with the outer loop off no clamp owns the collective, so
-        # the pid run flies it unclamped, as the hinf run does
+        # the pid run flies it unclamped, as the hinf run does.  The design
+        # is built from the stages: `build_design` rejects such a trim
         params = HelicopterParams(m=20.0)
-        _, artifacts, _, _ = build_design(ToolkitConfig(params=params))
+        plant = linearize(params, find_trim(params))
+        result, _, _ = synthesize(plant)
+        artifacts = SimArtifacts(plant.trim, result,
+                                 design_reduced_observer(plant))
         col_trim = artifacts.trim.inputs.delta_col
         assert col_trim > 1.0
         cfg = builtin_scenario("gust-attitude-hold", seed=2026)
@@ -822,6 +839,28 @@ def pid_fails_at_step_5(monkeypatch):
         return step(self, x, att_ref, dt)
 
     monkeypatch.setattr(PidAttitudeController, "step", failing_step)
+
+
+@pytest.fixture
+def hinf_fails_at_step_8(monkeypatch):
+    """Every hinf run raises a HeliError at loop step 8; a forked run
+    inherits the patch."""
+    law = heli.sim.control_law
+    calls = []
+
+    def failing_law(*args):
+        calls.append(None)
+        if len(calls) > 8:
+            calls.clear()  # the run ends here; the next one counts afresh
+            raise HeliError("injected hinf failure")
+        return law(*args)
+
+    monkeypatch.setattr(heli.sim, "control_law", failing_law)
+
+
+# controller: (the fixture that makes its runs fail, the step they fail at)
+_FAILING = {"hinf": ("hinf_fails_at_step_8", 8),
+            "pid": ("pid_fails_at_step_5", 5)}
 
 
 _LOG_FIELDS = {
@@ -895,23 +934,17 @@ class TestLogTable:
 
 
 class TestParallelCompare:
-    """`compare_controllers` runs its first controller in a forked child."""
+    """`compare_controllers` runs hinf in a forked child and pid here."""
 
-    @pytest.mark.parametrize("scenario, controllers", [
-        ("gust-attitude-hold", ("hinf", "pid")),
-        ("gust-attitude-hold", ("hinf", "hinf")),
-        ("hover-hold", ("open_loop", "open_loop")),
-    ])
-    def test_equals_two_direct_runs(self, params, artifacts, scenario,
-                                    controllers):
+    @pytest.mark.parametrize("scenario", [
+        "gust-attitude-hold", "hover-hold", "step-offset"])
+    def test_equals_two_direct_runs(self, params, artifacts, scenario):
         cfg = builtin_scenario(scenario, seed=2026)
         cfg.duration = 2.0
-        report, log_a, log_b = compare_controllers(cfg, params, artifacts,
-                                                   controllers=controllers)
+        report, log_a, log_b = compare_controllers(cfg, params, artifacts)
         _assert_no_child_left()
-        for log, metrics, controller in (
-                (log_a, report.metrics_a, controllers[0]),
-                (log_b, report.metrics_b, controllers[1])):
+        for log, metrics, controller in ((log_a, report.metrics_a, "hinf"),
+                                         (log_b, report.metrics_b, "pid")):
             want_log, want_metrics = run_scenario(
                 replace(cfg, controller=controller), params, artifacts)
             _assert_same_log(log, want_log)
@@ -1019,19 +1052,24 @@ class TestParallelCompare:
             compare_controllers(cfg, params, artifacts)
         _assert_no_child_left()
 
+    # the controllers whose runs fail: the forked child's alone, this
+    # process's alone, or both, where the hinf run fails later in simulated
+    # time than the pid run and its error still wins
     @pytest.mark.parametrize("controllers", [
-        ("pid", "hinf"), ("hinf", "pid"), ("pid", "pid")])
-    def test_error_is_the_sequential_one(self, params, artifacts,
-                                         pid_fails_at_step_5, controllers):
+        ("hinf",), ("pid",), ("hinf", "pid")])
+    def test_error_is_the_sequential_one(self, params, artifacts, request,
+                                         controllers):
+        for controller in controllers:
+            request.getfixturevalue(_FAILING[controller][0])
         cfg = builtin_scenario("gust-attitude-hold", seed=5)
         cfg.duration = 0.5
-        want = _sequential_error(cfg, params, artifacts, controllers)
+        want = _sequential_error(cfg, params, artifacts, ("hinf", "pid"))
         with pytest.raises(SimulationAbort) as got:
-            compare_controllers(cfg, params, artifacts,
-                                controllers=controllers)
+            compare_controllers(cfg, params, artifacts)
         _assert_no_child_left()
         assert _error_signature(got.value) == _error_signature(want)
-        assert (want.step, want.stage) == (5, "inner loop")
+        assert (want.step, want.stage) == (_FAILING[controllers[0]][1],
+                                           "inner loop")
 
     def test_first_runs_error_wins(self, params, artifacts,
                                    pid_fails_at_step_5):
