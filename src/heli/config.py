@@ -30,8 +30,8 @@ _TOOLKIT_KEYS = {
     "hinf": ("gamma_tol", "gamma_margin"),
 }
 
-_SCENARIO_KEYS = ("duration", "dt", "controller", "use_outer", "seed",
-                  "initial_offset", "att_ref")
+_SCENARIO_KEYS = ("duration", "dt", "controller", "seed", "initial_offset",
+                  "att_ref")
 _WIND_KEYS = ("mean", "sigma", "tau_c", "gusts")
 
 
@@ -209,11 +209,6 @@ def _apply_scenario_key(cfg: ScenarioConfig, key: str, raw: str):
         cfg.dt = _float("scenario", key, raw)
     elif key == "controller":
         cfg.controller = raw.strip()
-    elif key == "use_outer":
-        val = raw.strip().lower()
-        if val not in ("true", "false", "on", "off", "1", "0"):
-            raise ConfigError(f"use_outer must be boolean, got '{raw}'")
-        cfg.use_outer = val in ("true", "on", "1")
     elif key == "seed":
         try:
             cfg.seed = int(raw)

@@ -5,8 +5,9 @@ climb precision metrics: fixed-point hover in a ~3 m/s mean wind, an 18 s
 mark where the vehicle climbs at 2.5 m/s for 4 s into stronger (~5 m/s)
 wind, then fixed-point hover at the new altitude.
 
-`gust-attitude-hold` is the attitude-stabilization comparison case: outer
-loop off, attitude references held at trim, gusty 3 m/s mean wind.
+`gust-attitude-hold` is the attitude-stabilization comparison case: no
+reference segments, so the outer loop is off and the attitude reference
+held at trim, gusty 3 m/s mean wind.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ def _hover_climb(seed: int) -> ScenarioConfig:
         tau_c=2.0,
     )
     return ScenarioConfig(name="paper-hover-climb", duration=60.0, dt=0.002,
-                          controller="hinf", use_outer=True, wind=wind,
+                          controller="hinf", wind=wind,
                           references=refs, seed=seed,
                           initial_offset=np.array([0.0, 0.0, hover_alt]))
 
@@ -54,22 +55,19 @@ def _gust_attitude_hold(seed: int) -> ScenarioConfig:
         tau_c=1.5,
     )
     return ScenarioConfig(name="gust-attitude-hold", duration=60.0, dt=0.002,
-                          controller="hinf", use_outer=False, wind=wind,
-                          references=(), seed=seed)
+                          controller="hinf", wind=wind, seed=seed)
 
 
 def _hover_hold(seed: int) -> ScenarioConfig:
     return ScenarioConfig(name="hover-hold", duration=60.0, dt=0.002,
-                          controller="open_loop", use_outer=False,
-                          wind=WindModel(), references=(), seed=seed)
+                          controller="open_loop", seed=seed)
 
 
 def _step_offset(seed: int) -> ScenarioConfig:
     refs = (ReferenceSegment(t_start=0.0, p0=np.array([0.0, 0.0, -10.0]),
                              v=np.zeros(3)),)
     return ScenarioConfig(name="step-offset", duration=30.0, dt=0.002,
-                          controller="hinf", use_outer=True,
-                          wind=WindModel(), references=refs, seed=seed,
+                          controller="hinf", references=refs, seed=seed,
                           initial_offset=np.array([2.0, 2.0, -8.0]))
 
 

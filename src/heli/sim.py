@@ -54,6 +54,7 @@ its log as two buffers, the table and the flags.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import signal
 import struct
@@ -256,12 +257,14 @@ def reference_at(segments, t: float) -> tuple[np.ndarray, np.ndarray, float]:
     return p, active.v.copy(), active.psi
 
 
-def _segment_arrays(segments) -> tuple:
+def _segment_arrays(segments) -> tuple | None:
     """The segments as the arrays `_reference_rows` reads, built once per
-    run: the running maximum of the start times, then the start times, p0
-    and v rows and psi.  Segment k is active from the running maximum's
-    k-th entry, as `reference_at` stops at the first segment not yet
-    started."""
+    run, or None when there are none: the running maximum of the start
+    times, then the start times, p0 and v rows and psi.  Segment k is
+    active from the running maximum's k-th entry, as `reference_at` stops
+    at the first segment not yet started."""
+    if not segments:
+        return None
     t_start = np.array([seg.t_start for seg in segments], dtype=float)
     return (np.maximum.accumulate(t_start), t_start,
             np.array([seg.p0 for seg in segments], dtype=float),
@@ -278,14 +281,6 @@ def _reference_rows(arrays, t):
     dt = t - t_start[active]
     v_ref = v[active]
     return p0[active] + v_ref * dt[:, None], v_ref, psi[active]
-
-
-def _run_segments(config: ScenarioConfig):
-    """`_segment_arrays` of the references the outer loop follows, or None
-    when it is off or has none."""
-    if not (config.use_outer and config.references):
-        return None
-    return _segment_arrays(config.references)
 
 
 def _row_blocks(start, stop):
@@ -321,10 +316,10 @@ def _step_rows(wind, times, segments):
 
 @dataclass
 class ScenarioConfig:
-    """One closed-loop run: its length and step, the controller, whether
-    the outer loop follows `references`, the wind, the seed of its
-    turbulence, the start offset from trim and, with the outer loop off,
-    a fixed attitude reference (trim's when None).  A dataclass, not a
+    """One closed-loop run: its length and step, the controller, the wind,
+    the reference segments the outer loop flies, the seed of its
+    turbulence, the start offset from trim and, without segments, a fixed
+    attitude reference (trim's when None).  A dataclass, not a
     NamedTuple, so `dataclasses.replace` makes variants and the loaders
     set one key at a time."""
 
@@ -332,12 +327,11 @@ class ScenarioConfig:
     duration: float = 30.0
     dt: float = 0.002
     controller: str = "hinf"          # hinf | pid | open_loop
-    use_outer: bool = True
     wind: WindModel = WindModel()
     references: tuple = ()
     seed: int = 0
     initial_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    att_ref: np.ndarray | None = None  # fixed attitude reference when outer is off
+    att_ref: np.ndarray | None = None  # attitude held without references
 
     def validate(self) -> "ScenarioConfig":
         if not 0.0 < self.duration < math.inf:
@@ -346,24 +340,30 @@ class ScenarioConfig:
             raise ConfigError("dt must lie in (0, 0.02]")
         if self.controller not in ("hinf", "pid", "open_loop"):
             raise ConfigError(f"unknown controller '{self.controller}'")
-        if self.seed < 0:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ConfigError(
+                f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         _check_vector3(self.initial_offset, "initial_offset")
         if self.att_ref is not None:
+            if self.references:
+                raise ConfigError("att_ref must be unset with reference "
+                                  "segments: the outer loop sets the "
+                                  "attitude reference")
             _check_vector3(self.att_ref, "att_ref")
-        if self.use_outer:
-            if not self.references:
-                raise ConfigError("outer loop requires reference segments")
-            starts = [seg.t_start for seg in self.references]
-            if sorted(starts) != starts or len(set(starts)) != len(starts):
-                raise ConfigError("reference segments must be time-ordered "
-                                  "and non-overlapping")
-            for seg in self.references:
-                _check_shape3(seg.p0, "reference segment p0")
-                _check_shape3(seg.v, "reference segment v")
-                if not all(np.all(np.isfinite(v)) for v in
-                           (seg.t_start, seg.p0, seg.v, seg.psi)):
-                    raise ConfigError("reference segments must be finite")
+        starts = [seg.t_start for seg in self.references]
+        if sorted(starts) != starts or len(set(starts)) != len(starts):
+            raise ConfigError("reference segments must be time-ordered "
+                              "and non-overlapping")
+        for seg in self.references:
+            _check_shape3(seg.p0, "reference segment p0")
+            _check_shape3(seg.v, "reference segment v")
+            if not all(np.all(np.isfinite(v)) for v in
+                       (seg.t_start, seg.p0, seg.v, seg.psi)):
+                raise ConfigError("reference segments must be finite")
         self.wind.validate()
         return self
 
@@ -483,9 +483,7 @@ class MetricsReport(NamedTuple):
 
 
 def _event_times(config: ScenarioConfig) -> list[float]:
-    events = [0.0]
-    if config.use_outer:
-        events.extend(seg.t_start for seg in config.references)
+    events = [0.0, *(seg.t_start for seg in config.references)]
     for g in config.wind.gusts:
         events.extend((g.start, g.end))
     return sorted(set(e for e in events if 0.0 <= e < config.duration))
@@ -512,7 +510,7 @@ def compute_metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport
 
     Attitude errors are taken over the whole run; velocity and position
     envelopes only over settled windows (2 s past every reference change or
-    gust edge).  With the outer loop, each block of `CSV_BLOCK_ROWS` rows
+    gust edge).  With reference segments, each block of `CSV_BLOCK_ROWS` rows
     gets its reference rows and body-to-NED rotations, and writes its
     velocity and position errors into (n, 3) arrays and its
     zero-velocity-reference rows into an (n,) mask.  The means and maxima
@@ -521,7 +519,7 @@ def compute_metrics(t, states, att_ref, config: ScenarioConfig) -> MetricsReport
     block.
     """
     t, states, att_ref = np.asarray(t), np.asarray(states), np.asarray(att_ref)
-    segments = _run_segments(config)
+    segments = _segment_arrays(config.references)
     max_phi = float(np.max(np.abs(states[:, 6] - att_ref[:, 0]))) \
         * 180.0 / math.pi
     max_theta = float(np.max(np.abs(states[:, 7] - att_ref[:, 1]))) \
@@ -579,9 +577,11 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     Each servo channel has one clamp.  The hinf and pid inner loops
     (`control_law`, and the pid branch here) clamp the cyclic and pedal
     channels to the servo range; the outer loop's `altitude_control` clamps
-    the collective to `OuterGains.col_limit`.  With the outer loop off every
-    controller flies the trim collective as it is, and open loop flies all
-    four trim inputs as they are.  After the loop, the yaw-gyro
+    the collective to `OuterGains.col_limit`.  The outer loop flies exactly
+    when `config.references` is non-empty; without references every
+    controller holds `config.att_ref` (trim's attitude when None) and flies
+    the trim collective as it is, and open loop flies all four trim inputs
+    as they are.  After the loop, the yaw-gyro
     clamp flag is set from the logged columns, and the metrics are taken
     from the log by `compute_metrics`, which builds the run's segment
     arrays again.  A toolkit error raised by any stage, or a ValueError or
@@ -646,9 +646,10 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
     row_bytes = table.strides[0]
     log_bytes = memoryview(table).cast("B")
     carry_flags = 0
+    segments = _segment_arrays(config.references)
     try:
         for k, (t_k, wind, p_ref, v_ref, psi_ref) in enumerate(
-                _step_rows(table[:, _WIND], times, _run_segments(config))):
+                _step_rows(table[:, _WIND], times, segments)):
             # the sum is finite unless an element is not or the sum overflows
             if not math.isfinite(sum(x)) and not all(map(math.isfinite, x)):
                 raise SimulationAbort(k, times[k])
@@ -657,7 +658,7 @@ def run_scenario(config: ScenarioConfig, params: HelicopterParams,
 
             # outer loop; tilt commands are deviations about the trim attitude
             stage = "outer loop"
-            if config.use_outer:
+            if segments is not None:
                 att = attitude_terms(x)
                 theta_dev, phi_dev, tilt_sat = horizontal_control(
                     p_ref, v_ref, x, att, outer)

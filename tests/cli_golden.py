@@ -6,10 +6,11 @@ root with its own output directory: trim, linearize, synthesize (also with
 gamma-search, `simulate --seed 2026` for every built-in scenario under each
 controller, `compare --seed 2026` for every built-in scenario, and
 `simulate` of the scenario file `tests/golden_scenario.cfg`, which sets
-every key the scenario-file reader knows.  It
-compares the exit code and the sha256 of every file a command writes, of
-its stdout and of its stderr against the table in `cli_golden.json`, with
-the output directory replaced by `<out>` in stdout and stderr.
+every key the scenario-file reader knows except `att_ref`, which a
+scenario with references refuses.  It compares the exit code and the
+sha256 of every file a command writes, of its stdout and of its stderr
+against the table in `cli_golden.json`, with the output directory replaced
+by `<out>` in stdout and stderr.
 
     python tests/cli_golden.py            # exit 1 on any difference
     python tests/cli_golden.py --write    # re-pin the table

@@ -146,8 +146,8 @@ class TestCli:
         out = tmp_path / "runs"
         scn = tmp_path / "short.cfg"
         scn.write_text(
-            "[scenario]\nduration = 2\ncontroller = hinf\nuse_outer = off\n"
-            "seed = 4\n", encoding="utf-8")
+            "[scenario]\nduration = 2\ncontroller = hinf\nseed = 4\n",
+            encoding="utf-8")
         assert main(["simulate", "--scenario", str(scn),
                      "--out", str(out)]) == 0
         logs = list(out.glob("*_hinf.csv"))
@@ -159,8 +159,8 @@ class TestCli:
                                                              capsys):
         scn = tmp_path / "short.cfg"
         scn.write_text(
-            "[scenario]\nduration = 1\ncontroller = open_loop\n"
-            "use_outer = off\n", encoding="utf-8")
+            "[scenario]\nduration = 1\ncontroller = open_loop\n",
+            encoding="utf-8")
         assert main(["simulate", "--scenario", str(scn), "--seed", "9",
                      "--out", str(tmp_path)]) == 0
         assert "seed 9" in capsys.readouterr().out
@@ -170,7 +170,7 @@ class TestCli:
     def test_compare_writes_table(self, tmp_path):
         scn = tmp_path / "short.cfg"
         scn.write_text(
-            "[scenario]\nduration = 2\nuse_outer = off\nseed = 3\n"
+            "[scenario]\nduration = 2\nseed = 3\n"
             "[wind]\nmean = 2.0, 1.0, 0.0\nsigma = 0.4\n", encoding="utf-8")
         assert main(["compare", "--scenario", str(scn),
                      "--out", str(tmp_path)]) == 0
@@ -197,8 +197,8 @@ class TestCli:
         if file_seed is not None:
             scenario = tmp_path / scenario
             scenario.write_text(
-                "[scenario]\nduration = 1\nuse_outer = off\n"
-                f"seed = {file_seed}\n[wind]\nsigma = 0.4\n", encoding="utf-8")
+                f"[scenario]\nduration = 1\nseed = {file_seed}\n"
+                "[wind]\nsigma = 0.4\n", encoding="utf-8")
         code = main(["simulate", "--scenario", str(scenario), *seed_args,
                      "--out", str(tmp_path)])
         assert code == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heli import (ConfigError, Gust, HelicopterParams, ReferenceSegment,
-                  ScenarioConfig, WindModel)
+                  ScenarioConfig, WindModel, run_scenario)
 from heli.config import (
     _SCENARIO_KEYS,
     _TOOLKIT_KEYS,
@@ -159,7 +159,6 @@ class TestScenarioFile:
             "duration = 12.0\n"
             "dt = 0.004\n"
             "controller = pid\n"
-            "use_outer = true\n"
             "seed = 77\n"
             "initial_offset = 0, 0, -10\n"
             "[wind]\n"
@@ -180,6 +179,7 @@ class TestScenarioFile:
         assert cfg.wind.gusts[1].end == 8.0
         assert len(cfg.references) == 2
         assert cfg.references[1].v[2] == -2.0
+        assert cfg.att_ref is None
 
     def test_attitude_only_scenario(self, tmp_path):
         path = tmp_path / "scn.cfg"
@@ -187,11 +187,10 @@ class TestScenarioFile:
             "[scenario]\n"
             "duration = 5\n"
             "controller = hinf\n"
-            "use_outer = off\n"
             "att_ref = 0.02, 0.0, 0.0\n",
             encoding="utf-8")
         cfg = load_scenario_file(path)
-        assert not cfg.use_outer
+        assert cfg.references == ()
         assert np.allclose(cfg.att_ref, [0.02, 0.0, 0.0])
 
     def test_unknown_scenario_key_rejected(self, tmp_path):
@@ -203,7 +202,7 @@ class TestScenarioFile:
 
     def test_malformed_gust_rejected(self, tmp_path):
         path = tmp_path / "scn.cfg"
-        path.write_text("[scenario]\nduration = 5\nuse_outer = off\n"
+        path.write_text("[scenario]\nduration = 5\n"
                         "[wind]\ngusts = 2-4życzenia\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_scenario_file(path)
@@ -211,17 +210,42 @@ class TestScenarioFile:
     @pytest.mark.parametrize("gusts", ["a:4:1,0,0", "2:b:1,0,0"])
     def test_non_numeric_gust_times_rejected(self, tmp_path, gusts):
         path = tmp_path / "scn.cfg"
-        path.write_text("[scenario]\nduration = 5\nuse_outer = off\n"
-                        f"[wind]\ngusts = {gusts}\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_scenario_file(path)
-
-    def test_outer_without_references_rejected(self, tmp_path):
-        path = tmp_path / "scn.cfg"
-        path.write_text("[scenario]\nduration = 5\nuse_outer = on\n",
+        path.write_text(f"[scenario]\nduration = 5\n[wind]\ngusts = {gusts}\n",
                         encoding="utf-8")
         with pytest.raises(ConfigError):
             load_scenario_file(path)
+
+    def test_use_outer_key_rejected(self, tmp_path):
+        # the reference segments alone decide whether the outer loop flies
+        path = tmp_path / "scn.cfg"
+        path.write_text("[scenario]\nduration = 5\nuse_outer = on\n"
+                        "[references]\nseg1 = 0, 0, 0, -10, 0, 0, 0, 0\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="'use_outer'"):
+            load_scenario_file(path)
+
+    def test_att_ref_with_references_rejected(self, tmp_path):
+        # the outer loop sets the attitude reference, so a fixed one would
+        # be read and then ignored
+        path = tmp_path / "scn.cfg"
+        path.write_text("[scenario]\nduration = 5\natt_ref = 0.1, 0.1, 0.5\n"
+                        "[references]\nseg1 = 0, 0, 0, -10, 0, 0, 0, 0\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="att_ref"):
+            load_scenario_file(path)
+
+    def test_file_without_references_holds_trim(self, tmp_path, params,
+                                                artifacts):
+        path = tmp_path / "scn.cfg"
+        path.write_text("[scenario]\nduration = 0.2\ncontroller = pid\n"
+                        "initial_offset = 0.5, -0.5, -10\n",
+                        encoding="utf-8")
+        log, metrics = run_scenario(load_scenario_file(path), params,
+                                    artifacts)
+        trim = artifacts.trim
+        assert np.all(log.att_ref == trim.h_out_trim)
+        assert np.all(log.inputs[:, 3] == trim.inputs.delta_col)
+        assert metrics.horizontal_envelope == 0.0
 
     def test_bad_segment_length_rejected(self, tmp_path):
         path = tmp_path / "scn.cfg"
@@ -236,10 +260,14 @@ class TestScenarioFile:
 @pytest.mark.parametrize("sigma", [0.0, 0.4])
 @pytest.mark.parametrize("seed", [-1, -2 ** 70])
 def test_negative_seed_names_seed(seed, sigma):
-    cfg = ScenarioConfig(use_outer=False, seed=seed,
-                         wind=WindModel(sigma=sigma))
+    cfg = ScenarioConfig(seed=seed, wind=WindModel(sigma=sigma))
     with pytest.raises(ConfigError, match="seed"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("seed", [0, 3, np.int64(3)])
+def test_integer_seeds_accepted(seed):
+    assert ScenarioConfig(seed=seed).validate().seed == seed
 
 
 SCENARIO_KEYS = ([("scenario", key) for key in _SCENARIO_KEYS]
@@ -295,11 +323,9 @@ def test_one_line_scenario_loads_or_raises_config_error(one_line_file, key,
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: HelicopterParams().replace(m=math.nan),
                  "parameter m", id="params-m-nan"),
-    pytest.param(lambda: ScenarioConfig(duration=math.nan,
-                                        use_outer=False).validate(),
+    pytest.param(lambda: ScenarioConfig(duration=math.nan).validate(),
                  "duration", id="duration-nan"),
-    pytest.param(lambda: ScenarioConfig(duration=math.inf,
-                                        use_outer=False).validate(),
+    pytest.param(lambda: ScenarioConfig(duration=math.inf).validate(),
                  "duration", id="duration-inf"),
     pytest.param(lambda: WindModel(sigma=math.nan).validate(),
                  "turbulence intensity", id="wind-sigma-nan"),
@@ -309,11 +335,10 @@ def test_one_line_scenario_loads_or_raises_config_error(one_line_file, key,
                  "gust interval", id="gust-start-nan"),
     # these five used to fail in the run as SimulationAbort: non-finite state
     pytest.param(lambda: ScenarioConfig(
-        use_outer=False,
         initial_offset=np.array([0.0, math.nan, 0.0])).validate(),
         "initial_offset", id="initial-offset-nan"),
     pytest.param(lambda: ScenarioConfig(
-        use_outer=False, att_ref=np.array([0.0, 0.0, math.inf])).validate(),
+        att_ref=np.array([0.0, 0.0, math.inf])).validate(),
         "att_ref", id="att-ref-inf"),
     pytest.param(lambda: WindModel(
         mean=np.array([math.nan, 0.0, 0.0])).validate(),
@@ -324,6 +349,20 @@ def test_one_line_scenario_loads_or_raises_config_error(one_line_file, key,
     pytest.param(lambda: ScenarioConfig(references=(ReferenceSegment(
         0.0, np.array([0.0, 0.0, math.nan]), np.zeros(3)),)).validate(),
         "reference segments must be finite", id="reference-p0-nan"),
+    # a float seed used to fail in the run with numpy's TypeError, and a
+    # string one with a TypeError from the sign test
+    pytest.param(lambda: ScenarioConfig(seed=1.5).validate(),
+                 "seed must be an integer", id="seed-float"),
+    pytest.param(lambda: ScenarioConfig(seed=np.float64(2.0)).validate(),
+                 "seed must be an integer", id="seed-numpy-float"),
+    pytest.param(lambda: ScenarioConfig(seed="3").validate(),
+                 "seed must be an integer", id="seed-str"),
+    # the outer loop sets the attitude reference, which a fixed one would
+    # silently lose
+    pytest.param(lambda: ScenarioConfig(
+        att_ref=np.zeros(3), references=(ReferenceSegment(
+            0.0, np.zeros(3), np.zeros(3)),)).validate(),
+        "att_ref", id="att-ref-with-references"),
 ])
 def test_validators_reject_non_finite(build, message):
     # each of these used to pass validation and fail later: trim with a
@@ -334,9 +373,8 @@ def test_validators_reject_non_finite(build, message):
 
 
 _SHAPE3_FIELDS = {
-    "initial_offset": lambda v: ScenarioConfig(use_outer=False,
-                                               initial_offset=v),
-    "att_ref": lambda v: ScenarioConfig(use_outer=False, att_ref=v),
+    "initial_offset": lambda v: ScenarioConfig(initial_offset=v),
+    "att_ref": lambda v: ScenarioConfig(att_ref=v),
     "wind mean": lambda v: WindModel(mean=v),
     "gust delta": lambda v: WindModel(gusts=(Gust(1.0, 2.0, v),)),
     "reference segment p0": lambda v: ScenarioConfig(

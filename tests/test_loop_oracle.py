@@ -38,7 +38,7 @@ PID_ERROR_BOUND = 4e-7
 def _gust_scenario(eps: float, controller: str = "hinf") -> ScenarioConfig:
     wind = WindModel(gusts=(Gust(0.5, 2.0, np.array([eps, eps, 0.0])),))
     return ScenarioConfig(name="oracle-gust", duration=DURATION, dt=0.002,
-                          controller=controller, use_outer=False, wind=wind)
+                          controller=controller, wind=wind)
 
 
 def _central_columns(fun, base, step=1e-5):

@@ -302,7 +302,7 @@ def _full_array_metrics(t, states, att_ref, config):
     theta_err = states[:, 7] - att_ref[:, 1]
     max_phi = float(np.max(np.abs(phi_err))) * 180.0 / math.pi
     max_theta = float(np.max(np.abs(theta_err))) * 180.0 / math.pi
-    if not (config.use_outer and config.references):
+    if not config.references:
         return heli.sim.MetricsReport(max_phi, max_theta, np.zeros(3),
                                       np.zeros(3), 0.0, 0.0)
     p_ref, v_ref, _ = reference_table(config.references, t)
@@ -361,7 +361,7 @@ class TestBlockMetrics:
     def test_without_outer_loop(self):
         t, states, att_ref, cfg = _metrics_log(B + 1)
         self._assert_oracles_bits(t, states, att_ref,
-                                  replace(cfg, use_outer=False))
+                                  replace(cfg, references=()))
 
     def test_peak_memory_is_its_error_arrays_and_a_few_blocks(self):
         t, states, att_ref, cfg = _metrics_log(30001)
@@ -386,6 +386,15 @@ class TestScenarioValidation:
     def test_builtin_names_available(self):
         assert "paper-hover-climb" in builtin_names()
         assert "gust-attitude-hold" in builtin_names()
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_outer_loop_follows_references(self, name):
+        # the outer loop flies exactly the built-ins with reference segments
+        cfg = builtin_scenario(name)
+        outer = {"paper-hover-climb": True, "step-offset": True,
+                 "gust-attitude-hold": False, "hover-hold": False}
+        assert bool(cfg.references) == outer[name]
+        assert cfg.att_ref is None
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(ConfigError):
@@ -784,7 +793,7 @@ class TestCompare:
         assert col_trim > 1.0
         cfg = builtin_scenario("gust-attitude-hold", seed=2026)
         cfg.duration = 2.0
-        assert not cfg.use_outer
+        assert not cfg.references
         _, log_a, log_b = compare_controllers(cfg, params, artifacts)
         for log in (log_a, log_b):
             assert np.all(log.inputs[:, 3] == col_trim)
