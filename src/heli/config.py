@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .hinf import GAMMA_MARGIN, GAMMA_TOL, OutputWeights
+from .hinf import GAMMA_MARGIN, GAMMA_TOL, OutputWeights, check_search_settings
 from .observer import DEFAULT_POLES, check_poles
 from .outer import OuterGains
 from .params import HelicopterParams, PARAM_SECTIONS
@@ -65,12 +65,10 @@ class ToolkitConfig:
             check_poles(self.observer_poles)
         except ValueError as exc:
             raise ConfigError(f"[observer] {exc}") from exc
-        # the bisection needs a positive tolerance; a negative back-off would
-        # place the design below the feasibility boundary
-        if not 0.0 < self.gamma_tol < np.inf:
-            raise ConfigError("[hinf] gamma_tol must be finite and > 0")
-        if not 0.0 <= self.gamma_margin < np.inf:
-            raise ConfigError("[hinf] gamma_margin must be finite and >= 0")
+        try:
+            check_search_settings(self.gamma_tol, self.gamma_margin)
+        except ValueError as exc:
+            raise ConfigError(f"[hinf] {exc}") from exc
         return self
 
 

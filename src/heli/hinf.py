@@ -63,7 +63,7 @@ GAMMA_TOL = 1e-4         # gamma_star: relative width of the final bracket
 GAMMA_MARGIN = 0.05      # gamma used = (1 + margin) * gamma*, or above
 _NORM_TOL = 1e-10        # hinf_norm: relative accuracy of the peak
 _AXIS_TOL = 1e-8         # |Re l| / max |l| under which l is on the j-axis
-_RANK_TOL = 1e-10        # check_feasibility: rank cut-off for D and C_res
+_RANK_TOL = 1e-10        # check_feasibility: rank cut-off for C_res
 _INVARIANCE_TOL = 1e-9   # share of max |A_res| that adds no direction
 
 
@@ -105,7 +105,6 @@ class RiccatiSolution(NamedTuple):
 class RiccatiInfeasible(NamedTuple):
     gamma: float
     reason: str     # imaginary_axis | singular_subspace | verification_failed
-    detail: str = ""
 
 
 # a solve's verdict: "" if feasible, else the RiccatiInfeasible reason
@@ -134,7 +133,6 @@ class SynthesisResult(NamedTuple):
 
 class GammaSearchResult(NamedTuple):
     gamma_star: float
-    gamma_used: float
     gammas: array       # the gamma of each search solve, in the order made
     verdicts: bytes     # per solve, its index in _VERDICTS
 
@@ -158,8 +156,6 @@ def build_output_map(weights: OutputWeights) -> ControlledOutputMap:
     for name, block in (("c11", c11), ("c22", c22), ("d11", d11)):
         if not np.all(np.isfinite(block)):
             raise SynthesisError(f"weight block {name} has non-finite entries")
-    if abs(np.linalg.det(d11)) < 1e-12:
-        raise SynthesisError("input weight block is singular")
     c = np.zeros((9, 9))
     c[3:7, 0:4] = c11
     c[7:9, 4:9] = c22
@@ -196,6 +192,24 @@ def _square(gamma) -> float:
         return math.inf
 
 
+def _resolved_inputs(c, d):
+    """R = D'D and R^-1 D'C; a SynthesisError unless D has full column rank,
+    tested on R itself, which every solve that follows inverts."""
+    rtr = d.T @ d
+    if np.linalg.matrix_rank(rtr) < d.shape[1]:
+        raise SynthesisError("output map D is column rank deficient")
+    return rtr, np.linalg.solve(rtr, d.T @ c)
+
+
+def check_search_settings(tol, margin) -> None:
+    """ValueError unless `gamma_star`'s 0 < tol < inf and 0 <= margin < inf:
+    an infinite tol stops at gamma_hi, an infinite margin designs for inf."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("gamma_tol must be finite and > 0")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError("gamma_margin must be finite and >= 0")
+
+
 def riccati_residual(p, a, b, c, d, e, gamma) -> float:
     """Max-norm of the game Riccati equation left-hand side at P."""
     rtr = d.T @ d
@@ -227,10 +241,7 @@ class _RiccatiGame:
                          for m in (a, b, c, d, e))
         _check_dims(a, b, c, d, e)
         n = a.shape[0]
-        rtr = d.T @ d
-        if np.linalg.matrix_rank(rtr) < b.shape[1]:
-            raise ValueError("D must have full column rank")
-        r_inv_dt_c = np.linalg.solve(rtr, d.T @ c)
+        rtr, r_inv_dt_c = _resolved_inputs(c, d)
         a_bar = a - b @ r_inv_dt_c
         q_bar = c.T @ c - c.T @ d @ r_inv_dt_c
         self.plant = a, b, c, d, e
@@ -266,8 +277,7 @@ class _RiccatiGame:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         scale = max(1.0, float(np.max(np.hypot(wr, wi))))
         if np.any(np.abs(wr) < 1e-9 * scale):
-            return RiccatiInfeasible(gamma, "imaginary_axis",
-                                     "Hamiltonian eigenvalues on the imaginary axis")
+            return RiccatiInfeasible(gamma, "imaginary_axis")
         if info == 2 * n + 1:
             raise np.linalg.LinAlgError(
                 "Eigenvalues could not be separated for reordering.")
@@ -275,29 +285,21 @@ class _RiccatiGame:
             raise np.linalg.LinAlgError(
                 "Leading eigenvalues do not satisfy sort condition.")
         if sdim != n:
-            return RiccatiInfeasible(gamma, "imaginary_axis",
-                                     f"stable subspace has dimension {sdim} != {n}")
+            return RiccatiInfeasible(gamma, "imaginary_axis")
         x1 = z[:n, :n]
         x2 = z[n:, :n]
         if np.linalg.cond(x1) > 1e12:
-            return RiccatiInfeasible(gamma, "singular_subspace",
-                                     "stable subspace not a graph over the state space")
+            return RiccatiInfeasible(gamma, "singular_subspace")
         p = np.linalg.solve(x1.T, x2.T).T
         p = 0.5 * (p + p.T)
 
         residual = riccati_residual(p, a, b, c, d, e, gamma)
-        if residual >= 1e-8 * (1.0 + np.max(np.abs(p))):
-            return RiccatiInfeasible(gamma, "verification_failed",
-                                     f"residual {residual:.3e}")
-        min_eig = float(np.min(np.linalg.eigvalsh(p)))
-        if min_eig <= -1e-10:
-            return RiccatiInfeasible(gamma, "verification_failed",
-                                     f"minimum eigenvalue {min_eig:.3e}")
-        f = feedback_gain(p, b, c, d)
-        cl_eigs = np.linalg.eigvals(a + b @ f)
-        if np.any(cl_eigs.real >= 0.0):
-            return RiccatiInfeasible(gamma, "verification_failed",
-                                     "closed loop not Hurwitz")
+        # verified: a small residual, P >= 0 and A + B F Hurwitz
+        if (residual >= 1e-8 * (1.0 + np.max(np.abs(p)))
+                or np.min(np.linalg.eigvalsh(p)) <= -1e-10
+                or np.any(np.linalg.eigvals(
+                    a + b @ feedback_gain(p, b, c, d)).real >= 0.0)):
+            return RiccatiInfeasible(gamma, "verification_failed")
         return RiccatiSolution(p=p, gamma=float(gamma), residual_norm=residual)
 
 
@@ -329,15 +331,12 @@ def gamma_star(a, b, c, d, e, tol: float = GAMMA_TOL,
     `max_iter`) as the plain bisection, so the result is the same; only the
     probes differ (`trace`, one row per solve in the order made).
 
-    Returns the search record (the boundary estimate, the gamma used and
-    the probes) and the verified solution at the gamma used, (1 + margin)
+    Returns the search record (the boundary estimate and the probes) and
+    the verified solution at the gamma used, its `gamma`: (1 + margin)
     times the boundary or above.  The record holds no P: callers that keep
     many searches keep ~0.9 KB each.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if not margin >= 0.0:
-        raise ValueError("margin must be non-negative")
+    check_search_settings(tol, margin)
     game = _RiccatiGame(a, b, c, d, e)
     gammas, verdicts = array("d"), bytearray()
 
@@ -400,9 +399,7 @@ def gamma_star(a, b, c, d, e, tol: float = GAMMA_TOL,
         result = game.solve(g_used)
     if isinstance(result, RiccatiInfeasible):
         raise SynthesisError("no feasible solution above the located boundary")
-    search = GammaSearchResult(gamma_star=g_star, gamma_used=g_used,
-                               gammas=gammas, verdicts=bytes(verdicts))
-    return search, result
+    return GammaSearchResult(g_star, gammas, bytes(verdicts)), result
 
 
 def compute_gains(riccati: RiccatiSolution, a, b, c, d,
@@ -535,10 +532,7 @@ def check_feasibility(a, b, c, d) -> np.ndarray:
     the rows of C_res by A_res'.  The zeros are A_res restricted to it.
     """
     a, b, c, d = (np.asarray(m, dtype=float) for m in (a, b, c, d))
-    if np.linalg.matrix_rank(d, tol=_RANK_TOL) < b.shape[1]:
-        raise SynthesisError("output map D is column rank deficient")
-
-    resolve = np.linalg.solve(d.T @ d, d.T @ c)
+    resolve = _resolved_inputs(c, d)[1]
     a_res, c_res = a - b @ resolve, c - d @ resolve
     # cut-offs scale with C and A, not with the block at hand: a C_res that
     # D cancels down to round-off must come out empty

@@ -127,15 +127,11 @@ def design_reduced_observer(plant, poles=DEFAULT_POLES) -> ObserverDesign:
     poles = check_poles(poles)
     a_yy, a_yz, a_zy, a_zz, b_y, b_z = partition_plant(a, b)
 
-    # observability of the (unmeasured, measured-coupling) pair
-    obs = np.vstack([a_yz @ np.linalg.matrix_power(a_zz, k) for k in range(3)])
-    if np.linalg.matrix_rank(obs, tol=1e-10) < 3:
-        raise UnobservablePairError(
-            "unmeasured block is not observable through the measured states")
-    # With a_yz of full column rank, L with eig(a_zz - L a_yz) = poles is a
-    # least-squares solve, the same one scipy.signal.place_poles makes.  In
-    # this model b_s drives p, a_s drives q and dped drives r, so a lower
-    # rank comes only with an unobservable pair.
+    # L with eig(a_zz - L a_yz) = poles is a least-squares solve, the same
+    # one scipy.signal.place_poles makes, and needs a_yz of full column
+    # rank.  That rank also makes the pair (a_zz, a_yz) observable, so it is
+    # the one test.  In this model b_s drives p, a_s drives q and dped
+    # drives r.
     rank = np.linalg.matrix_rank(a_yz)
     if rank < 3:
         raise UnobservablePairError(

@@ -41,21 +41,29 @@ PLANT_FILES = (
 PLANT_TRIM_RESIDUAL = 1e-4
 
 
-def _read_matrix_csv(path: Path, shape: tuple) -> np.ndarray:
-    """A matrix CSV; ConfigError unless readable, numeric, finite and of
-    `shape`: a NaN or inf would only fail later, inside synthesis."""
+def _read_matrix_csv(path: Path, cols: tuple, rows) -> np.ndarray:
+    """A matrix CSV labelled as `heli linearize` writes it: `cols` over the
+    columns, `rows` down the rows (None: one unlabelled row).  A ConfigError
+    names the file unless it is readable, so labelled, numeric and finite:
+    a swapped file or a NaN would only fail later, inside synthesis."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            skip = int(fh.readline().startswith(","))
-            rows = [[float(v) for v in line.split(",")[skip:]]
-                    for line in map(str.strip, fh) if line]
+            lines = [line.split(",") for line in map(str.strip, fh) if line]
     except OSError as exc:
         raise ConfigError(f"cannot read plant file: {exc}") from exc
+    lead = [""] if rows else []
+    if lines[:1] != [lead + list(cols)]:
+        raise ConfigError(f"{path}: expected the column labels {','.join(cols)}")
+    if rows and [line[0] for line in lines[1:]] != list(rows):
+        raise ConfigError(f"{path}: expected the row labels {','.join(rows)}")
+    try:
+        values = [[float(v) for v in line[len(lead):]] for line in lines[1:]]
     except ValueError as exc:
         raise ConfigError(f"{path}: not a numeric CSV ({exc})") from exc
-    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
-        raise ConfigError(f"{path}: expected a {shape[0]}x{shape[1]} matrix")
-    matrix = np.array(rows)
+    n_rows = len(rows) if rows else 1
+    if len(values) != n_rows or any(len(row) != len(cols) for row in values):
+        raise ConfigError(f"{path}: expected a {n_rows}x{len(cols)} matrix")
+    matrix = np.array(values)
     if not np.all(np.isfinite(matrix)):
         raise ConfigError(f"{path}: expected finite numbers")
     return matrix
@@ -69,10 +77,8 @@ def linear_plant(cfg, plant_dir=None) -> LinearPlant:
     names its trim_state.csv."""
     if plant_dir is None:
         return linearize(cfg.params, find_trim(cfg.params))
-    a, b, e, x, u = (
-        _read_matrix_csv(Path(plant_dir) / name,
-                         (1 if rows is None else len(rows), len(cols)))
-        for name, cols, rows in PLANT_FILES)
+    a, b, e, x, u = (_read_matrix_csv(Path(plant_dir) / name, cols, rows)
+                     for name, cols, rows in PLANT_FILES)
     trim = TrimPoint.from_vectors(x[0], u[0], cfg.params)
     if not trim.residual <= PLANT_TRIM_RESIDUAL:
         raise ConfigError(

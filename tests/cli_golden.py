@@ -1,23 +1,25 @@
 """Byte-identity gate for the command line.
 
-Runs 22 `heli` commands, each in a fresh interpreter in the repository's
+Runs 23 `heli` commands, each in a fresh interpreter in the repository's
 root with its own output directory: trim, linearize, synthesize (also with
 `--config configs/default.cfg`, which must write what the defaults write),
 gamma-search, `simulate --seed 2026` for every built-in scenario under each
-controller, `compare --seed 2026` for every built-in scenario, and
-`simulate` of the scenario file `tests/golden_scenario.cfg`, which sets
-every key the scenario-file reader knows except `att_ref`, which a
-scenario with references refuses.  It compares the exit code and the
-sha256 of every file a command writes, of its stdout and of its stderr
-against the table in `cli_golden.json`, with the output directory replaced
-by `<out>` in stdout and stderr.
+controller, `compare --seed 2026` for every built-in scenario, `simulate`
+of the scenario file `tests/golden_scenario.cfg`, which sets every key the
+scenario-file reader knows except `att_ref`, which a scenario with
+references refuses, and `synthesize --config
+tests/rank_deficient_weights.cfg`, whose input weights fail the rank test
+of D: an error path, exit 1 with one line on stderr.  It compares the exit
+code and the sha256 of every file a command writes, of its stdout and of
+its stderr against the table in `cli_golden.json`, with the output
+directory replaced by `<out>` in stdout and stderr.
 
     python tests/cli_golden.py            # exit 1 on any difference
     python tests/cli_golden.py --write    # re-pin the table
 
 The table records the numpy and scipy versions it was taken with; on other
 versions the script fails with a message that names both.  pytest does not
-collect this file (it is not named test_*.py): the 22 commands take ~35 s
+collect this file (it is not named test_*.py): the 23 commands take ~35 s
 on a 2-vCPU host.
 """
 import hashlib
@@ -40,6 +42,7 @@ COMMANDS = (
       for s in SCENARIOS for c in ("hinf", "pid", "open_loop")),
     *(("compare", "--scenario", s, "--seed", "2026") for s in SCENARIOS),
     ("simulate", "--scenario", "tests/golden_scenario.cfg"),
+    ("synthesize", "--config", "tests/rank_deficient_weights.cfg"),
 )
 
 

@@ -15,13 +15,15 @@ is listed although the commands run it.
 
     python tests/reachability.py
 
-It is for information: the exit code is 1 only when a command fails.  It
-needs Python 3.11 or later (`co_qualname`).
-pytest does not collect this file (it is not named test_*.py); the 22
+It is for information: the exit code is 1 only when a command exits with
+another code than `cli_golden.json` pins for it (1 for the one error-path
+command, 0 for the rest).  It needs Python 3.11 or later (`co_qualname`).
+pytest does not collect this file (it is not named test_*.py); the 23
 commands take ~40 s under the profile on a 2-vCPU host.
 """
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +53,8 @@ def defined_functions(package: Path) -> dict:
 
 def main() -> int:
     entered = set()
+    pinned = json.loads((TESTS / "cli_golden.json").read_text(
+        encoding="utf-8"))["digests"]
 
     def profile(frame, event, arg):
         if event == "call":
@@ -65,8 +69,9 @@ def main() -> int:
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
                     status = heli_main([*args, "--out", f"{scratch}/{k}"])
-                if status != 0:
-                    failed.append(" ".join(args))
+                command = " ".join(args)
+                if status != pinned[f"{command} | exit"]:
+                    failed.append(f"{command} (exit {status})")
     finally:
         sys.setprofile(None)
 
@@ -83,7 +88,7 @@ def main() -> int:
         print(f"  {module}.{qualname}  "
               f"{Path(path).relative_to(SRC.parent)}:{line}")
     for command in failed:
-        print(f"command failed: heli {command}")
+        print(f"exit code not the pinned one: heli {command}")
     return 1 if failed else 0
 
 

@@ -142,6 +142,75 @@ class TestCli:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("damage, name, message", [
+        # B and E are both 9x3: by shape alone the swap used to be read,
+        # and the search then failed at its upper bound
+        pytest.param("swapped-B-E", "B.csv",
+                     "expected the column labels dlat,dlon,dped",
+                     id="swapped-B-E"),
+        # rows in another order used to be read as another plant
+        pytest.param("reordered-A-rows", "A.csv",
+                     "expected the row labels phi,theta,p,q,a_s,b_s,r,dped,psi",
+                     id="reordered-A-rows"),
+        pytest.param("reordered-trim-inputs", "trim_inputs.csv",
+                     "expected the column labels dlat,dlon,dped,dcol",
+                     id="reordered-trim-inputs"),
+    ])
+    def test_mislabelled_plant_file_is_named(self, tmp_path, capsys, damage,
+                                             name, message):
+        lin = tmp_path / "lin"
+        assert main(["linearize", "--out", str(lin)]) == 0
+        if damage == "swapped-B-E":
+            b, e = (lin / "B.csv").read_text(), (lin / "E.csv").read_text()
+            (lin / "B.csv").write_text(e)
+            (lin / "E.csv").write_text(b)
+        elif damage == "reordered-A-rows":
+            lines = (lin / "A.csv").read_text().splitlines()
+            lines[1], lines[2] = lines[2], lines[1]
+            (lin / "A.csv").write_text("\n".join(lines) + "\n")
+        else:  # the first two labels and their values swapped
+            rows = [line.split(",") for line in
+                    (lin / "trim_inputs.csv").read_text().splitlines()]
+            for row in rows:
+                row[0], row[1] = row[1], row[0]
+            (lin / "trim_inputs.csv").write_text(
+                "\n".join(",".join(row) for row in rows) + "\n")
+        capsys.readouterr()
+        code = main(["synthesize", "--plant", str(lin),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {lin / name}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["synthesize", "gamma-search"])
+    @pytest.mark.parametrize("d11", ["1, 1, 1e-9", "1e6, 1e6, 1e-4"])
+    def test_rank_deficient_input_weight_fails_with_one_line(
+            self, tmp_path, capsys, command, d11):
+        # D'D is singular to working precision; these used to pass the
+        # determinant and D-rank tests and end in a ValueError traceback
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"[weights]\nd11_diag = {d11}\n", encoding="utf-8")
+        code = main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: output map D is column rank deficient\n")
+
+    @pytest.mark.parametrize("command", ["synthesize", "gamma-search"])
+    def test_small_input_weight_is_not_singular(self, tmp_path, capsys,
+                                                command):
+        # d11 = 1e-5 I has condition number 1; its determinant, 1e-15, used
+        # to be read as singular.  The search itself then finds no
+        # verifiable solution at its upper bound.
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("[weights]\nd11_diag = 1e-5, 1e-5, 1e-5\n",
+                       encoding="utf-8")
+        code = main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem infeasible at the upper bound")
+        assert len(err.strip().splitlines()) == 1
+
     def test_simulate_builtin_scenario(self, tmp_path):
         out = tmp_path / "runs"
         scn = tmp_path / "short.cfg"

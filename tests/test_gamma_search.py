@@ -42,7 +42,7 @@ def _plain_solve_riccati(a, b, c, d, e, gamma):
 
     rtr = d.T @ d
     if np.linalg.matrix_rank(rtr) < b.shape[1]:
-        raise ValueError("D must have full column rank")
+        raise SynthesisError("output map D is column rank deficient")
     r_inv_dt_c = np.linalg.solve(rtr, d.T @ c)
     a_bar = a - b @ r_inv_dt_c
     q_bar = c.T @ c - c.T @ d @ r_inv_dt_c
@@ -54,42 +54,37 @@ def _plain_solve_riccati(a, b, c, d, e, gamma):
     eigs = np.linalg.eigvals(ham)
     scale = max(1.0, np.max(np.abs(eigs)))
     if np.any(np.abs(eigs.real) < 1e-9 * scale):
-        return RiccatiInfeasible(gamma, "imaginary_axis",
-                                 "Hamiltonian eigenvalues on the imaginary axis")
+        return RiccatiInfeasible(gamma, "imaginary_axis")
 
     t, z, sdim = scipy.linalg.schur(ham, output="real",
                                     sort=lambda re, im: re < 0.0)
     if sdim != n:
-        return RiccatiInfeasible(gamma, "imaginary_axis",
-                                 f"stable subspace has dimension {sdim} != {n}")
+        return RiccatiInfeasible(gamma, "imaginary_axis")
     x1 = z[:n, :n]
     x2 = z[n:, :n]
     if np.linalg.cond(x1) > 1e12:
-        return RiccatiInfeasible(gamma, "singular_subspace",
-                                 "stable subspace not a graph over the state space")
+        return RiccatiInfeasible(gamma, "singular_subspace")
     p = np.linalg.solve(x1.T, x2.T).T
     p = 0.5 * (p + p.T)
 
     residual = riccati_residual(p, a, b, c, d, e, gamma)
     if residual >= 1e-8 * (1.0 + np.max(np.abs(p))):
-        return RiccatiInfeasible(gamma, "verification_failed",
-                                 f"residual {residual:.3e}")
-    min_eig = float(np.min(np.linalg.eigvalsh(p)))
-    if min_eig <= -1e-10:
-        return RiccatiInfeasible(gamma, "verification_failed",
-                                 f"minimum eigenvalue {min_eig:.3e}")
+        return RiccatiInfeasible(gamma, "verification_failed")
+    if np.min(np.linalg.eigvalsh(p)) <= -1e-10:
+        return RiccatiInfeasible(gamma, "verification_failed")
     f = feedback_gain(p, b, c, d)
     cl_eigs = np.linalg.eigvals(a + b @ f)
     if np.any(cl_eigs.real >= 0.0):
-        return RiccatiInfeasible(gamma, "verification_failed",
-                                 "closed loop not Hurwitz")
+        return RiccatiInfeasible(gamma, "verification_failed")
     return RiccatiSolution(p=p, gamma=float(gamma), residual_norm=residual)
 
 
 def _plain_gamma_star(a, b, c, d, e, tol=1e-4, margin=0.05, gamma_hi=1e6,
                       max_iter=200):
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("gamma_tol must be finite and > 0")
+    if not 0.0 <= margin < np.inf:
+        raise ValueError("gamma_margin must be finite and >= 0")
     trace = []
 
     def feasible(g):
@@ -166,7 +161,7 @@ def check_same_search(a, b, c, d, e, **kwargs) -> bool:
     allowed = set(halvings) | {g for g, _, _ in trace}
     assert {g for g, _, _ in got.trace} <= allowed
     assert got.gamma_star == g_star
-    assert got.gamma_used == g_used
+    assert got_solution.gamma == g_used
     assert got_solution.p.tobytes() == solution.p.tobytes()
     assert got_solution.residual_norm == solution.residual_norm
     return True

@@ -80,7 +80,7 @@ def design_digests(result, search) -> dict:
         "design/F": _digest(result.f),
         "design/G": _digest(result.g),
         "design/gamma_star": _digest(search.gamma_star),
-        "design/gamma_used": _digest([search.gamma_used, result.gamma]),
+        "design/gamma_used": _digest([result.gamma, result.gamma]),
         "design/gammas": _digest(np.asarray(search.gammas)),
         "design/verdicts": _digest(np.frombuffer(search.verdicts, np.uint8)),
     }

@@ -55,10 +55,13 @@ class TestBuildOutputMap:
         assert np.array_equal(out.d[0:3, :], np.eye(3))
 
     def test_singular_input_weight_rejected(self):
+        # the map is built; the rank test of D rejects it before any solve
         w = OutputWeights(c11=np.eye(4), c22=np.zeros((2, 5)),
                           d11=np.diag([1.0, 0.0, 1.0]))
-        with pytest.raises(SynthesisError):
-            build_output_map(w)
+        out = build_output_map(w)
+        with pytest.raises(SynthesisError, match="column rank deficient"):
+            check_feasibility(np.zeros((9, 9)), np.zeros((9, 3)), out.c,
+                              out.d)
 
     @pytest.mark.parametrize("block", ["c11", "c22", "d11"])
     def test_non_finite_weight_block_rejected(self, block):
@@ -177,7 +180,7 @@ class TestSolveRiccati:
 
     def test_rank_deficient_d_rejected(self, scalar_plant):
         a, b, c, _, e = scalar_plant
-        with pytest.raises(ValueError):
+        with pytest.raises(SynthesisError, match="column rank deficient"):
             solve_riccati(a, b, c, np.zeros((2, 1)), e, 1.0)
 
     def test_nonfinite_hamiltonian_rejected(self, scalar_plant):
@@ -299,7 +302,7 @@ class TestGammaStar:
         search, solution = gamma_star(a, b, c, d, e, tol=1e-6)
         assert search.gamma_star == pytest.approx(1.0 / SQRT2, abs=1e-4)
         assert isinstance(solution, RiccatiSolution)
-        assert search.gamma_used > search.gamma_star
+        assert solution.gamma > search.gamma_star
 
     def test_no_disturbance_drives_gamma_to_zero(self, scalar_plant):
         a, b, c, d, _ = scalar_plant
@@ -316,19 +319,25 @@ class TestGammaStar:
         with pytest.raises(SynthesisError):
             gamma_star(a, b, c, d, e)
 
-    @pytest.mark.parametrize("margin", [-0.01, math.nan])
+    @pytest.mark.parametrize("margin", [-0.01, math.nan, math.inf])
     def test_bad_margin_rejected(self, scalar_plant, margin):
         # with 1 + margin < 1 the back-off loop would shrink gamma one solve
-        # at a time until E E'/gamma^2 overflows
-        with pytest.raises(ValueError, match="margin"):
+        # at a time until E E'/gamma^2 overflows; an infinite margin would
+        # design for gamma = inf
+        with pytest.raises(ValueError, match="gamma_margin"):
             gamma_star(*scalar_plant, margin=margin)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf])
     def test_bad_tol_rejected(self, scalar_plant, tol):
         # a NaN width never meets the stopping test, so the search would
-        # run all max_iter solves
-        with pytest.raises(ValueError, match="tol"):
+        # run all max_iter solves; an infinite one would stop at gamma_hi
+        # after one
+        with pytest.raises(ValueError, match="gamma_tol"):
             gamma_star(*scalar_plant, tol=tol)
+
+    def test_synthesize_refuses_an_infinite_margin(self, plant):
+        with pytest.raises(ValueError, match="gamma_margin"):
+            synthesize(plant, margin=math.inf)
 
     def test_trace_records_bisection(self, scalar_plant):
         a, b, c, d, e = scalar_plant
@@ -557,6 +566,13 @@ class TestCheckFeasibility:
                                   output_map.c, output_map.d)
         assert np.linalg.matrix_rank(output_map.d) == 3
         assert isinstance(zeros, np.ndarray)
+
+    def test_uniformly_small_d_has_full_rank(self, plant):
+        # d11 = 1e-5 I has condition number 1: its determinant, 1e-15, is no
+        # test of its rank
+        weights = OutputWeights.default()._replace(d11=1e-5 * np.eye(3))
+        out = build_output_map(weights)
+        assert check_feasibility(plant.a, plant.b, out.c, out.d).size == 0
 
     def test_rank_deficiency_flagged(self):
         w = OutputWeights(c11=np.eye(4), c22=np.zeros((2, 5)), d11=np.eye(3))

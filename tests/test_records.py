@@ -19,10 +19,9 @@ RECORDS = {
     heli.OutputWeights: (("c11", "c22", "d11"), {}),
     ControlledOutputMap: (("c", "d"), {}),
     heli.RiccatiSolution: (("p", "gamma", "residual_norm"), {}),
-    heli.RiccatiInfeasible: (("gamma", "reason", "detail"), {"detail": ""}),
+    heli.RiccatiInfeasible: (("gamma", "reason"), {}),
     heli.SynthesisResult: (("f", "g", "riccati"), {}),
-    heli.GammaSearchResult: (
-        ("gamma_star", "gamma_used", "gammas", "verdicts"), {}),
+    heli.GammaSearchResult: (("gamma_star", "gammas", "verdicts"), {}),
     heli.PidGains: (
         ("roll_kp", "roll_ki", "roll_kd", "pitch_kp", "pitch_ki", "pitch_kd",
          "yaw_kp", "yaw_ki", "int_limit"),
