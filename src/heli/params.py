@@ -57,11 +57,16 @@ class HelicopterParams(NamedTuple):
         for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ConfigError(f"parameter {name} must be finite")
-        positive = ("m", "jx", "jy", "jz", "tau_mr", "omega_mr", "i_beta")
+        positive = ("m", "jx", "jy", "jz", "tau_mr", "gamma_mr", "omega_mr",
+                    "i_beta")
         for name in positive:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"parameter {name} must be > 0")
-        nonneg = ("g", "k_beta", "gamma_mr", "thrust_trim", "k_col", "flap_limit",
+        # the flap coupling divides by omega_mr ** 2, which raises
+        # OverflowError above ~1.3e154 and is 0 below ~1.5e-162
+        if not 0.0 < self.omega_mr * self.omega_mr < math.inf:
+            raise ConfigError("parameter omega_mr squared must be finite and > 0")
+        nonneg = ("g", "k_beta", "thrust_trim", "k_col", "flap_limit",
                   "dx", "dy", "dz", "lp", "mq", "nr", "k_ped")
         for name in nonneg:
             if not getattr(self, name) >= 0.0:

@@ -16,14 +16,14 @@ is listed although the commands run it.
     python tests/reachability.py
 
 It is for information: the exit code is 1 only when a command exits with
-another code than `cli_golden.json` pins for it (1 for the one error-path
-command, 0 for the rest).  It needs Python 3.11 or later (`co_qualname`).
-pytest does not collect this file (it is not named test_*.py); the 23
-commands take ~40 s under the profile on a 2-vCPU host.
+another code than `cli_golden.json` pins for it (1 for the two error-path
+commands, 0 for the rest), and it stops, as `cli_golden.py` does, on numpy
+or scipy versions other than the table's.  It needs Python 3.11 or later
+(`co_qualname`).  pytest does not collect this file (it is not named
+test_*.py); the 25 commands take ~50 s under the profile on a 2-vCPU host.
 """
 import contextlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -33,7 +33,7 @@ ROOT = TESTS.parent
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(TESTS)]
 
-from cli_golden import COMMANDS  # noqa: E402  (imports no part of heli)
+from cli_golden import COMMANDS, pinned_digests  # noqa: E402  (no heli)
 
 
 def defined_functions(package: Path) -> dict:
@@ -53,8 +53,7 @@ def defined_functions(package: Path) -> dict:
 
 def main() -> int:
     entered = set()
-    pinned = json.loads((TESTS / "cli_golden.json").read_text(
-        encoding="utf-8"))["digests"]
+    pinned = pinned_digests()
 
     def profile(frame, event, arg):
         if event == "call":

@@ -345,6 +345,7 @@ class TestGammaStar:
         assert len(search.trace) > 10
         gammas = [g for g, _, _ in search.trace]
         assert gammas[0] == 1e6
+        assert type(search.verdicts) is bytes and search.gammas.typecode == "d"
 
 
 class TestComputeGains:

@@ -108,10 +108,13 @@ def test_plant_dir_gives_the_recomputed_design(cfg, params, tmp_path):
     ("m", -1.0, "parameter m must be > 0"),
     ("jx", 0.0, "parameter jx must be > 0"),
     ("tau_mr", float("nan"), "parameter tau_mr must be finite"),
+    ("gamma_mr", 0.0, "parameter gamma_mr must be > 0"),
+    ("omega_mr", 1e300, "parameter omega_mr squared must be finite and > 0"),
 ])
 def test_unusable_parameter_names_itself(field, value, message):
-    # without the check, m = -1 builds a design, jx = 0 divides by zero and
-    # a NaN tau_mr reaches LAPACK
+    # without the check, m = -1 builds a design, jx = 0 and gamma_mr = 0
+    # divide by zero, omega_mr = 1e300 overflows in its square and a NaN
+    # tau_mr reaches LAPACK
     cfg = ToolkitConfig(params=HelicopterParams(**{field: value}))
     with pytest.raises(ConfigError, match=f"^{message}$"):
         build_design(cfg)
